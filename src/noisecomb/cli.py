@@ -31,6 +31,7 @@ from .codec import (
 from .diffusion import GaussianMixturePrior, build_schedule, unconditional_sample
 from .operators import make_observation, operator_from_config
 from .quantizer import (
+    BudgetExceededError,
     fractions_from_scores,
     make_grid,
     quantize_dp,
@@ -284,18 +285,21 @@ def cmd_compress(cfg: dict, input_path: str, out: str, recon_path: str | None = 
     T = int(_require(cfg, "T"))
     schedule = _schedule_from_config(cfg.get("schedule", {}), T)
     start = time.perf_counter()
-    result = compress(
-        x0,
-        prior,
-        schedule,
-        seed=int(cfg.get("seed", 0)),
-        K=_resolve_k(_require(cfg, "K")),
-        m=int(_require(cfg, "m")),
-        C=int(_require(cfg, "C")),
-        n_side=int(cfg.get("n_side", max(1, round(np.sqrt(len(x0)))))),
-        prior_id=prior_id,
-        quantizer=cfg.get("quantizer", "dp"),
-    )
+    try:
+        result = compress(
+            x0,
+            prior,
+            schedule,
+            seed=int(cfg.get("seed", 0)),
+            K=_resolve_k(_require(cfg, "K")),
+            m=int(_require(cfg, "m")),
+            C=int(_require(cfg, "C")),
+            n_side=int(cfg.get("n_side", max(1, round(np.sqrt(len(x0)))))),
+            prior_id=prior_id,
+            quantizer=cfg.get("quantizer", "dp"),
+        )
+    except BudgetExceededError as exc:
+        raise ConfigError(f"quantizer: {exc}") from exc
     wall_ms = (time.perf_counter() - start) * 1e3
     with open(out, "wb") as fh:
         fh.write(result.stream.to_bytes())

@@ -13,8 +13,8 @@ Container layout (all big-endian):
   T u16, K u32, m u8, C u8, d u32, n_side u16, beta_min f64, beta_max f64,
   prior_id u32;
 * payload: for t = T..2, the index fields then the code fields, bit-packed
-  MSB-first, final byte zero-padded. Total payload bits are exactly
-  ``(T - 1) * (m * log2(K) + C * (m - 1))``.
+  MSB-first, final byte zero-padded (non-zero padding is rejected). Total
+  payload bits are exactly ``(T - 1) * (m * log2(K) + C * (m - 1))``.
 
 The decoder rebuilds prior, schedule, latents, and codebooks from the header
 alone; priors travel out-of-band as registry keys, mirroring how the
@@ -108,6 +108,10 @@ class CodecHeader:
             raise ValueError("d must be >= 1")
         if self.n_side < 1:
             raise ValueError("n_side must be >= 1")
+        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
+            raise ValueError(
+                f"need 0 < beta_min <= beta_max < 1, got ({self.beta_min}, {self.beta_max})"
+            )
 
     @property
     def index_bits(self) -> int:
@@ -223,6 +227,9 @@ class Bitstream:
             raise FormatError(
                 f"payload must be {expected} bytes for these parameters, got {len(self.payload)}"
             )
+        pad = 8 * expected - self.header.payload_bits
+        if pad and self.payload[-1] & ((1 << pad) - 1):
+            raise FormatError(f"the {pad} padding bits of the last payload byte must be zero")
 
     @property
     def payload_bit_length(self) -> int:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .rng import Domain, NoiseStream, StreamKey, derive_stream
 
@@ -30,6 +29,7 @@ __all__ = [
     "build_schedule",
     "marginal_params",
     "marginal_log_density",
+    "logsumexp",
     "score",
     "tweedie_estimate",
     "tweedie_jacobian",
@@ -40,6 +40,31 @@ __all__ = [
 ]
 
 _LOG_2PI = np.log(2.0 * np.pi)
+
+
+def logsumexp(a, axis: int = -1, keepdims: bool = False):
+    """``log(sum(exp(a)))`` along ``axis`` in float64, bit-identical to SciPy 1.17's.
+
+    The maxima are split out of the sum for precision: with ``n_max`` the
+    number of entries equal to the maximum ``a_max`` and ``rest`` the sum of
+    ``exp(a - a_max)`` over the others, the result is ``log1p(rest / n_max) +
+    log(n_max) + a_max``. Where that is not finite (infinite or NaN inputs) the
+    direct ``log(sum(exp(a)))`` is returned instead. The score's value thus
+    depends on NumPy alone, not on SciPy's version of this function.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a_max = a.max(axis=axis, keepdims=True)
+    is_max = a == a_max
+    n_max = is_max.sum(axis=axis, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        out = np.log1p(rest / n_max) + np.log(n_max) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    if not keepdims:
+        out = out.squeeze(axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

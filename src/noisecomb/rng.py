@@ -2,8 +2,8 @@
 
 Every stream is identified by a :class:`StreamKey` (seed, domain, timestep,
 sub-stream index) and is backed by a counter-based Philox-4x64-10 generator,
-so equal keys reproduce equal byte sequences on any platform and atoms of a
-codebook can be generated independently, in any order, with identical results.
+so equal keys reproduce equal raw words and atoms of a codebook can be
+generated independently, in any order, with identical results.
 
 Version tag ``RNG_VERSION = 1`` pins the exact recipe:
 
@@ -13,13 +13,24 @@ Version tag ``RNG_VERSION = 1`` pins the exact recipe:
 * standard normals: one raw word per normal, mapped through the inverse
   normal CDF as ``ndtri(((raw >> 12) + 0.5) * 2**-52)``.
 
-A port that reproduces the Philox raw stream and evaluates the inverse CDF
-in double precision reproduces codebooks bit-for-bit.
+A :class:`NoiseStream` is a plain ``(key, position)`` value; it owns no
+generator. Each read re-keys one Philox generator per thread through its
+``.state`` (counter ``position // 4``, empty output buffer) and discards the
+``position % 4`` words already consumed from that block. Because Philox is
+counter-based this is exactly the word sequence of a freshly keyed generator,
+so opening, seeking and cloning a handle cost no generator construction, and
+handles read from several threads never share generator state.
+
+Raw words and bytes are integer arithmetic and identical on every platform.
+The normals additionally depend on ``ndtri``, which evaluates ``log`` in its
+tails; ``log`` is not guaranteed to be correctly rounded, so the golden
+vectors in the test suite pin the normals only on the platforms they run on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -65,6 +76,7 @@ class StreamKey:
     domain: Domain
     t: int = 0
     i: int = 0
+    _words: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
@@ -73,26 +85,38 @@ class StreamKey:
             raise ValueError(f"timestep index out of range [0, 65535]: {self.t}")
         if not 0 <= self.i < 2**32:
             raise ValueError(f"sub-stream index out of range [0, 2^32): {self.i}")
+        packed = (int(self.domain) << 48) | (self.t << 32) | self.i
+        object.__setattr__(self, "_words", (int(self.seed), packed))
 
     def words(self) -> np.ndarray:
         """The two uint64 Philox key words for this stream."""
-        packed = (int(self.domain) << 48) | (self.t << 32) | self.i
-        return np.array([self.seed, packed], dtype=np.uint64)
+        return np.array(self._words, dtype=np.uint64)
+
+
+_local = threading.local()
+
+
+def _thread_generator() -> Philox:
+    """This thread's Philox generator; its key and counter are set per read."""
+    try:
+        return _local.bitgen
+    except AttributeError:
+        _local.bitgen = Philox(key=0)
+        return _local.bitgen
 
 
 class NoiseStream:
-    """A value-like handle on one keyed random stream.
+    """A value-like handle on one keyed random stream: ``(key, position)``.
 
-    The handle tracks its position in the underlying raw-word sequence, so it
-    can be cloned mid-stream or reopened at an arbitrary offset.
+    ``position`` counts the raw 64-bit words consumed so far. Seeking assigns
+    it and cloning copies it; no generator state lives in the handle.
     """
+
+    __slots__ = ("key", "_position")
 
     def __init__(self, key: StreamKey, position: int = 0):
         self.key = key
-        self._bitgen = Philox(key=key.words())
-        self._position = 0
-        if position:
-            self.seek(position)
+        self.seek(position)
 
     @property
     def position(self) -> int:
@@ -103,15 +127,6 @@ class NoiseStream:
         """Reposition the stream at ``position`` raw words from the start."""
         if position < 0:
             raise ValueError("position must be nonnegative")
-        bitgen = Philox(key=self.key.words())
-        block, within = divmod(position, _PHILOX_BLOCK)
-        if block:
-            state = bitgen.state
-            state["state"]["counter"] = np.array([block, 0, 0, 0], dtype=np.uint64)
-            bitgen.state = state
-        if within:
-            bitgen.random_raw(within)
-        self._bitgen = bitgen
         self._position = position
 
     def clone(self) -> "NoiseStream":
@@ -121,9 +136,19 @@ class NoiseStream:
         """Next ``n`` raw uint64 words."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        out = self._bitgen.random_raw(n)
+        block, within = divmod(self._position, _PHILOX_BLOCK)
+        bitgen = _thread_generator()
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (block, 0, 0, 0), "key": self.key._words},
+            "buffer": (0,) * _PHILOX_BLOCK,
+            "buffer_pos": _PHILOX_BLOCK,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out = bitgen.random_raw(within + n)[within:]
         self._position += n
-        return np.atleast_1d(np.asarray(out, dtype=np.uint64))
+        return out
 
     def take_bytes(self, n: int) -> bytes:
         """Next ``n`` bytes (big-endian serialization of whole raw words)."""
@@ -145,7 +170,7 @@ class NoiseCodebook:
 
     ``atoms[:, i]`` is exactly the stream output for key
     ``StreamKey(seed, CODEBOOK, t, i)``, so a codebook is a pure function of
-    ``(seed, t, K, d)`` and regenerates bit-identically anywhere.
+    ``(seed, t, K, d)`` and regenerates bit-identically.
     """
 
     t: int

@@ -209,6 +209,39 @@ def test_cli_exit_codes(tmp_path):
     assert main(["decompress", "--input", str(garbage), "--out", str(tmp_path / "r.npy")]) == 4
 
 
+def test_cli_nan_beta_header_is_a_format_error(tmp_path, capsys):
+    import struct
+
+    from noisecomb.codec import compress
+    from noisecomb.diffusion import build_schedule
+
+    prior = prior_from_config({"preset_id": 1, "d": 8})
+    res = compress(
+        np.linspace(-1, 1, 8), prior, build_schedule(6, 1e-4, 0.02),
+        seed=0, K=8, m=2, C=2, n_side=3, prior_id=1,
+    )
+    blob = bytearray(res.stream.to_bytes())
+    struct.pack_into(">d", blob, struct.calcsize(">4sBBQHIBBIH"), float("nan"))  # beta_min
+    stream_path = tmp_path / "nan.ncsb"
+    stream_path.write_bytes(bytes(blob))
+    rc = main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")])
+    assert rc == 4
+    assert "format error" in capsys.readouterr().err
+
+
+def test_cli_greedy_over_budget_is_a_config_error(tmp_path, capsys):
+    sig_path = tmp_path / "x0.npy"
+    np.save(sig_path, np.linspace(-1, 1, 8))
+    cfg = _write_json(
+        tmp_path / "greedy.json",
+        {"prior_id": 2, "T": 5, "K": 16, "m": 8, "C": 4, "seed": 0, "quantizer": "greedy"},
+    )
+    argv = ["compress", "--config", cfg, "--input", str(sig_path), "--out", str(tmp_path / "s.bin")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "budget" in err
+
+
 def test_shipped_configs_run(tmp_path):
     import pathlib
 

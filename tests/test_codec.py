@@ -1,3 +1,7 @@
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -148,6 +152,53 @@ def test_format_errors():
         Bitstream.from_bytes(blob + b"\x00")  # trailing garbage
     with pytest.raises(FormatError):
         Bitstream.from_bytes(blob[:10])  # truncated header
+
+
+BETA_MIN_OFFSET = struct.calcsize(">4sBBQHIBBIH")  # beta_min, then beta_max, in the header
+
+
+def _with_betas(blob: bytes, beta_min: float, beta_max: float) -> bytes:
+    out = bytearray(blob)
+    struct.pack_into(">dd", out, BETA_MIN_OFFSET, beta_min, beta_max)
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "beta_min,beta_max",
+    [(np.nan, 0.02), (1e-4, np.nan), (0.0, 0.02), (-1e-4, 0.02), (0.03, 0.02), (1e-4, 1.0)],
+)
+def test_header_rejects_bad_betas(beta_min, beta_max):
+    with pytest.raises(ValueError):
+        CodecHeader(
+            seed=0, T=10, K=16, m=2, C=3, d=4, n_side=2,
+            beta_min=beta_min, beta_max=beta_max, prior_id=1,
+        )
+    prior, x0 = _signal(seed=4, d=8, prior_id=1)
+    res = compress(x0, prior, build_schedule(6, 1e-4, 0.02), seed=4, K=8, m=2, C=2, n_side=3, prior_id=1)
+    blob = res.stream.to_bytes()
+    assert Bitstream.from_bytes(_with_betas(blob, 1e-4, 0.02)) == res.stream
+    with pytest.raises(FormatError):
+        Bitstream.from_bytes(_with_betas(blob, beta_min, beta_max))
+
+
+def test_nonzero_padding_bits_rejected():
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "codec.json").read_text())
+    prior, x0 = _signal(seed=0, d=64, prior_id=cfg["prior_id"])
+    sch = build_schedule(cfg["T"], cfg["schedule"]["beta_min"], cfg["schedule"]["beta_max"])
+    res = compress(
+        x0, prior, sch, seed=cfg["seed"], K=cfg["K"], m=cfg["m"], C=cfg["C"],
+        n_side=cfg["n_side"], prior_id=cfg["prior_id"],
+    )
+    assert res.stream.payload_bit_length == 3564  # 4 padding bits in the last byte
+    blob = res.stream.to_bytes()
+    assert blob[-1] & 0x0F == 0
+    for bit in range(4):
+        flipped = blob[:-1] + bytes([blob[-1] ^ (1 << bit)])
+        with pytest.raises(FormatError, match="padding"):
+            Bitstream.from_bytes(flipped)
+    # the lowest payload bit just above the padding is data, not padding
+    data_flip = Bitstream.from_bytes(blob[:-1] + bytes([blob[-1] ^ 0x10]))
+    assert data_flip.payload != res.stream.payload
 
 
 def test_unknown_prior_id():

@@ -6,6 +6,7 @@ from noisecomb.diffusion import (
     build_schedule,
     ddpm_mean,
     ddpm_step,
+    logsumexp,
     marginal_log_density,
     marginal_params,
     score,
@@ -183,6 +184,34 @@ def test_score_rejects_nonfinite_input():
     prior = _mixture_4d_diag()
     with pytest.raises(ValueError):
         score(prior, sch, np.array([1.0, np.nan, 0.0, 0.0]), 5)
+
+
+def test_logsumexp_bit_identical_to_scipy():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from hypothesis.extra import numpy as hnp
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6)
+    values = st.one_of(
+        st.floats(allow_nan=False, width=64),
+        st.sampled_from([-np.inf, -700.0, -1.0, 0.0, 2.5]),  # repeats force ties
+    )
+
+    @given(shape=shapes, data=st.data(), keepdims=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def run(shape, data, keepdims):
+        a = data.draw(hnp.arrays(np.float64, shape, elements=values))
+        k = shape[-1]
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        a[..., i] = a[..., j]  # a tie along the reduced axis in every row
+        got = logsumexp(a, axis=-1, keepdims=keepdims)
+        want = scipy_logsumexp(a, axis=-1, keepdims=keepdims)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    run()
 
 
 def test_score_batched_matches_pointwise():

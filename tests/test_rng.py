@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+import noisecomb.rng as rng
 from noisecomb.rng import (
     Domain,
     NoiseStream,
@@ -93,6 +96,72 @@ def test_stream_is_value_like():
     assert np.array_equal(c.raw(5), s.raw(5))
     s.seek(1)
     assert s.raw(3).tolist() == GOLDEN_RAW_4[1:4]
+
+
+@pytest.mark.parametrize("position", [1, 2, 3, 5, 6, 7, 9, 14])
+def test_seek_and_clone_off_block_boundary_match_fresh_slice(position):
+    fresh = derive_stream(GOLDEN_KEY).raw(position + 11)
+    sought = derive_stream(GOLDEN_KEY)
+    sought.seek(position)
+    assert np.array_equal(sought.raw(11), fresh[position:])
+    assert np.array_equal(NoiseStream(GOLDEN_KEY, position).raw(11), fresh[position:])
+    read = derive_stream(GOLDEN_KEY)
+    read.raw(position)
+    clone = read.clone()
+    assert clone.position == position
+    assert np.array_equal(clone.raw(11), fresh[position:])
+    assert read.position == position  # reading the clone leaves the original alone
+    assert np.array_equal(read.raw(11), fresh[position:])
+
+
+def test_handles_read_alternately_from_two_threads_match_serial():
+    keys = [StreamKey(1, Domain.CODEBOOK, 0, 0), StreamKey(2, Domain.FRESH_NOISE, 3, 5)]
+    turns = [threading.Semaphore(1), threading.Semaphore(0)]
+    got, generators, errors = [[], []], [None, None], []
+
+    def reader(j):
+        stream = derive_stream(keys[j])
+        for _ in range(6):
+            if not turns[j].acquire(timeout=10):
+                return
+            try:
+                got[j].append(stream.raw(3))
+                generators[j] = rng._thread_generator()
+            except Exception as exc:
+                errors.append(exc)
+                return
+            finally:
+                turns[1 - j].release()
+
+    threads = [threading.Thread(target=reader, args=(j,)) for j in (0, 1)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30)
+    assert not errors and not any(th.is_alive() for th in threads)
+    assert generators[0] is not generators[1]
+    for j in (0, 1):
+        assert np.array_equal(np.concatenate(got[j]), derive_stream(keys[j]).raw(18))
+
+
+def test_codebook_build_constructs_at_most_one_philox_per_thread(monkeypatch):
+    made = []
+    real = rng.Philox
+
+    def counting(*args, **kwargs):
+        made.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rng, "Philox", counting)
+    reference = build_codebook(3, 7, 64, 16)
+    assert len(made) <= 1
+    made.clear()
+    built = {}
+    worker = threading.Thread(target=lambda: built.update(cb=build_codebook(3, 7, 64, 16)))
+    worker.start()
+    worker.join()
+    assert made == [worker.ident]
+    assert np.array_equal(built["cb"].atoms, reference.atoms)
 
 
 def test_sample_standard_normal_rejects_zero_dim():
