@@ -12,11 +12,15 @@ Where a noise-prediction form is needed it is ``eps_hat = -sqrt(1 -
 alpha_bar[t]) * s``, which makes the Tweedie formula and the DDPM mean exact
 simultaneously. Timesteps are 1-indexed (``t = 1 .. T``); the final ``t = 1``
 reverse step adds no noise.
+
+Sampler, solvers and codec all run :func:`reverse_loop` with their own noise
+policy and optional mean hook.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -31,11 +35,14 @@ __all__ = [
     "marginal_log_density",
     "logsumexp",
     "score",
+    "tweedie_from_score",
     "tweedie_estimate",
     "tweedie_jacobian",
     "tweedie_jacobian_apply",
     "ddpm_mean",
     "ddpm_step",
+    "fresh_noise",
+    "reverse_loop",
     "unconditional_sample",
 ]
 
@@ -152,7 +159,6 @@ class GaussianMixturePrior:
     means: np.ndarray  # (k, d)
     variances: np.ndarray | None = None
     covariances: np.ndarray | None = None
-    _chol: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -176,16 +182,14 @@ class GaussianMixturePrior:
             cov = np.asarray(self.covariances, dtype=np.float64)
             if cov.shape != (len(mu), self.d, self.d):
                 raise ValueError(f"covariances must have shape (k, d, d), got {cov.shape}")
-            chols = []
             for k in range(len(mu)):
                 if not np.allclose(cov[k], cov[k].T, atol=1e-12):
                     raise ValueError(f"covariance {k} is not symmetric")
                 try:
-                    chols.append(cho_factor(cov[k], lower=True))
+                    cho_factor(cov[k], lower=True)
                 except np.linalg.LinAlgError as exc:  # pragma: no cover
                     raise ValueError(f"covariance {k} is not positive-definite") from exc
             object.__setattr__(self, "covariances", cov)
-            object.__setattr__(self, "_chol", tuple(chols))
 
     @property
     def d(self) -> int:
@@ -282,26 +286,28 @@ def marginal_log_density(prior: GaussianMixturePrior, schedule: Schedule, x, t: 
     return logsumexp(log_w_pdf, axis=-1)
 
 
-def score(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> np.ndarray:
-    """Gradient of the log marginal density at x (batchable over leading axes)."""
-    log_w_pdf, g = _component_stats(prior, schedule, x, t)
-    resp = np.exp(log_w_pdf - logsumexp(log_w_pdf, axis=-1, keepdims=True))
-    return np.einsum("...k,...kd->...d", resp, g)
-
-
-def tweedie_estimate(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: int) -> np.ndarray:
-    """Posterior mean E[x_0 | x_t], via Tweedie's formula on the exact score."""
-    ab = schedule.alpha_bar_at(t)
-    s = score(prior, schedule, x_t, t)
-    return (np.asarray(x_t, dtype=np.float64) + (1.0 - ab) * s) / np.sqrt(ab)
-
-
 def _mixture_stats(prior, schedule, x, t):
-    """Responsibilities, per-component directions, score, and precisions at one x."""
+    """Responsibilities, per-component directions and the score at x."""
     log_w_pdf, g = _component_stats(prior, schedule, x, t)
     resp = np.exp(log_w_pdf - logsumexp(log_w_pdf, axis=-1, keepdims=True))
     s = np.einsum("...k,...kd->...d", resp, g)
     return resp, g, s
+
+
+def score(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> np.ndarray:
+    """Gradient of the log marginal density at x (batchable over leading axes)."""
+    return _mixture_stats(prior, schedule, x, t)[2]
+
+
+def tweedie_from_score(schedule: Schedule, x_t, t: int, s) -> np.ndarray:
+    """Tweedie's formula ``(x_t + (1 - alpha_bar) s) / sqrt(alpha_bar)`` for a given score."""
+    ab = schedule.alpha_bar_at(t)
+    return (np.asarray(x_t, dtype=np.float64) + (1.0 - ab) * s) / np.sqrt(ab)
+
+
+def tweedie_estimate(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: int) -> np.ndarray:
+    """Posterior mean E[x_0 | x_t], via Tweedie's formula on the exact score."""
+    return tweedie_from_score(schedule, x_t, t, score(prior, schedule, x_t, t))
 
 
 def tweedie_jacobian(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: int) -> np.ndarray:
@@ -368,17 +374,35 @@ def ddpm_step(schedule: Schedule, x_t, t: int, noise, score_value) -> np.ndarray
     return mean + schedule.sigma_at(t) * noise
 
 
+def fresh_noise(seed: int, t: int, d: int) -> np.ndarray:
+    """The keyed fresh Gaussian draw of step ``t``: plain DDPM's noise term."""
+    return derive_stream(StreamKey(seed, Domain.FRESH_NOISE, t, 0)).standard_normal(d)
+
+
+def reverse_loop(
+    prior: GaussianMixturePrior,
+    schedule: Schedule,
+    seed: int,
+    noise: Callable,
+    correct: Callable | None = None,
+) -> np.ndarray:
+    """The reverse process from a keyed N(0, I) latent down to x_0.
+
+    Per t = T..1: one score ``s`` at ``x``; step noise ``noise(t, x, s)`` for
+    t >= 2 (the t = 1 step is noiseless); ``ddpm_step`` to ``x_next``; then the
+    optional mean hook ``correct(t, x, s, x_next)`` returns the state kept.
+    """
+    x = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(prior.d)
+    for t in range(schedule.T, 0, -1):
+        s = score(prior, schedule, x, t)
+        eps = noise(t, x, s) if t >= 2 else np.zeros(prior.d)
+        x_next = ddpm_step(schedule, x, t, eps, s)
+        x = x_next if correct is None else correct(t, x, s, x_next)
+    return x
+
+
 def unconditional_sample(
     prior: GaussianMixturePrior, schedule: Schedule, seed: int
 ) -> np.ndarray:
-    """Run the reverse process from a keyed N(0, I) latent down to x_0."""
-    T = schedule.T
-    x = derive_stream(StreamKey(seed, Domain.INIT_LATENT, T, 0)).standard_normal(prior.d)
-    for t in range(T, 0, -1):
-        s = score(prior, schedule, x, t)
-        if t >= 2:
-            noise = derive_stream(StreamKey(seed, Domain.FRESH_NOISE, t, 0)).standard_normal(prior.d)
-        else:
-            noise = np.zeros(prior.d)
-        x = ddpm_step(schedule, x, t, noise, s)
-    return x
+    """Plain DDPM sampling: the reverse loop with fresh keyed noise."""
+    return reverse_loop(prior, schedule, seed, lambda t, x, s: fresh_noise(seed, t, prior.d))

@@ -199,11 +199,9 @@ def dps_direction(
     Equals the ascent direction of the Gaussian log-likelihood of y given the
     Tweedie estimate, with the schedule's sigma_t as the likelihood scale.
     """
-    x0_hat = tweedie_estimate(prior, schedule, x_t, t)
-    residual = obs.y - obs.operator.apply(x0_hat)
-    pulled = obs.operator.adjoint(residual)
-    c = tweedie_jacobian_apply(prior, schedule, np.asarray(x_t, dtype=np.float64), t, pulled)
-    return c / schedule.sigma_at(t) ** 2
+    x_t = np.asarray(x_t, dtype=np.float64)
+    pulled = mpgd_direction(obs, tweedie_estimate(prior, schedule, x_t, t))
+    return tweedie_jacobian_apply(prior, schedule, x_t, t, pulled) / schedule.sigma_at(t) ** 2
 
 
 def mpgd_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:

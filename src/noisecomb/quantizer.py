@@ -58,7 +58,6 @@ class Grid:
 
     C: int
     values: np.ndarray  # sorted fractions in (0, 1]; empty when C == 0
-    reserve_zero: bool = True
 
     @property
     def levels(self) -> int:
@@ -72,12 +71,10 @@ class Grid:
         return np.concatenate(([0.0], self.values))
 
 
-def make_grid(C: int, m: int | None = None) -> Grid:
+def make_grid(C: int) -> Grid:
     """Uniform grid {j / (2^C - 1)} with code 0 reserved for u = 0."""
     if C < 0:
         raise ValueError(f"C must be >= 0, got {C}")
-    if m is not None and m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if C == 0:
         return Grid(C=0, values=np.array([]))
     L = (1 << C) - 1

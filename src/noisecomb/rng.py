@@ -179,9 +179,6 @@ class NoiseCodebook:
     atoms: np.ndarray  # shape (d, K)
     seed: int
 
-    def key_for_atom(self, i: int) -> StreamKey:
-        return StreamKey(self.seed, Domain.CODEBOOK, self.t, i)
-
 
 def derive_stream(key: StreamKey) -> NoiseStream:
     """Open the stream addressed by ``key`` at position 0."""

@@ -30,12 +30,13 @@ from .combination import (
 from .diffusion import (
     GaussianMixturePrior,
     Schedule,
-    ddpm_step,
-    score,
+    fresh_noise,
+    reverse_loop,
+    tweedie_from_score,
     tweedie_jacobian_apply,
 )
 from .operators import Observation, mpgd_direction
-from .rng import Domain, StreamKey, build_codebook, derive_stream
+from .rng import build_codebook
 
 __all__ = [
     "BASELINE_SOLVERS",
@@ -92,27 +93,11 @@ class SolveResult:
     degenerate_steps: int
 
 
-def _init_latent(seed: int, T: int, d: int) -> np.ndarray:
-    return derive_stream(StreamKey(seed, Domain.INIT_LATENT, T, 0)).standard_normal(d)
-
-
-def _fresh_noise(seed: int, t: int, d: int) -> np.ndarray:
-    return derive_stream(StreamKey(seed, Domain.FRESH_NOISE, t, 0)).standard_normal(d)
-
-
-def _tweedie_from_score(schedule: Schedule, x, t: int, s) -> np.ndarray:
-    ab = schedule.alpha_bar_at(t)
-    return (x + (1.0 - ab) * s) / np.sqrt(ab)
-
-
-def _direction(kind, prior, schedule, obs, x, t, x0_hat):
-    """Measurement direction for a solver family, reusing the Tweedie estimate."""
-    residual = obs.y - obs.operator.apply(x0_hat)
-    pulled = obs.operator.adjoint(residual)
-    if kind.endswith("DPS"):
-        c = tweedie_jacobian_apply(prior, schedule, x, t, pulled)
-        return c / schedule.sigma_at(t) ** 2
-    return pulled
+def _fallback_noise(config: SolverConfig, t: int, codebook) -> np.ndarray:
+    """Step noise for a degenerate direction: a fresh keyed draw or the first atom."""
+    if config.fallback == "FreshNoise":
+        return fresh_noise(config.seed, t, codebook.d)
+    return codebook.atoms[:, 0]
 
 
 def ncs_solve(
@@ -121,41 +106,36 @@ def ncs_solve(
     obs: Observation,
     config: SolverConfig,
 ) -> SolveResult:
-    """Algorithmic loop of the combination solvers.
+    """Combination solvers: plain DDPM steps with guided noise.
 
-    Per step: Tweedie estimate, measurement direction, optimal (or top-m)
-    weights over the timestep codebook, synthesized noise, plain DDPM step.
-    The final t=1 step is noiseless.
+    The noise policy of each step: Tweedie estimate, measurement direction,
+    optimal (or top-m) weights over the timestep codebook, synthesized noise.
+    The DDPM mean is left as it is.
     """
     if config.solver not in NCS_SOLVERS:
         raise ValueError(f"ncs_solve requires a combination solver, got {config.solver!r}")
     if config.T != schedule.T:
         raise ValueError(f"config.T={config.T} != schedule.T={schedule.T}")
-    d = prior.d
-    x = _init_latent(config.seed, schedule.T, d)
     degenerate = 0
-    for t in range(schedule.T, 0, -1):
-        s = score(prior, schedule, x, t)
-        if t == 1:
-            x = ddpm_step(schedule, x, 1, np.zeros(d), s)
-            break
-        x0_hat = _tweedie_from_score(schedule, x, t, s)
-        c = _direction(config.solver, prior, schedule, obs, x, t, x0_hat)
-        codebook = build_codebook(config.seed, t, config.K, d)
+
+    def combination(t, x, s):
+        nonlocal degenerate
+        c = mpgd_direction(obs, tweedie_from_score(schedule, x, t, s))
+        if config.solver == "NCS-DPS":
+            c = tweedie_jacobian_apply(prior, schedule, x, t, c) / schedule.sigma_at(t) ** 2
+        codebook = build_codebook(config.seed, t, config.K, prior.d)
         try:
             if config.m is None:
                 weights = optimal_weights(c, codebook)
             else:
                 weights = top_m_weights(c, codebook, config.m)
-            eps = synthesize_noise(codebook, weights)
+            return synthesize_noise(codebook, weights)
         except DegenerateDirectionError:
             degenerate += 1
-            if config.fallback == "FreshNoise":
-                eps = _fresh_noise(config.seed, t, d)
-            else:
-                eps = codebook.atoms[:, 0]
-        x = ddpm_step(schedule, x, t, eps, s)
-    return SolveResult(x0=x, degenerate_steps=degenerate)
+            return _fallback_noise(config, t, codebook)
+
+    x0 = reverse_loop(prior, schedule, config.seed, combination)
+    return SolveResult(x0=x0, degenerate_steps=degenerate)
 
 
 def baseline_solve(
@@ -169,52 +149,51 @@ def baseline_solve(
     DPS subtracts ``zeta_t * grad ||y - A x0_hat||^2`` from the DDPM update
     with the residual-normalized step ``zeta_t = zeta / ||y - A x0_hat||``.
     MPGD moves the Tweedie estimate by ``2 lam sqrt(alpha_bar) A^T r`` and
-    folds the shift back through the posterior-mean coefficient. DDCM swaps
+    folds the shift back through the posterior-mean coefficient. Both draw
+    fresh noise and correct the mean at every step, t = 1 included. DDCM swaps
     the step noise for the single best-aligned codebook atom.
     """
     if config.solver not in BASELINE_SOLVERS:
         raise ValueError(f"baseline_solve requires a baseline solver, got {config.solver!r}")
     if config.T != schedule.T:
         raise ValueError(f"config.T={config.T} != schedule.T={schedule.T}")
-    d = prior.d
-    x = _init_latent(config.seed, schedule.T, d)
     degenerate = 0
-    for t in range(schedule.T, 0, -1):
-        s = score(prior, schedule, x, t)
-        x0_hat = _tweedie_from_score(schedule, x, t, s)
-        residual = obs.y - obs.operator.apply(x0_hat)
-        noise = _fresh_noise(config.seed, t, d) if t >= 2 else np.zeros(d)
 
-        if config.solver == "DDCM":
-            if t >= 2:
-                codebook = build_codebook(config.seed, t, config.K, d)
-                c = mpgd_direction(obs, x0_hat)
-                b = inner_products(c, codebook)
-                if np.linalg.norm(c) > 0:
-                    noise = codebook.atoms[:, int(np.argmax(b))]
-                else:
-                    degenerate += 1
-                    if config.fallback == "FirstAtom":
-                        noise = codebook.atoms[:, 0]
-            x = ddpm_step(schedule, x, t, noise, s)
-            continue
+    def fresh(t, x, s):
+        return fresh_noise(config.seed, t, prior.d)
 
-        x_next = ddpm_step(schedule, x, t, noise, s)
-        if config.solver == "DPS":
-            rnorm = float(np.linalg.norm(residual))
-            if rnorm > 0 and config.zeta != 0.0:
-                grad = -2.0 * tweedie_jacobian_apply(
-                    prior, schedule, x, t, obs.operator.adjoint(residual)
-                )
-                x_next = x_next - (config.zeta / rnorm) * grad
-        else:  # MPGD
-            if config.lam != 0.0:
-                shift = 2.0 * config.lam * np.sqrt(schedule.alpha_bar_at(t)) * obs.operator.adjoint(residual)
-                ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
-                coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
-                x_next = x_next + coef0 * shift
-        x = x_next
-    return SolveResult(x0=x, degenerate_steps=degenerate)
+    def argmax_atom(t, x, s):
+        nonlocal degenerate
+        c = mpgd_direction(obs, tweedie_from_score(schedule, x, t, s))
+        codebook = build_codebook(config.seed, t, config.K, prior.d)
+        if np.linalg.norm(c) > 0:
+            return codebook.atoms[:, int(np.argmax(inner_products(c, codebook)))]
+        degenerate += 1
+        return _fallback_noise(config, t, codebook)
+
+    def dps(t, x, s, x_next):
+        x0_hat = tweedie_from_score(schedule, x, t, s)
+        rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(x0_hat)))
+        if rnorm > 0 and config.zeta != 0.0:
+            grad = -2.0 * tweedie_jacobian_apply(prior, schedule, x, t, mpgd_direction(obs, x0_hat))
+            x_next = x_next - (config.zeta / rnorm) * grad
+        return x_next
+
+    def mpgd(t, x, s, x_next):
+        if config.lam != 0.0:
+            ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
+            pulled = mpgd_direction(obs, tweedie_from_score(schedule, x, t, s))
+            shift = 2.0 * config.lam * np.sqrt(ab) * pulled
+            coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
+            x_next = x_next + coef0 * shift
+        return x_next
+
+    if config.solver == "DDCM":
+        x0 = reverse_loop(prior, schedule, config.seed, argmax_atom)
+    else:
+        correct = dps if config.solver == "DPS" else mpgd
+        x0 = reverse_loop(prior, schedule, config.seed, fresh, correct)
+    return SolveResult(x0=x0, degenerate_steps=degenerate)
 
 
 def solve(

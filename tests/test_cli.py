@@ -229,6 +229,41 @@ def test_cli_nan_beta_header_is_a_format_error(tmp_path, capsys):
     assert "format error" in capsys.readouterr().err
 
 
+def _k16_m2_stream():
+    from noisecomb.codec import compress
+    from noisecomb.diffusion import build_schedule
+
+    prior = prior_from_config({"preset_id": 2, "d": 8})
+    res = compress(
+        np.linspace(-1, 1, 8), prior, build_schedule(17, 1e-4, 0.02),
+        seed=0, K=16, m=2, C=2, n_side=3, prior_id=2,
+    )
+    return bytearray(res.stream.to_bytes()), len(res.stream.payload)
+
+
+def test_cli_duplicate_atom_is_a_format_error(tmp_path, capsys):
+    blob, payload_len = _k16_m2_stream()
+    blob[len(blob) - payload_len] = 0x00  # step T names atom 0 twice
+    stream_path = tmp_path / "dup.ncsb"
+    stream_path.write_bytes(bytes(blob))
+    rc = main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")])
+    assert rc == 4
+    assert "more than once" in capsys.readouterr().err
+
+
+def test_cli_huge_dimension_header_is_a_format_error(tmp_path, capsys):
+    import struct
+
+    blob, _ = _k16_m2_stream()
+    struct.pack_into(">I", blob, struct.calcsize(">4sBBQHIBB"), 2**32 - 1)  # d
+    stream_path = tmp_path / "huge.ncsb"
+    stream_path.write_bytes(bytes(blob))
+    rc = main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")])
+    assert rc == 4
+    assert "work bound" in capsys.readouterr().err
+    assert not (tmp_path / "r.npy").exists()
+
+
 def test_cli_greedy_over_budget_is_a_config_error(tmp_path, capsys):
     sig_path = tmp_path / "x0.npy"
     np.save(sig_path, np.linspace(-1, 1, 8))

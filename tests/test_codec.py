@@ -201,6 +201,64 @@ def test_nonzero_padding_bits_rejected():
     assert data_flip.payload != res.stream.payload
 
 
+def _k16_m2_stream():
+    """A valid K=16, m=2 stream whose first payload byte holds step T's two indices."""
+    prior, x0 = _signal(seed=2, d=8)
+    res = compress(x0, prior, build_schedule(17, 1e-4, 0.02), seed=2, K=16, m=2, C=0, n_side=3, prior_id=2)
+    assert len(res.stream.payload) == 16
+    return res.stream.to_bytes()
+
+
+def test_duplicate_atom_in_a_step_is_a_format_error():
+    blob = _k16_m2_stream()
+    header_size = len(blob) - 16
+    assert blob[header_size] >> 4 != blob[header_size] & 0x0F  # the encoder writes distinct atoms
+    forged = Bitstream.from_bytes(blob[:header_size] + b"\x00" + blob[header_size + 1 :])
+    with pytest.raises(FormatError, match="more than once"):
+        decompress(forged)
+
+
+def test_decode_work_bound_rejects_huge_dimension_before_decoding():
+    from noisecomb.codec import MAX_DECODE_WORK
+
+    # the shipped d=4096 codec config fits under the bound
+    CodecHeader(seed=0, T=100, K=64, m=4, C=4, d=4096, n_side=64, beta_min=1e-4, beta_max=0.02, prior_id=2)
+    assert 100 * 64 * 4096 <= MAX_DECODE_WORK
+    with pytest.raises(ValueError, match="work bound"):
+        CodecHeader(seed=0, T=2, K=64, m=1, C=0, d=MAX_DECODE_WORK // 64, n_side=1,
+                    beta_min=1e-4, beta_max=0.02, prior_id=1)
+    blob = bytearray(_k16_m2_stream())
+    struct.pack_into(">I", blob, struct.calcsize(">4sBBQHIBB"), 2**32 - 1)  # d
+    with pytest.raises(FormatError, match="work bound"):
+        Bitstream.from_bytes(bytes(blob))
+
+
+def test_bit_reader_is_linear_and_matches_unpackbits():
+    import time
+
+    from noisecomb.codec import _BitReader
+
+    widths = (0, 1, 2, 5, 9, 16, 31)  # 64 bits: one pattern per big-endian word
+    payload = derive_stream(StreamKey(9, Domain.PRIOR_SAMPLE, 0, 0)).take_bytes(1 << 20)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).reshape(-1, 64)
+    expected = np.empty((len(bits), len(widths)), dtype=np.int64)
+    offset = 0
+    for j, w in enumerate(widths):
+        expected[:, j] = bits[:, offset : offset + w].astype(np.int64) @ (1 << np.arange(w - 1, -1, -1))
+        offset += w
+    reader = _BitReader(payload, 8 * len(payload))
+    got = np.empty_like(expected)
+    # linear reads take about a second here, reads quadratic in the payload size about a minute
+    deadline = time.perf_counter() + 20.0
+    for i in range(len(bits)):
+        got[i] = [reader.read(w) for w in widths]
+        if i % 1024 == 0:
+            assert time.perf_counter() < deadline, f"only {i} of {len(bits)} words read in time"
+    assert np.array_equal(got, expected)
+    with pytest.raises(FormatError):
+        reader.read(1)
+
+
 def test_unknown_prior_id():
     prior, x0 = _signal(seed=4, d=8, prior_id=1)
     sch = build_schedule(6, 1e-4, 0.02)

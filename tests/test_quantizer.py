@@ -38,7 +38,7 @@ def _random_scores(m, zero_tail=0):
 def test_grid_two_bits_worked_example():
     grid = make_grid(2)
     assert np.allclose(grid.values, [1 / 3, 2 / 3, 1.0], atol=1e-15)
-    assert grid.reserve_zero
+    assert grid.all_fractions()[0] == 0.0
     assert grid.levels == 4
 
 
