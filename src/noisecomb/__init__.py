@@ -50,7 +50,7 @@ from .quantizer import (
     stick_forward,
     stick_inverse,
 )
-from .rng import Domain, NoiseCodebook, NoiseStream, StreamKey, build_codebook, derive_stream
+from .rng import Domain, NoiseStream, StreamKey, build_codebook, derive_stream
 from .solvers import SolveResult, SolverConfig, baseline_solve, ncs_solve, solve
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -177,22 +176,16 @@ def _t_values(cfg: dict) -> list:
     return [int(t) for t in ts]
 
 
-def cmd_sample(cfg: dict, out: str, seed_offset: int = 0, threads: int = 1) -> list:
+def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
     """Unconditional samples per (seed, T): moment summary CSV plus a dump."""
     prior = prior_from_config(_require(cfg, "prior"))
     schedule_spec = cfg.get("schedule", {})
     seeds = _seeds(cfg, seed_offset)
-    t_values = _t_values(cfg)
-    grid = [(T, seed) for T in t_values for seed in seeds]
-
-    def run(job):
-        T, seed = job
-        schedule = _schedule_from_config(schedule_spec, T)
-        x = unconditional_sample(prior, schedule, seed)
-        return (T, seed, x)
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(run, grid))
+    results = [
+        (T, seed, unconditional_sample(prior, _schedule_from_config(schedule_spec, T), seed))
+        for T in _t_values(cfg)
+        for seed in seeds
+    ]
     results.sort(key=lambda r: (r[0], r[1]))
     rows = [
         (seed, T, float(x.mean()), float(x.var()), float(x.min()), float(x.max()))
@@ -246,7 +239,7 @@ def _solver_result(prior, schedule_spec, task, cfg, solver_name, T, seed, timing
     )
 
 
-def cmd_solve(cfg: dict, out: str, seed_offset: int = 0, threads: int = 1) -> list:
+def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     """Run the (solver x T x seed) grid against one task; write metric rows."""
     prior = prior_from_config(_require(cfg, "prior"))
     task = _require(cfg, "task")
@@ -257,19 +250,12 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0, threads: int = 1) -> li
     seeds = _seeds(cfg, seed_offset)
     t_values = _t_values(cfg)
     timing = bool(cfg.get("timing", False))
-    grid = [
-        (solver_name, T, seed)
+    rows = [
+        _solver_result(prior, schedule_spec, task, cfg, solver_name, T, seed, timing)
         for solver_name in solvers
         for T in t_values
         for seed in seeds
     ]
-
-    def run(job):
-        solver_name, T, seed = job
-        return _solver_result(prior, schedule_spec, task, cfg, solver_name, T, seed, timing)
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        rows = list(pool.map(run, grid))
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
     _write_csv(out, METRIC_COLUMNS, rows)
     return rows
@@ -298,8 +284,8 @@ def cmd_compress(cfg: dict, input_path: str, out: str, recon_path: str | None = 
             prior_id=prior_id,
             quantizer=cfg.get("quantizer", "dp"),
         )
-    except BudgetExceededError as exc:
-        raise ConfigError(f"quantizer: {exc}") from exc
+    except (ValueError, BudgetExceededError) as exc:
+        raise ConfigError(str(exc)) from exc
     wall_ms = (time.perf_counter() - start) * 1e3
     with open(out, "wb") as fh:
         fh.write(result.stream.to_bytes())
@@ -378,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required)
         p.add_argument("--out", required=True)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed-offset", type=int, default=0)
 
     common(sub.add_parser("sample", help="unconditional samples + moment summaries"))
@@ -404,9 +389,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sample":
-            cmd_sample(load_config(args.config), args.out, args.seed_offset, args.threads)
+            cmd_sample(load_config(args.config), args.out, args.seed_offset)
         elif args.command == "solve":
-            cmd_solve(load_config(args.config), args.out, args.seed_offset, args.threads)
+            cmd_solve(load_config(args.config), args.out, args.seed_offset)
         elif args.command == "compress":
             cmd_compress(load_config(args.config), args.input, args.out, args.recon)
         elif args.command == "decompress":

@@ -16,7 +16,8 @@ Container layout (all big-endian):
   MSB-first, final byte zero-padded (non-zero padding is rejected). Total
   payload bits are exactly ``(T - 1) * (m * log2(K) + C * (m - 1))``. The m
   indices of a step are distinct; a step naming an atom twice is rejected.
-  Headers with ``T * K * d > MAX_DECODE_WORK`` are rejected before decoding.
+  Headers with ``C > MAX_C`` or ``T * K * d > MAX_DECODE_WORK`` are rejected
+  before decoding.
 
 Encoder and decoder are two noise policies of one ``reverse_loop`` that share
 one step synthesis, so the decoder replays the encoder by construction.
@@ -58,6 +59,7 @@ from .rng import RNG_VERSION, Domain, StreamKey, build_codebook, derive_stream
 
 __all__ = [
     "FORMAT_VERSION",
+    "MAX_C",
     "MAX_DECODE_WORK",
     "FormatError",
     "PriorRegistryError",
@@ -73,6 +75,10 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+# Largest code width C a header may declare: the decoder's stick grid holds
+# 2^C fractions (512 KiB at C = 16). No shipped config or benchmark uses C > 8.
+MAX_C = 16
 
 # Largest T * K * d a header may declare: decoding draws (T - 1) * K * d codebook
 # normals, K * d per step. Admits T=1000, K=128, d=4096 (524,288,000).
@@ -110,8 +116,8 @@ class CodecHeader:
             raise ValueError(f"K must be a power of two, got {self.K}")
         if not 1 <= self.m <= min(self.K, 255):
             raise ValueError(f"m must be in [1, min(K, 255)], got {self.m}")
-        if not 0 <= self.C <= 255:
-            raise ValueError(f"C must fit in a byte, got {self.C}")
+        if not 0 <= self.C <= MAX_C:
+            raise ValueError(f"C must be in [0, {MAX_C}], got {self.C}")
         if not 1 <= self.T <= 65535:
             raise ValueError(f"T must fit in [1, 65535], got {self.T}")
         if self.d < 1:
@@ -422,10 +428,10 @@ def compress(
     return CompressResult(stream=stream, reconstruction=x, degenerate_steps=degenerate)
 
 
-def decompress(stream: Bitstream, registry_lookup=build_registered_prior) -> np.ndarray:
+def decompress(stream: Bitstream) -> np.ndarray:
     """Replay the encoder's synthesis path; bit-identical to its reconstruction."""
     header = stream.header
-    prior = registry_lookup(header.prior_id, header.d)
+    prior = build_registered_prior(header.prior_id, header.d)
     if prior.d != header.d:
         raise PriorRegistryError(
             f"registered prior has dimension {prior.d}, header says {header.d}"

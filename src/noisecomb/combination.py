@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import NoiseCodebook
-
 __all__ = [
     "DegenerateDirectionError",
     "TopMSelection",
@@ -58,9 +56,7 @@ class TopMSelection:
 
 
 def atom_matrix(E) -> np.ndarray:
-    """Accept a NoiseCodebook or a raw (d, K) array of atom columns."""
-    if isinstance(E, NoiseCodebook):
-        return E.atoms
+    """Validate a codebook: a (d, K) array of atom columns."""
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 2:
         raise ValueError(f"codebook matrix must be 2-d, got shape {E.shape}")

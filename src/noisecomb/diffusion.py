@@ -19,7 +19,7 @@ policy and optional mean hook.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -76,12 +76,15 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Discrete VP/DDPM noise schedule; arrays indexed by ``t - 1``."""
+    """Discrete VP/DDPM noise schedule given by ``beta``; arrays indexed by ``t - 1``.
+
+    ``alpha``, ``alpha_bar`` and ``sigma`` are derived from ``beta`` on construction.
+    """
 
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
-    sigma: np.ndarray
+    alpha: np.ndarray = field(init=False)
+    alpha_bar: np.ndarray = field(init=False)
+    sigma: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -89,14 +92,11 @@ class Schedule:
             raise ValueError("beta must be a nonempty 1-d array")
         if np.any((beta <= 0) | (beta >= 1)):
             raise ValueError("every beta must lie in (0, 1)")
-        for name, arr, ref in (
-            ("alpha", self.alpha, 1.0 - beta),
-            ("alpha_bar", self.alpha_bar, np.cumprod(1.0 - beta)),
-            ("sigma", self.sigma, np.sqrt(beta)),
-        ):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != beta.shape or not np.allclose(arr, ref, rtol=1e-12, atol=0):
-                raise ValueError(f"{name} is inconsistent with beta")
+        alpha = 1.0 - beta
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha_bar", np.cumprod(alpha))
+        object.__setattr__(self, "sigma", np.sqrt(beta))
 
     @property
     def T(self) -> int:
@@ -137,14 +137,7 @@ def build_schedule(
         raise ValueError(f"T must be >= 1, got {T}")
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ValueError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    beta = np.linspace(beta_min, beta_max, T) if T > 1 else np.array([beta_min])
-    alpha = 1.0 - beta
-    return Schedule(
-        beta=beta,
-        alpha=alpha,
-        alpha_bar=np.cumprod(alpha),
-        sigma=np.sqrt(beta),
-    )
+    return Schedule(beta=np.linspace(beta_min, beta_max, T) if T > 1 else np.array([beta_min]))
 
 
 @dataclass(frozen=True)

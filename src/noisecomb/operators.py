@@ -149,14 +149,20 @@ class CircularBlur(LinearOperator):
 def operator_from_config(spec: dict, d: int) -> LinearOperator:
     """Build an operator from its JSON description (kind + parameters)."""
     kind = spec.get("kind")
+
+    def required(name):
+        if name not in spec:
+            raise ValueError(f"operator {kind!r}: missing required field {name!r}")
+        return spec[name]
+
     if kind == "identity":
         return Identity(d)
     if kind == "mask":
-        return Mask(d, spec["indices"])
+        return Mask(d, required("indices"))
     if kind == "downsample":
-        return Downsample(d, spec["factor"])
+        return Downsample(d, required("factor"))
     if kind == "circular_blur":
-        return CircularBlur(d, spec["taps"])
+        return CircularBlur(d, required("taps"))
     raise ValueError(f"unknown operator kind {kind!r}")
 
 

@@ -42,9 +42,7 @@ __all__ = [
     "Domain",
     "StreamKey",
     "NoiseStream",
-    "NoiseCodebook",
     "derive_stream",
-    "sample_standard_normal",
     "build_codebook",
 ]
 
@@ -164,39 +162,18 @@ class NoiseStream:
         return ndtri(u)
 
 
-@dataclass(frozen=True)
-class NoiseCodebook:
-    """K standard-normal atoms for one timestep, stacked as columns.
-
-    ``atoms[:, i]`` is exactly the stream output for key
-    ``StreamKey(seed, CODEBOOK, t, i)``, so a codebook is a pure function of
-    ``(seed, t, K, d)`` and regenerates bit-identically.
-    """
-
-    t: int
-    K: int
-    d: int
-    atoms: np.ndarray  # shape (d, K)
-    seed: int
-
-
 def derive_stream(key: StreamKey) -> NoiseStream:
     """Open the stream addressed by ``key`` at position 0."""
     return NoiseStream(key)
 
 
-def sample_standard_normal(stream: NoiseStream, d: int) -> np.ndarray:
-    """Functional form of :meth:`NoiseStream.standard_normal`."""
-    return stream.standard_normal(d)
+def build_codebook(seed: int, t: int, K: int, d: int) -> np.ndarray:
+    """Timestep-``t`` codebook: ``K`` standard-normal atoms as columns of a ``(d, K)`` array.
 
-
-def build_codebook(seed: int, t: int, K: int, d: int) -> NoiseCodebook:
-    """Generate the timestep-``t`` codebook of ``K`` atoms in dimension ``d``.
-
-    Atoms come from per-atom sub-streams (index ``i``), so the result does not
-    depend on generation order and regeneration is bit-identical. The inverse
-    CDF is applied to all raw words in one vectorized call; element-wise it is
-    exactly the per-atom map.
+    Column ``i`` is exactly the stream output for key ``StreamKey(seed,
+    CODEBOOK, t, i)``, so the result does not depend on generation order and
+    regeneration is bit-identical. The inverse CDF is applied to all raw words
+    in one vectorized call; element-wise it is exactly the per-atom map.
     """
     if K < 1:
         raise ValueError(f"codebook size must be >= 1, got {K}")
@@ -206,4 +183,4 @@ def build_codebook(seed: int, t: int, K: int, d: int) -> NoiseCodebook:
     for i in range(K):
         raws[i] = derive_stream(StreamKey(seed, Domain.CODEBOOK, t, i)).raw(d)
     u = ((raws >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-    return NoiseCodebook(t=t, K=K, d=d, atoms=ndtri(u).T, seed=seed)
+    return ndtri(u).T

@@ -96,8 +96,8 @@ class SolveResult:
 def _fallback_noise(config: SolverConfig, t: int, codebook) -> np.ndarray:
     """Step noise for a degenerate direction: a fresh keyed draw or the first atom."""
     if config.fallback == "FreshNoise":
-        return fresh_noise(config.seed, t, codebook.d)
-    return codebook.atoms[:, 0]
+        return fresh_noise(config.seed, t, codebook.shape[0])
+    return codebook[:, 0]
 
 
 def ncs_solve(
@@ -167,7 +167,7 @@ def baseline_solve(
         c = mpgd_direction(obs, tweedie_from_score(schedule, x, t, s))
         codebook = build_codebook(config.seed, t, config.K, prior.d)
         if np.linalg.norm(c) > 0:
-            return codebook.atoms[:, int(np.argmax(inner_products(c, codebook)))]
+            return codebook[:, int(np.argmax(inner_products(c, codebook)))]
         degenerate += 1
         return _fallback_noise(config, t, codebook)
 

@@ -112,13 +112,6 @@ def test_cmd_solve_grid_and_reproducibility(tmp_path):
     assert all(r[8] == "0.0" for r in _read_csv(out_a)[1:])
 
 
-def test_cmd_solve_threaded_same_bytes(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    cmd_solve(SOLVE_CONFIG, str(a), threads=1)
-    cmd_solve(SOLVE_CONFIG, str(b), threads=4)
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_cmd_solve_seed_offset_changes_rows(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     cmd_solve(SOLVE_CONFIG, str(a), seed_offset=0)
@@ -275,6 +268,46 @@ def test_cli_greedy_over_budget_is_a_config_error(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "budget" in err
+
+
+def _compress_exit(tmp_path, cfg):
+    sig_path = tmp_path / "x0.npy"
+    np.save(sig_path, np.linspace(-1, 1, 8))
+    cfg_path = _write_json(tmp_path / "codec.json", cfg)
+    return main(["compress", "--config", cfg_path, "--input", str(sig_path), "--out", str(tmp_path / "s.bin")])
+
+
+def test_cli_k_not_power_of_two_is_a_config_error(tmp_path, capsys):
+    assert _compress_exit(tmp_path, {"prior_id": 2, "T": 5, "K": 12, "m": 2, "C": 2, "seed": 0}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "power of two" in err
+
+
+def test_cli_huge_code_width_config_is_a_config_error(tmp_path, capsys):
+    assert _compress_exit(tmp_path, {"prior_id": 2, "T": 2, "K": 2, "m": 2, "C": 40, "seed": 0}) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "s.bin").exists()
+
+
+def test_cli_huge_code_width_header_is_a_format_error(tmp_path, capsys):
+    import struct
+
+    # T=2, K=2, m=2, C=40, d=8: a 54-byte stream whose grid would hold 2^40 fractions
+    header = struct.pack(">4sBBQHIBBIHddI", b"NCSB", 1, 1, 0, 2, 2, 2, 40, 8, 3, 1e-4, 0.02, 2)
+    stream_path = tmp_path / "wide.ncsb"
+    stream_path.write_bytes(header + bytes(6))
+    rc = main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")])
+    assert rc == 4
+    assert "format error" in capsys.readouterr().err
+    assert not (tmp_path / "r.npy").exists()
+
+
+def test_cli_operator_missing_field_is_a_config_error(tmp_path, capsys):
+    cfg = dict(SOLVE_CONFIG, task={"name": "no-indices", "operator": {"kind": "mask"}}, T=[4], seeds=[0])
+    cfg_path = _write_json(tmp_path / "solve.json", cfg)
+    assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "indices" in err
 
 
 def test_shipped_configs_run(tmp_path):

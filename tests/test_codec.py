@@ -233,6 +233,32 @@ def test_decode_work_bound_rejects_huge_dimension_before_decoding():
         Bitstream.from_bytes(bytes(blob))
 
 
+def _code_width_40_stream() -> bytes:
+    """54 bytes (T=2, K=2, m=2, C=40, d=8) whose decoder grid would hold 2^40 fractions."""
+    header = struct.pack(">4sBBQHIBBIHddI", b"NCSB", 1, 1, 0, 2, 2, 2, 40, 8, 3, 1e-4, 0.02, 2)
+    return header + bytes(6)  # 2 index bits + 40 code bits, zero-padded
+
+
+def test_code_width_bound_rejects_huge_grid_before_decoding():
+    from noisecomb.codec import MAX_C
+
+    assert MAX_C == 16
+    with pytest.raises(ValueError, match="C must be"):
+        CodecHeader(seed=0, T=2, K=2, m=2, C=MAX_C + 1, d=8, n_side=3,
+                    beta_min=1e-4, beta_max=0.02, prior_id=2)
+    blob = _code_width_40_stream()
+    assert len(blob) == 54
+    with pytest.raises(FormatError, match="C must be"):
+        Bitstream.from_bytes(blob)
+    prior, x0 = _signal(seed=1, d=8)
+    sch = build_schedule(3, 1e-4, 0.02)
+    with pytest.raises(ValueError, match="C must be"):
+        compress(x0, prior, sch, seed=1, K=2, m=2, C=40, n_side=3, prior_id=2)
+    # the bound itself still encodes and decodes
+    res = compress(x0, prior, sch, seed=1, K=2, m=2, C=MAX_C, n_side=3, prior_id=2)
+    assert np.array_equal(decompress(Bitstream.from_bytes(res.stream.to_bytes())), res.reconstruction)
+
+
 def test_bit_reader_is_linear_and_matches_unpackbits():
     import time
 
@@ -349,7 +375,6 @@ def test_compress_rejects_undecodable_schedule():
 
     prior, x0 = _signal(seed=0, d=8, prior_id=1)
     beta = np.array([0.001, 0.05, 0.002, 0.02])  # not a linear ramp
-    alpha = 1 - beta
-    custom = Schedule(beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha), sigma=np.sqrt(beta))
+    custom = Schedule(beta=beta)
     with pytest.raises(ValueError, match="reproducible"):
         compress(x0, prior, custom, seed=0, K=8, m=2, C=2, n_side=3, prior_id=1)

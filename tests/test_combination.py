@@ -143,14 +143,14 @@ def test_synthesize_one_hot_is_atom():
     cb = build_codebook(0, 3, 5, 12)
     gamma = np.zeros(5)
     gamma[0] = 1.0
-    assert np.array_equal(synthesize_noise(cb, gamma), cb.atoms[:, 0])
+    assert np.array_equal(synthesize_noise(cb, gamma), cb[:, 0])
 
 
 def test_synthesize_triangle_inequality():
     cb = build_codebook(1, 2, 6, 32)
     gamma = optimal_weights(RNG.normal(size=32), cb)
     eps = synthesize_noise(cb, gamma)
-    bound = np.sum(np.abs(gamma)) * np.max(np.linalg.norm(cb.atoms, axis=0))
+    bound = np.sum(np.abs(gamma)) * np.max(np.linalg.norm(cb, axis=0))
     assert np.linalg.norm(eps) <= bound + 1e-12
 
 
@@ -160,7 +160,7 @@ def test_synthesize_selection_matches_dense():
     sel = top_m_weights(c, cb, 3)
     dense = np.zeros(8)
     dense[sel.indices] = sel.weights
-    assert np.allclose(synthesize_noise(cb, sel), cb.atoms @ dense, atol=1e-12)
+    assert np.allclose(synthesize_noise(cb, sel), cb @ dense, atol=1e-12)
 
 
 def test_selection_requires_distinct_indices():

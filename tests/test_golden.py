@@ -3,9 +3,11 @@
 Each case hashes the float64 bytes of its output and its degenerate-step count
 with SHA-256 (codec cases also hash the stream bytes and the decoder's output).
 The table pins the sampler, all six solvers at m in {None, 1, 3} with both
-fallbacks (plus an operator whose directions are all degenerate), and codec
-cells for the three codec quantizers, so any change to the shared reverse loop
-that moves a single output bit fails here.
+fallbacks (plus an operator whose directions are all degenerate), codec cells
+for the three codec quantizers, and the CSV bytes the ``sample`` and ``solve``
+commands write (grids listed out of row order too, so the row sort is pinned),
+so any change to the shared reverse loop or the CLI grids that moves a single
+output bit fails here.
 
 Like the RNG golden vectors, the digests cover the normals, which go through
 ``ndtri`` and ``log``; they are pinned on the platforms the suite runs on.
@@ -15,10 +17,13 @@ To print the table for the current code: ``PYTHONPATH=src python tests/test_gold
 from __future__ import annotations
 
 import hashlib
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 
+from noisecomb.cli import cmd_sample, cmd_solve
 from noisecomb.codec import build_registered_prior, compress, decompress
 from noisecomb.diffusion import GaussianMixturePrior, build_schedule, unconditional_sample
 from noisecomb.operators import LinearOperator, Mask, make_observation
@@ -87,6 +92,37 @@ def _codec_case(quantizer: str, K: int, m: int, C: int) -> str:
     return _digest(res.stream.to_bytes(), res.reconstruction.tobytes(), decoded.tobytes(), res.degenerate_steps)
 
 
+CLI_SAMPLE_CONFIG = {"prior": {"preset_id": 2, "d": 4}, "T": 8, "seeds": [0, 1, 2, 3]}
+CLI_SOLVE_CONFIG = {
+    "prior": {"preset_id": 4, "d": 8},
+    "schedule": {"beta_min": 1e-4, "beta_max": 0.02},
+    "task": {"name": "inpaint-half", "operator": {"kind": "mask", "indices": [0, 1, 2, 3]}, "sigma_obs": 0.05},
+    "solvers": ["DPS", "NCS-DPS"],
+    "T": [10, 20],
+    "K": 16,
+    "seeds": [0, 1, 2],
+}
+# The "-reordered" grids list T descending, seeds shuffled and solvers reversed,
+# so their digests pin the row sort.
+CLI_CONFIGS = {
+    "sample": (cmd_sample, CLI_SAMPLE_CONFIG),
+    "sample-reordered": (cmd_sample, {**CLI_SAMPLE_CONFIG, "T": [8, 3], "seeds": [3, 1, 2, 0]}),
+    "solve": (cmd_solve, CLI_SOLVE_CONFIG),
+    "solve-reordered": (
+        cmd_solve,
+        {**CLI_SOLVE_CONFIG, "solvers": ["NCS-DPS", "DPS"], "T": [20, 10], "seeds": [2, 0, 1]},
+    ),
+}
+
+
+def _cli_case(name: str) -> str:
+    command, cfg = CLI_CONFIGS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out.csv"
+        command(cfg, str(out))
+        return _digest(out.read_bytes())
+
+
 SOLVERS = ("DPS", "MPGD", "DDCM", "NCS-DPS", "NCS-MPGD", "NCS-DDCM")
 FALLBACKS = ("FreshNoise", "FirstAtom")
 CODEC_CELLS = [
@@ -106,8 +142,14 @@ for _solver in SOLVERS:
         CASES[f"solve-zero-{_solver}-{_fallback}"] = (_solve_case, ("zero", _solver, None, _fallback))
 for _q, _K, _m, _C in CODEC_CELLS:
     CASES[f"codec-{_q}-K{_K}-m{_m}-C{_C}"] = (_codec_case, (_q, _K, _m, _C))
+for _name in CLI_CONFIGS:
+    CASES[f"cli-{_name}"] = (_cli_case, (_name,))
 
 GOLDEN = {
+    "cli-sample": "3472239ed57c0bf22a08350e5fa0f5c57c2cce9416f4088b98f26999b3751422",
+    "cli-sample-reordered": "43dc4132be496a7a263192cf892ff0240a0cf1fd3bcd6f7c2f42a9d2986bcd69",
+    "cli-solve": "23aeda3ac91def705f414740acb6a6dfb20f48e9d44c675d18515dd813388e6a",
+    "cli-solve-reordered": "23aeda3ac91def705f414740acb6a6dfb20f48e9d44c675d18515dd813388e6a",
     "codec-dp-K16-m1-C3": "f1e79d1c5ea79b8e6d3d1e70ead993db0297ca0bbb65cb5e899f2ec6d4c12891",
     "codec-dp-K16-m3-C0": "5d9dc43be514a47ed95fd40530f7ff8d4bf45c25b8a376a07d4d6d41f8305f33",
     "codec-dp-K16-m3-C2": "eeda05a39a640f553d96055a3328a13abf4f89cd54a13ad5d024a505534957b4",

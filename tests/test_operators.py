@@ -95,6 +95,12 @@ def test_operator_from_config_round_trip():
         operator_from_config({"kind": "fourier"}, d)
 
 
+@pytest.mark.parametrize("kind, field", [("mask", "indices"), ("downsample", "factor"), ("circular_blur", "taps")])
+def test_operator_from_config_names_a_missing_field(kind, field):
+    with pytest.raises(ValueError, match=f"missing required field '{field}'"):
+        operator_from_config({"kind": kind}, 12)
+
+
 # ---------------------------------------------------------------------------
 # observations
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from noisecomb.rng import (
     StreamKey,
     build_codebook,
     derive_stream,
-    sample_standard_normal,
 )
 
 # Golden vectors frozen from the first implementation of the v1 recipe
@@ -161,12 +160,12 @@ def test_codebook_build_constructs_at_most_one_philox_per_thread(monkeypatch):
     worker.start()
     worker.join()
     assert made == [worker.ident]
-    assert np.array_equal(built["cb"].atoms, reference.atoms)
+    assert np.array_equal(built["cb"], reference)
 
 
 def test_sample_standard_normal_rejects_zero_dim():
     with pytest.raises(ValueError):
-        sample_standard_normal(derive_stream(GOLDEN_KEY), 0)
+        derive_stream(GOLDEN_KEY).standard_normal(0)
 
 
 def test_normal_moments_one_million_draws():
@@ -187,21 +186,21 @@ def test_identical_stream_state_identical_vector():
 def test_codebook_bit_reproducible():
     a = build_codebook(17, 9, 8, 32)
     b = build_codebook(17, 9, 8, 32)
-    assert np.array_equal(a.atoms, b.atoms)
-    assert a.atoms.shape == (32, 8)
+    assert np.array_equal(a, b)
+    assert a.shape == (32, 8)
 
 
 def test_codebook_single_atom_matches_substream():
     cb = build_codebook(5, 2, 1, 24)
     direct = derive_stream(StreamKey(5, Domain.CODEBOOK, 2, 0)).standard_normal(24)
-    assert np.array_equal(cb.atoms[:, 0], direct)
+    assert np.array_equal(cb[:, 0], direct)
 
 
 def test_codebook_atom_is_its_substream_output():
     cb = build_codebook(11, 4, 6, 40)
     for i in (0, 3, 5):
         direct = derive_stream(StreamKey(11, Domain.CODEBOOK, 4, i)).standard_normal(40)
-        assert np.array_equal(cb.atoms[:, i], direct)
+        assert np.array_equal(cb[:, i], direct)
 
 
 def test_codebook_rejects_bad_sizes():
@@ -214,7 +213,7 @@ def test_codebook_rejects_bad_sizes():
 def test_atom_norms_concentrate():
     d, K = 4096, 64
     cb = build_codebook(3, 1, K, d)
-    norms = np.linalg.norm(cb.atoms, axis=0)
+    norms = np.linalg.norm(cb, axis=0)
     root_d = np.sqrt(d)
     assert np.all(norms > 0.93 * root_d)
     assert np.all(norms < 1.07 * root_d)
@@ -225,7 +224,7 @@ def test_atom_cross_correlation_near_zero():
     cb = build_codebook(8, 2, 6, d)
     for i in range(5):
         for j in range(i + 1, 6):
-            r = np.corrcoef(cb.atoms[:, i], cb.atoms[:, j])[0, 1]
+            r = np.corrcoef(cb[:, i], cb[:, j])[0, 1]
             assert abs(r) < 4 / np.sqrt(d)
 
 
@@ -233,9 +232,9 @@ def test_concurrent_codebook_builds_match_serial():
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = [(seed, t) for seed in (0, 1, 2) for t in (1, 2, 3, 4)]
-    serial = [build_codebook(seed, t, 6, 64).atoms for seed, t in jobs]
+    serial = [build_codebook(seed, t, 6, 64) for seed, t in jobs]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda j: build_codebook(j[0], j[1], 6, 64).atoms, jobs))
+        parallel = list(pool.map(lambda j: build_codebook(j[0], j[1], 6, 64), jobs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
 

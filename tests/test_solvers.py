@@ -88,7 +88,7 @@ def test_ddcm_k1_is_unconditional_with_codebook_noise():
     for t in range(25, 0, -1):
         s = score(prior, sch, x, t)
         if t >= 2:
-            noise = build_codebook(9, t, 1, prior.d).atoms[:, 0]
+            noise = build_codebook(9, t, 1, prior.d)[:, 0]
         else:
             noise = np.zeros(prior.d)
         x = ddpm_step(sch, x, t, noise, s)
@@ -121,7 +121,7 @@ def test_degenerate_first_atom_fallback():
     x = derive_stream(StreamKey(2, Domain.INIT_LATENT, 10, 0)).standard_normal(d)
     for t in range(10, 0, -1):
         s = score(prior, sch, x, t)
-        noise = build_codebook(2, t, 8, d).atoms[:, 0] if t >= 2 else np.zeros(d)
+        noise = build_codebook(2, t, 8, d)[:, 0] if t >= 2 else np.zeros(d)
         x = ddpm_step(sch, x, t, noise, s)
     assert np.array_equal(res.x0, x)
 
