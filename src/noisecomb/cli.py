@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .codec import (
+    MAX_C,
     Bitstream,
     FormatError,
     PriorRegistryError,
@@ -80,44 +83,73 @@ def _require(cfg: dict, field: str, where: str = "config"):
     return cfg[field]
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
+def _typed(kind, value, where: str, lo=None, hi=None):
+    """``kind(value)`` within ``[lo, hi]``; the one reader of config numbers."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+    if (lo is not None and out < lo) or (hi is not None and out > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{where}: must be {bound}, got {out}")
+    return out
+
+
+def _int_list(values, where: str, lo: int, hi: int, offset: int = 0) -> list:
+    """A nonempty list of integers, each plus ``offset`` within ``[lo, hi]``."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where}: must be a nonempty list")
+    return [_typed(int, v, where, lo - offset, hi - offset) + offset for v in values]
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+            cfg = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    return _object(cfg, path)
+
+
+def _registered_prior(prior_id, d) -> GaussianMixturePrior:
+    """The registry prior a config names; an unknown id is a config error."""
+    prior_id = _typed(int, prior_id, "prior id")
+    try:
+        return build_registered_prior(prior_id, _typed(int, d, "d", 1))
+    except PriorRegistryError as exc:
+        raise ConfigError(exc.args[0]) from None
 
 
 def prior_from_config(spec: dict) -> GaussianMixturePrior:
     """Inline mixture parameters or a registered preset id."""
-    if not isinstance(spec, dict):
-        raise ConfigError("prior: expected an object")
+    _object(spec, "prior")
     if "preset_id" in spec:
-        d = _require(spec, "d", "prior")
-        return build_registered_prior(int(spec["preset_id"]), int(d))
-    weights = np.asarray(_require(spec, "weights", "prior"), dtype=np.float64)
-    means = np.asarray(_require(spec, "means", "prior"), dtype=np.float64)
+        return _registered_prior(spec["preset_id"], _require(spec, "d", "prior"))
+    weights = _require(spec, "weights", "prior")
+    means = _require(spec, "means", "prior")
     try:
         if "covariances" in spec:
             return GaussianMixturePrior(
-                weights=weights,
-                means=means,
-                covariances=np.asarray(spec["covariances"], dtype=np.float64),
+                weights=weights, means=means, covariances=spec["covariances"]
             )
-        variances = np.asarray(_require(spec, "variances", "prior"), dtype=np.float64)
+        variances = _require(spec, "variances", "prior")
         return GaussianMixturePrior(weights=weights, means=means, variances=variances)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"prior: {exc}") from exc
 
 
 def _schedule_from_config(spec: dict, T: int):
+    _object(spec, "schedule")
+    beta_min = _typed(float, spec.get("beta_min", 1e-4), "schedule: beta_min")
+    beta_max = _typed(float, spec.get("beta_max", 0.02), "schedule: beta_max")
     try:
-        return build_schedule(
-            T,
-            beta_min=float(spec.get("beta_min", 1e-4)),
-            beta_max=float(spec.get("beta_max", 0.02)),
-            kind=spec.get("kind", "linear"),
-        )
+        return build_schedule(T, beta_min, beta_max, kind=spec.get("kind", "linear"))
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
 
@@ -131,7 +163,7 @@ def _resolve_k(value) -> int:
             raise ConfigError(
                 f"K: unknown preset {value!r}; choose from {sorted(TASK_K_PRESETS)}"
             ) from None
-    return int(value)
+    return _typed(int, value, "K")
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -161,19 +193,12 @@ def _write_csv(path: str, columns, rows) -> None:
 
 
 def _seeds(cfg: dict, seed_offset: int) -> list:
-    seeds = _require(cfg, "seeds")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds: must be a nonempty list")
-    return [int(s) + seed_offset for s in seeds]
+    return _int_list(_require(cfg, "seeds"), "seeds", 0, 2**64 - 1, seed_offset)
 
 
 def _t_values(cfg: dict) -> list:
-    ts = _require(cfg, "T")
-    if isinstance(ts, int):
-        ts = [ts]
-    if not isinstance(ts, list) or not ts:
-        raise ConfigError("T: must be an integer or nonempty list")
-    return [int(t) for t in ts]
+    ts = _require(cfg, "T")  # stream keys hold t in 16 bits
+    return _int_list([ts] if isinstance(ts, int) else ts, "T", 1, 2**16 - 1)
 
 
 def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
@@ -181,6 +206,9 @@ def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
     prior = prior_from_config(_require(cfg, "prior"))
     schedule_spec = cfg.get("schedule", {})
     seeds = _seeds(cfg, seed_offset)
+    dump = cfg.get("dump")
+    if dump is not None and not isinstance(dump, str):
+        raise ConfigError(f"dump: expected a file name, got {dump!r}")
     results = [
         (T, seed, unconditional_sample(prior, _schedule_from_config(schedule_spec, T), seed))
         for T in _t_values(cfg)
@@ -192,83 +220,83 @@ def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
         for T, seed, x in results
     ]
     _write_csv(out, ["seed", "T", "mean", "var", "min", "max"], rows)
-    dump = cfg.get("dump")
     if dump:
         np.save(dump, np.stack([x for _, _, x in results]))
     return rows
 
 
-def _solver_result(prior, schedule_spec, task, cfg, solver_name, T, seed, timing):
-    schedule = _schedule_from_config(schedule_spec, T)
-    d = prior.d
-    x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
-    try:
-        op = operator_from_config(_require(task, "operator", "task"), d)
-        config = SolverConfig(
-            solver=solver_name,
-            T=T,
-            K=_resolve_k(cfg.get("K", 64)),
-            m=cfg.get("m"),
-            seed=seed,
-            zeta=float(cfg.get("zeta", 1.0)),
-            lam=float(cfg.get("lambda", 0.1)),
-            fallback=cfg.get("fallback", "FreshNoise"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    sigma_obs = float(task.get("sigma_obs", 0.05))
-    obs = make_observation(
-        x0, op, sigma_obs, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
-    )
-    start = time.perf_counter() if timing else 0.0
-    result = solve(prior, schedule, obs, config)
-    wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-    err = mse(result.x0, x0)
-    task_name = task.get("name", op.kind)
-    return (
-        seed,
-        solver_name,
-        task_name,
-        T,
-        config.K,
-        config.m if config.m is not None else config.K,
-        err,
-        psnr(err, float(cfg.get("psnr_range", 2.0))),
-        wall_ms,
-        result.degenerate_steps,
-    )
-
-
 def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
-    """Run the (solver x T x seed) grid against one task; write metric rows."""
+    """Run the (solver x T x seed) grid against one task; write metric rows.
+
+    The whole config is read, and checked, before the first solve runs.
+    """
     prior = prior_from_config(_require(cfg, "prior"))
-    task = _require(cfg, "task")
+    task = _object(_require(cfg, "task"), "task")
     solvers = _require(cfg, "solvers")
     if not isinstance(solvers, list) or not solvers:
         raise ConfigError("solvers: must be a nonempty list")
     schedule_spec = cfg.get("schedule", {})
     seeds = _seeds(cfg, seed_offset)
     t_values = _t_values(cfg)
+    schedules = {T: _schedule_from_config(schedule_spec, T) for T in t_values}
     timing = bool(cfg.get("timing", False))
-    rows = [
-        _solver_result(prior, schedule_spec, task, cfg, solver_name, T, seed, timing)
-        for solver_name in solvers
-        for T in t_values
-        for seed in seeds
-    ]
+    sigma_obs = _typed(float, task.get("sigma_obs", 0.05), "task: sigma_obs", 0.0)
+    psnr_range = _typed(float, cfg.get("psnr_range", 2.0), "psnr_range")
+    m = cfg.get("m")
+    try:
+        op_spec = _object(_require(task, "operator", "task"), "task: operator")
+        op = operator_from_config(op_spec, prior.d)
+        configs = [
+            SolverConfig(
+                solver=solver_name,
+                K=_resolve_k(cfg.get("K", 64)),
+                m=None if m is None else _typed(int, m, "m"),
+                zeta=_typed(float, cfg.get("zeta", 1.0), "zeta"),
+                lam=_typed(float, cfg.get("lambda", 0.1), "lambda"),
+                fallback=cfg.get("fallback", "FreshNoise"),
+            )
+            for solver_name in solvers
+        ]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    task_name = task.get("name", op.kind)
+    rows = []
+    for config, T, seed in itertools.product(configs, t_values, seeds):
+        x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+        noise = derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
+        obs = make_observation(x0, op, sigma_obs, noise)
+        start = time.perf_counter() if timing else 0.0
+        result = solve(prior, schedules[T], obs, replace(config, seed=seed))
+        wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
+        err = mse(result.x0, x0)
+        m_used = config.m if config.m is not None else config.K
+        rows.append((seed, config.solver, task_name, T, config.K, m_used, err,
+                     psnr(err, psnr_range), wall_ms, result.degenerate_steps))
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
     _write_csv(out, METRIC_COLUMNS, rows)
     return rows
 
 
+def _load_signal(path: str) -> np.ndarray:
+    """The real array stored in the ``.npy`` file at ``path``; anything else is an I/O error."""
+    with open(path, "rb") as fh:
+        try:
+            x = np.lib.format.read_array(fh)
+            if x.dtype.kind not in "biuf":
+                raise ValueError(f"dtype {x.dtype} is not real")
+        except ValueError as exc:
+            raise OSError(f"{path}: not a .npy array of real numbers: {exc}") from exc
+    return x
+
+
 def cmd_compress(cfg: dict, input_path: str, out: str, recon_path: str | None = None) -> dict:
     """Encode a raw float vector; print BPP and wall time."""
-    x0 = np.load(input_path)
+    x0 = _load_signal(input_path)
     if x0.ndim != 1:
         raise ConfigError(f"input signal must be 1-d, got shape {x0.shape}")
-    prior_id = int(_require(cfg, "prior_id"))
-    prior = build_registered_prior(prior_id, len(x0))
-    T = int(_require(cfg, "T"))
+    prior_id = _typed(int, _require(cfg, "prior_id"), "prior_id")
+    prior = _registered_prior(prior_id, len(x0))
+    T = _typed(int, _require(cfg, "T"), "T")
     schedule = _schedule_from_config(cfg.get("schedule", {}), T)
     start = time.perf_counter()
     try:
@@ -276,13 +304,13 @@ def cmd_compress(cfg: dict, input_path: str, out: str, recon_path: str | None = 
             x0,
             prior,
             schedule,
-            seed=int(cfg.get("seed", 0)),
+            seed=_typed(int, cfg.get("seed", 0), "seed"),
             K=_resolve_k(_require(cfg, "K")),
-            m=int(_require(cfg, "m")),
-            C=int(_require(cfg, "C")),
-            n_side=int(cfg.get("n_side", max(1, round(np.sqrt(len(x0)))))),
+            m=_typed(int, _require(cfg, "m"), "m"),
+            C=_typed(int, _require(cfg, "C"), "C"),
+            n_side=_typed(int, cfg.get("n_side", max(1, round(np.sqrt(len(x0))))), "n_side"),
             prior_id=prior_id,
-            quantizer=cfg.get("quantizer", "dp"),
+            quantizer=_typed(str, cfg.get("quantizer", "dp"), "quantizer"),
         )
     except (ValueError, BudgetExceededError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -328,11 +356,11 @@ def _bench_scores(seed: int, m: int, batch: int) -> list:
 
 def cmd_bench_quant(cfg: dict, out: str) -> list:
     """Time the quantizers on identical score batches; one CSV row per cell."""
-    m_values = [int(v) for v in cfg.get("m_values", [2, 4, 8, 16, 32])]
-    c_values = [int(v) for v in cfg.get("C_values", [3])]
-    batch = int(cfg.get("batch", 64))
-    seed = int(cfg.get("seed", 0))
-    budget = int(cfg.get("budget", 1_000_000))
+    m_values = _int_list(cfg.get("m_values", [2, 4, 8, 16, 32]), "m_values", 1, 255)
+    c_values = _int_list(cfg.get("C_values", [3]), "C_values", 0, MAX_C)
+    batch = _typed(int, cfg.get("batch", 64), "batch")
+    seed = _typed(int, cfg.get("seed", 0), "seed", 0, 2**64 - 1)
+    budget = _typed(int, cfg.get("budget", 1_000_000), "budget")
     rows = []
     for C in c_values:
         grid = make_grid(C)

@@ -16,8 +16,8 @@ Container layout (all big-endian):
   MSB-first, final byte zero-padded (non-zero padding is rejected). Total
   payload bits are exactly ``(T - 1) * (m * log2(K) + C * (m - 1))``. The m
   indices of a step are distinct; a step naming an atom twice is rejected.
-  Headers with ``C > MAX_C`` or ``T * K * d > MAX_DECODE_WORK`` are rejected
-  before decoding.
+  Headers with ``C > MAX_C``, ``T * K * d > MAX_DECODE_WORK`` or ``d > MAX_D``
+  are rejected before decoding.
 
 Encoder and decoder are two noise policies of one ``reverse_loop`` that share
 one step synthesis, so the decoder replays the encoder by construction.
@@ -30,19 +30,13 @@ generative model itself is shared.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .combination import DegenerateDirectionError, TopMSelection, synthesize_noise, top_m_weights
-from .diffusion import (
-    GaussianMixturePrior,
-    Schedule,
-    build_schedule,
-    reverse_loop,
-    tweedie_from_score,
-)
+from .diffusion import GaussianMixturePrior, Schedule, build_schedule, reverse_loop
 from .quantizer import (
     StickCode,
     decode_weights,
@@ -61,6 +55,7 @@ __all__ = [
     "FORMAT_VERSION",
     "MAX_C",
     "MAX_DECODE_WORK",
+    "MAX_D",
     "FormatError",
     "PriorRegistryError",
     "CodecHeader",
@@ -84,6 +79,11 @@ MAX_C = 16
 # normals, K * d per step. Admits T=1000, K=128, d=4096 (524,288,000).
 MAX_DECODE_WORK = 1 << 29
 
+# Largest signal dimension d a header may declare: the decoder builds a prior of
+# d-vectors (prior 4 holds 16 of them) before any work bound applies. The shipped
+# configs and the benchmark use d <= 4096.
+MAX_D = 1 << 16
+
 _MAGIC = b"NCSB"
 _HEADER_STRUCT = struct.Struct(">4sBBQHIBBIHddI")
 
@@ -98,6 +98,8 @@ class PriorRegistryError(KeyError):
 
 @dataclass(frozen=True)
 class CodecHeader:
+    """The header fields after magic and versions, in their packing order."""
+
     seed: int
     T: int
     K: int
@@ -108,8 +110,6 @@ class CodecHeader:
     beta_min: float
     beta_max: float
     prior_id: int
-    version: int = FORMAT_VERSION
-    rng_version: int = RNG_VERSION
 
     def __post_init__(self) -> None:
         if self.K < 1 or (self.K & (self.K - 1)) != 0:
@@ -125,12 +125,11 @@ class CodecHeader:
         if self.T * self.K * self.d > MAX_DECODE_WORK:
             work = self.T * self.K * self.d
             raise ValueError(f"T*K*d = {work} exceeds the decode work bound {MAX_DECODE_WORK}")
-        if self.n_side < 1:
-            raise ValueError("n_side must be >= 1")
-        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
-            raise ValueError(
-                f"need 0 < beta_min <= beta_max < 1, got ({self.beta_min}, {self.beta_max})"
-            )
+        if self.d > MAX_D:
+            raise ValueError(f"d = {self.d} exceeds the dimension bound {MAX_D}")
+        if not 1 <= self.n_side <= 65535:
+            raise ValueError(f"n_side must fit in [1, 65535], got {self.n_side}")
+        build_schedule(self.T, self.beta_min, self.beta_max)  # checks the betas and alpha_bar
 
     @property
     def index_bits(self) -> int:
@@ -141,29 +140,13 @@ class CodecHeader:
         return payload_bits(self.T, self.K, self.m, self.C)
 
     def pack(self) -> bytes:
-        return _HEADER_STRUCT.pack(
-            _MAGIC,
-            self.version,
-            self.rng_version,
-            self.seed,
-            self.T,
-            self.K,
-            self.m,
-            self.C,
-            self.d,
-            self.n_side,
-            self.beta_min,
-            self.beta_max,
-            self.prior_id,
-        )
+        return _HEADER_STRUCT.pack(_MAGIC, FORMAT_VERSION, RNG_VERSION, *astuple(self))
 
     @classmethod
     def unpack(cls, data: bytes) -> "CodecHeader":
         if len(data) < _HEADER_STRUCT.size:
             raise FormatError(f"header needs {_HEADER_STRUCT.size} bytes, got {len(data)}")
-        magic, version, rng_version, seed, T, K, m, C, d, n_side, bmin, bmax, prior_id = (
-            _HEADER_STRUCT.unpack_from(data)
-        )
+        magic, version, rng_version, *fields = _HEADER_STRUCT.unpack_from(data)
         if magic != _MAGIC:
             raise FormatError(f"bad magic {magic!r}")
         if version != FORMAT_VERSION:
@@ -171,18 +154,7 @@ class CodecHeader:
         if rng_version != RNG_VERSION:
             raise FormatError(f"unsupported rng version {rng_version}")
         try:
-            return cls(
-                seed=seed,
-                T=T,
-                K=K,
-                m=m,
-                C=C,
-                d=d,
-                n_side=n_side,
-                beta_min=bmin,
-                beta_max=bmax,
-                prior_id=prior_id,
-            )
+            return cls(*fields)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
 
@@ -355,7 +327,7 @@ def _fallback_record(header: CodecHeader) -> tuple:
     equal split combines the m atoms equally.
     """
     codes = ((1 << header.C) - 1,) + (0,) * (header.m - 2) if header.m > 1 else ()
-    return list(range(header.m)), StickCode(m=header.m, codes=codes)
+    return list(range(header.m)), StickCode(codes=codes)
 
 
 def compress(
@@ -405,15 +377,15 @@ def compress(
     # again (at d=4096 on a 2-core Xeon: twice the page faults, ~15% slower).
     codebook = None
 
-    def encode(t, x, s):
+    def encode(t, x, x0_hat):
         nonlocal degenerate, codebook
         codebook = build_codebook(seed, t, K, prior.d)
         try:
-            selection = top_m_weights(x0 - tweedie_from_score(schedule, x, t, s), codebook, m)
+            selection = top_m_weights(x0 - x0_hat, codebook, m)
             indices = selection.indices.tolist()
             # quantizers are scale-invariant in b, so the normalized clamped
             # weights stand in for the restricted inner products
-            code = quantize(selection.weights, grid) if m > 1 else StickCode(m=1, codes=())
+            code = quantize(selection.weights, grid) if m > 1 else StickCode(codes=())
         except DegenerateDirectionError:
             degenerate += 1
             indices, code = _fallback_record(header)
@@ -441,13 +413,12 @@ def decompress(stream: Bitstream) -> np.ndarray:
     reader = _BitReader(stream.payload, header.payload_bits)
     codebook = None  # held across steps, see compress
 
-    def decode(t, x, s):
+    def decode(t, x, x0_hat):
         nonlocal codebook
         indices = [reader.read(header.index_bits) for _ in range(header.m)]
         if len(set(indices)) != header.m:
             raise FormatError(f"step t={t} names an atom more than once: {indices}")
-        codes = tuple(reader.read(header.C) for _ in range(header.m - 1))
-        code = StickCode(m=header.m, codes=codes)
+        code = StickCode(codes=tuple(reader.read(header.C) for _ in range(header.m - 1)))
         codebook = build_codebook(header.seed, t, header.K, header.d)
         return _step_noise(codebook, indices, code, grid)
 

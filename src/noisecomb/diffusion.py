@@ -78,7 +78,9 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
 class Schedule:
     """Discrete VP/DDPM noise schedule given by ``beta``; arrays indexed by ``t - 1``.
 
-    ``alpha``, ``alpha_bar`` and ``sigma`` are derived from ``beta`` on construction.
+    ``alpha``, ``alpha_bar`` and ``sigma`` are derived from ``beta`` on
+    construction. Every ``alpha_bar`` must lie in (0, 1): at 1 (``1 - beta``
+    rounds to 1) or 0 (underflow) the reverse steps divide by zero.
     """
 
     beta: np.ndarray
@@ -93,9 +95,12 @@ class Schedule:
         if np.any((beta <= 0) | (beta >= 1)):
             raise ValueError("every beta must lie in (0, 1)")
         alpha = 1.0 - beta
+        alpha_bar = np.cumprod(alpha)
+        if not (alpha_bar[0] < 1.0 and alpha_bar[-1] > 0.0):
+            raise ValueError(f"alpha_bar leaves (0, 1): [{alpha_bar[0]}, {alpha_bar[-1]}]")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "alpha_bar", np.cumprod(alpha))
+        object.__setattr__(self, "alpha_bar", alpha_bar)
         object.__setattr__(self, "sigma", np.sqrt(beta))
 
     @property
@@ -381,16 +386,18 @@ def reverse_loop(
 ) -> np.ndarray:
     """The reverse process from a keyed N(0, I) latent down to x_0.
 
-    Per t = T..1: one score ``s`` at ``x``; step noise ``noise(t, x, s)`` for
-    t >= 2 (the t = 1 step is noiseless); ``ddpm_step`` to ``x_next``; then the
-    optional mean hook ``correct(t, x, s, x_next)`` returns the state kept.
+    Per t = T..1: one score ``s`` at ``x`` and its Tweedie estimate ``x0_hat``;
+    step noise ``noise(t, x, x0_hat)`` for t >= 2 (the t = 1 step is
+    noiseless); ``ddpm_step`` to ``x_next``; then the optional mean hook
+    ``correct(t, x, x0_hat, x_next)`` returns the state kept.
     """
     x = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(prior.d)
     for t in range(schedule.T, 0, -1):
         s = score(prior, schedule, x, t)
-        eps = noise(t, x, s) if t >= 2 else np.zeros(prior.d)
+        x0_hat = tweedie_from_score(schedule, x, t, s)
+        eps = noise(t, x, x0_hat) if t >= 2 else np.zeros(prior.d)
         x_next = ddpm_step(schedule, x, t, eps, s)
-        x = x_next if correct is None else correct(t, x, s, x_next)
+        x = x_next if correct is None else correct(t, x, x0_hat, x_next)
     return x
 
 
@@ -398,4 +405,4 @@ def unconditional_sample(
     prior: GaussianMixturePrior, schedule: Schedule, seed: int
 ) -> np.ndarray:
     """Plain DDPM sampling: the reverse loop with fresh keyed noise."""
-    return reverse_loop(prior, schedule, seed, lambda t, x, s: fresh_noise(seed, t, prior.d))
+    return reverse_loop(prior, schedule, seed, lambda t, x, x0_hat: fresh_noise(seed, t, prior.d))

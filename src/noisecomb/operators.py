@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (
-    GaussianMixturePrior,
-    Schedule,
-    tweedie_estimate,
-    tweedie_jacobian_apply,
-)
+from .diffusion import GaussianMixturePrior, Schedule, tweedie_jacobian_apply
 from .rng import NoiseStream
 
 __all__ = [
@@ -199,14 +194,15 @@ def dps_direction(
     obs: Observation,
     x_t: np.ndarray,
     t: int,
+    x0_hat: np.ndarray,
 ) -> np.ndarray:
     """Likelihood-gradient direction: (1/sigma_t^2) J^T A^T (y - A x0_hat).
 
     Equals the ascent direction of the Gaussian log-likelihood of y given the
-    Tweedie estimate, with the schedule's sigma_t as the likelihood scale.
+    Tweedie estimate ``x0_hat`` of ``x_t``, with the schedule's sigma_t as the
+    likelihood scale.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    pulled = mpgd_direction(obs, tweedie_estimate(prior, schedule, x_t, t))
+    pulled = mpgd_direction(obs, x0_hat)
     return tweedie_jacobian_apply(prior, schedule, x_t, t, pulled) / schedule.sigma_at(t) ** 2
 
 

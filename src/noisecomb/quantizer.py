@@ -24,7 +24,7 @@ objective <b, gamma> for descending nonnegative scores b:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,10 +54,16 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Per-stage fraction grid consuming C bits per stored code."""
+    """Per-stage fraction grid consuming C bits per stored code; ``values`` is derived from C."""
 
     C: int
-    values: np.ndarray  # sorted fractions in (0, 1]; empty when C == 0
+    values: np.ndarray = field(init=False)  # sorted j / (2^C - 1) in (0, 1]; empty at C == 0
+
+    def __post_init__(self) -> None:
+        if self.C < 0:
+            raise ValueError(f"C must be >= 0, got {self.C}")
+        L = (1 << self.C) - 1
+        object.__setattr__(self, "values", np.arange(1, L + 1) / L if L else np.array([]))
 
     @property
     def levels(self) -> int:
@@ -73,27 +79,22 @@ class Grid:
 
 def make_grid(C: int) -> Grid:
     """Uniform grid {j / (2^C - 1)} with code 0 reserved for u = 0."""
-    if C < 0:
-        raise ValueError(f"C must be >= 0, got {C}")
-    if C == 0:
-        return Grid(C=0, values=np.array([]))
-    L = (1 << C) - 1
-    return Grid(C=C, values=np.arange(1, L + 1) / L)
+    return Grid(C=C)
 
 
 @dataclass(frozen=True)
 class StickCode:
     """m - 1 per-stage codes; empty at m = 1, all-zero placeholders at C = 0."""
 
-    m: int
     codes: tuple
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if len(self.codes) != self.m - 1:
-            raise ValueError(f"expected {self.m - 1} codes, got {len(self.codes)}")
         object.__setattr__(self, "codes", tuple(int(c) for c in self.codes))
+
+    @property
+    def m(self) -> int:
+        """Number of combined atoms: one more than the stored codes."""
+        return len(self.codes) + 1
 
 
 def stick_forward(u) -> np.ndarray:
@@ -176,11 +177,14 @@ def _check_scores(b) -> np.ndarray:
     return np.maximum(b, 0.0)
 
 
-def _equal_split_code(m: int, grid: Grid) -> StickCode:
-    if grid.C == 0 or m == 1:
-        return StickCode(m=m, codes=(0,) * (m - 1))
-    targets = 1.0 / np.arange(m, 1, -1)
-    return quantize_nn(targets, grid)
+def _settled_code(b: np.ndarray, grid: Grid) -> StickCode | None:
+    """The code all quantizers give at m = 1, at C = 0 and (equal split) for all-zero scores."""
+    m = len(b)
+    if m == 1 or grid.C == 0:
+        return StickCode(codes=(0,) * (m - 1))
+    if not np.any(b > 0):
+        return quantize_nn(1.0 / np.arange(m, 1, -1), grid)
+    return None
 
 
 def quantize_nn(u_star, grid: Grid) -> StickCode:
@@ -193,10 +197,10 @@ def quantize_nn(u_star, grid: Grid) -> StickCode:
         raise ValueError("fractions must lie in [0, 1]")
     m = len(u_star) + 1
     if grid.C == 0:
-        return StickCode(m=m, codes=(0,) * (m - 1))
+        return StickCode(codes=(0,) * (m - 1))
     fractions = grid.all_fractions()
     codes = tuple(int(np.argmin(np.abs(fractions - u))) for u in u_star)
-    return StickCode(m=m, codes=codes)
+    return StickCode(codes=codes)
 
 
 def quantize_stagewise(b, grid: Grid) -> StickCode:
@@ -209,13 +213,10 @@ def quantize_stagewise(b, grid: Grid) -> StickCode:
     equal split.
     """
     b = _check_scores(b)
+    code = _settled_code(b, grid)
+    if code is not None:
+        return code
     m = len(b)
-    if m == 1:
-        return StickCode(m=1, codes=())
-    if not np.any(b > 0):
-        return _equal_split_code(m, grid)
-    if grid.C == 0:
-        return StickCode(m=m, codes=(0,) * (m - 1))
     fractions = grid.all_fractions()
     codes = [0] * (m - 1)
     v = b[m - 1]
@@ -224,7 +225,7 @@ def quantize_stagewise(b, grid: Grid) -> StickCode:
         u_star = b[i] * b[i] / denom if denom > 0 else 0.0
         codes[i] = int(np.argmin(np.abs(fractions - u_star)))
         v = b[i] * np.sqrt(u_star) + v * np.sqrt(1.0 - u_star)
-    return StickCode(m=m, codes=tuple(codes))
+    return StickCode(codes=tuple(codes))
 
 
 def quantize_dp(b, grid: Grid):
@@ -235,15 +236,10 @@ def quantize_dp(b, grid: Grid):
     Returns ``(code, value)`` with the achieved objective v_1.
     """
     b = _check_scores(b)
+    code = _settled_code(b, grid)
+    if code is not None:
+        return code, stick_objective(b, code, grid)
     m = len(b)
-    if m == 1:
-        return StickCode(m=1, codes=()), float(b[0])
-    if not np.any(b > 0):
-        code = _equal_split_code(m, grid)
-        return code, stick_objective(b, code, grid)
-    if grid.C == 0:
-        code = StickCode(m=m, codes=(0,) * (m - 1))
-        return code, stick_objective(b, code, grid)
     fractions = grid.all_fractions()
     sqrt_u = np.sqrt(fractions)
     sqrt_1mu = np.sqrt(1.0 - fractions)
@@ -254,7 +250,7 @@ def quantize_dp(b, grid: Grid):
         j = int(np.argmax(vals))  # first max: ties go to the smaller code
         codes[i] = j
         v = float(vals[j])
-    return StickCode(m=m, codes=tuple(codes)), v
+    return StickCode(codes=tuple(codes)), v
 
 
 def quantize_greedy_exponential(b, grid: Grid, budget: int = 1_000_000):
@@ -265,21 +261,16 @@ def quantize_greedy_exponential(b, grid: Grid, budget: int = 1_000_000):
     past ``budget`` and reports the offending cost.
     """
     b = _check_scores(b)
-    m = len(b)
-    if m == 1:
-        return StickCode(m=1, codes=()), float(b[0])
-    if not np.any(b > 0):
-        code = _equal_split_code(m, grid)
+    code = _settled_code(b, grid)
+    if code is not None:
         return code, stick_objective(b, code, grid)
+    m = len(b)
     cost = grid.levels ** (m - 1)
     if cost > budget:
         raise BudgetExceededError(
             f"exhaustive search needs {cost} evaluations "
             f"({grid.levels}^{m - 1}) > budget {budget}"
         )
-    if grid.C == 0:
-        code = StickCode(m=m, codes=(0,) * (m - 1))
-        return code, stick_objective(b, code, grid)
     fractions = grid.all_fractions()
     best_codes = None
     best_value = -np.inf
@@ -289,7 +280,7 @@ def quantize_greedy_exponential(b, grid: Grid, budget: int = 1_000_000):
         if value > best_value:
             best_value = value
             best_codes = assignment
-    return StickCode(m=m, codes=best_codes), best_value
+    return StickCode(codes=best_codes), best_value
 
 
 def payload_bits(T: int, K: int, m: int, C: int) -> int:

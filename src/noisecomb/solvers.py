@@ -32,10 +32,9 @@ from .diffusion import (
     Schedule,
     fresh_noise,
     reverse_loop,
-    tweedie_from_score,
     tweedie_jacobian_apply,
 )
-from .operators import Observation, mpgd_direction
+from .operators import Observation, dps_direction, mpgd_direction
 from .rng import build_codebook
 
 __all__ = [
@@ -68,7 +67,6 @@ TASK_K_PRESETS = {
 @dataclass(frozen=True)
 class SolverConfig:
     solver: str
-    T: int
     K: int = 64
     m: int | None = None  # None: combine over the full codebook
     seed: int = 0
@@ -108,21 +106,21 @@ def ncs_solve(
 ) -> SolveResult:
     """Combination solvers: plain DDPM steps with guided noise.
 
-    The noise policy of each step: Tweedie estimate, measurement direction,
-    optimal (or top-m) weights over the timestep codebook, synthesized noise.
-    The DDPM mean is left as it is.
+    The noise policy of each step: the measurement direction at the loop's
+    Tweedie estimate (``dps_direction`` for NCS-DPS, ``mpgd_direction``
+    otherwise), optimal (or top-m) weights over the timestep codebook,
+    synthesized noise. The DDPM mean is left as it is.
     """
     if config.solver not in NCS_SOLVERS:
         raise ValueError(f"ncs_solve requires a combination solver, got {config.solver!r}")
-    if config.T != schedule.T:
-        raise ValueError(f"config.T={config.T} != schedule.T={schedule.T}")
     degenerate = 0
 
-    def combination(t, x, s):
+    def combination(t, x, x0_hat):
         nonlocal degenerate
-        c = mpgd_direction(obs, tweedie_from_score(schedule, x, t, s))
         if config.solver == "NCS-DPS":
-            c = tweedie_jacobian_apply(prior, schedule, x, t, c) / schedule.sigma_at(t) ** 2
+            c = dps_direction(prior, schedule, obs, x, t, x0_hat)
+        else:
+            c = mpgd_direction(obs, x0_hat)
         codebook = build_codebook(config.seed, t, config.K, prior.d)
         try:
             if config.m is None:
@@ -155,34 +153,31 @@ def baseline_solve(
     """
     if config.solver not in BASELINE_SOLVERS:
         raise ValueError(f"baseline_solve requires a baseline solver, got {config.solver!r}")
-    if config.T != schedule.T:
-        raise ValueError(f"config.T={config.T} != schedule.T={schedule.T}")
     degenerate = 0
 
-    def fresh(t, x, s):
+    def fresh(t, x, x0_hat):
         return fresh_noise(config.seed, t, prior.d)
 
-    def argmax_atom(t, x, s):
+    def argmax_atom(t, x, x0_hat):
         nonlocal degenerate
-        c = mpgd_direction(obs, tweedie_from_score(schedule, x, t, s))
+        c = mpgd_direction(obs, x0_hat)
         codebook = build_codebook(config.seed, t, config.K, prior.d)
         if np.linalg.norm(c) > 0:
             return codebook[:, int(np.argmax(inner_products(c, codebook)))]
         degenerate += 1
         return _fallback_noise(config, t, codebook)
 
-    def dps(t, x, s, x_next):
-        x0_hat = tweedie_from_score(schedule, x, t, s)
+    def dps(t, x, x0_hat, x_next):
         rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(x0_hat)))
         if rnorm > 0 and config.zeta != 0.0:
             grad = -2.0 * tweedie_jacobian_apply(prior, schedule, x, t, mpgd_direction(obs, x0_hat))
             x_next = x_next - (config.zeta / rnorm) * grad
         return x_next
 
-    def mpgd(t, x, s, x_next):
+    def mpgd(t, x, x0_hat, x_next):
         if config.lam != 0.0:
             ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
-            pulled = mpgd_direction(obs, tweedie_from_score(schedule, x, t, s))
+            pulled = mpgd_direction(obs, x0_hat)
             shift = 2.0 * config.lam * np.sqrt(ab) * pulled
             coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
             x_next = x_next + coef0 * shift

@@ -356,7 +356,7 @@ def test_criterion_11_solver_trend():
         )
         pair = {}
         for solver in errs:
-            res = solve(prior, sch, obs, SolverConfig(solver=solver, T=T, K=64, seed=seed))
+            res = solve(prior, sch, obs, SolverConfig(solver=solver, K=64, seed=seed))
             pair[solver] = float(np.mean((res.x0 - x0) ** 2))
             errs[solver].append(pair[solver])
         wins += pair["NCS-DPS"] < pair["DPS"]

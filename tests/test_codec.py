@@ -378,3 +378,99 @@ def test_compress_rejects_undecodable_schedule():
     custom = Schedule(beta=beta)
     with pytest.raises(ValueError, match="reproducible"):
         compress(x0, prior, custom, seed=0, K=8, m=2, C=2, n_side=3, prior_id=1)
+
+
+def test_dimension_bound_rejects_huge_prior_before_decoding():
+    from noisecomb.codec import MAX_D
+
+    assert MAX_D == 1 << 16
+    # T=1, K=1, m=1, C=0: T*K*d = 2^29 meets the work bound and the payload is empty,
+    # but decoding would build an 8-component prior of dimension 2^29 (about 64 GiB)
+    blob = struct.pack(">4sBBQHIBBIHddI", b"NCSB", 1, 1, 0, 1, 1, 1, 0, 1 << 29, 1, 1e-4, 0.02, 4)
+    assert len(blob) == 48
+    with pytest.raises(FormatError, match="dimension bound"):
+        Bitstream.from_bytes(blob)
+    with pytest.raises(ValueError, match="dimension bound"):
+        CodecHeader(seed=0, T=2, K=2, m=1, C=0, d=MAX_D + 1, n_side=1,
+                    beta_min=1e-4, beta_max=0.02, prior_id=1)
+    # the bound itself still encodes and decodes
+    prior, x0 = _signal(seed=3, d=MAX_D, prior_id=1)
+    res = compress(x0, prior, build_schedule(2, 1e-4, 0.02), seed=3, K=2, m=1, C=0, n_side=256, prior_id=1)
+    assert np.array_equal(decompress(Bitstream.from_bytes(res.stream.to_bytes())), res.reconstruction)
+
+
+@pytest.mark.parametrize(
+    "T,beta_min,beta_max",
+    [(3, 1e-17, 1e-17), (3, 1e-17, 0.02), (300, 0.999999999, 0.999999999), (1100, 0.5, 0.5)],
+)
+def test_header_rejects_schedules_whose_alpha_bar_leaves_the_open_interval(T, beta_min, beta_max):
+    # 1 - beta_min rounding to 1 (alpha_bar = 1) or alpha_bar underflowing to 0 makes the
+    # reverse steps divide by zero: NaN states, or a ValueError from the score
+    blob = struct.pack(">4sBBQHIBBIHddI", b"NCSB", 1, 1, 0, T, 1, 1, 0, 4, 2, beta_min, beta_max, 2)
+    with pytest.raises(FormatError, match="alpha_bar"):
+        Bitstream.from_bytes(blob)
+    prior, x0 = _signal(seed=0, d=4)
+    with pytest.raises(ValueError, match="alpha_bar"):
+        compress(x0, prior, build_schedule(T, beta_min, beta_max), seed=0, K=1, m=1, C=0,
+                 n_side=2, prior_id=2)
+
+
+def _fuzz_base_streams() -> list:
+    """Small valid streams covering m = 1, m = K, C = 0 and every registered prior."""
+    cells = [(6, 8, 2, 2, 8, 1), (5, 4, 4, 3, 4, 2), (4, 16, 1, 0, 16, 3), (3, 2, 2, 0, 6, 4)]
+    out = []
+    for T, K, m, C, d, prior_id in cells:
+        prior, x0 = _signal(seed=T, d=d, prior_id=prior_id)
+        res = compress(x0, prior, build_schedule(T, 1e-4, 0.02), seed=T, K=K, m=m, C=C,
+                       n_side=3, prior_id=prior_id)
+        out.append(res.stream.to_bytes())
+    return out
+
+
+def test_decoder_fuzz_raises_only_documented_errors():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def mutate(args):
+        blob, in_payload, edits, cut = args
+        out = bytearray(blob)
+        start = 48 if in_payload and len(out) > 48 else 0
+        for pos, value in edits:
+            out[start + pos % (len(out) - start)] = value
+        return bytes(out[: len(out) + cut]) if cut < 0 else bytes(out) + bytes(cut)
+
+    def with_betas(args):
+        blob, betas = args
+        return _with_betas(blob, *sorted(betas))
+
+    bases = st.sampled_from(_fuzz_base_streams())
+    mutated = st.tuples(
+        bases,
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), min_size=1, max_size=4),
+        st.sampled_from([0, 0, 0, 0, -1, 1, -9]),
+    ).map(mutate)
+    betas = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    streams = st.one_of(
+        mutated,
+        mutated,
+        st.tuples(bases, betas).map(with_betas),
+        st.binary(max_size=96),
+        st.binary(min_size=42, max_size=64).map(lambda tail: b"NCSB\x01\x01" + tail),
+    )
+
+    @given(streams)
+    @settings(max_examples=400, deadline=None)
+    def run(data):
+        try:
+            stream = Bitstream.from_bytes(data)
+        except FormatError:
+            return
+        h = stream.header
+        if h.T * h.K * h.d <= 1 << 16:
+            try:
+                assert np.all(np.isfinite(decompress(stream)))
+            except (FormatError, PriorRegistryError):
+                pass
+
+    run()

@@ -75,7 +75,7 @@ def _solve_case(operator: str, solver: str, m, fallback: str) -> str:
     x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
     op = Mask(d, [0, 1, 2, 3]) if operator == "mask" else ZeroOperator(d)
     obs = make_observation(x0, op, 0.05, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0)))
-    cfg = SolverConfig(solver=solver, T=T, K=4, m=m, seed=seed, fallback=fallback)
+    cfg = SolverConfig(solver=solver, K=4, m=m, seed=seed, fallback=fallback)
     res = solve(prior, build_schedule(T, 1e-4, 0.02), obs, cfg)
     return _digest(res.x0.tobytes(), res.degenerate_steps)
 

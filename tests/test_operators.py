@@ -182,11 +182,12 @@ def test_dps_direction_zero_cases():
     x0_hat = tweedie_estimate(prior, sch, x_t, t)
     op = Identity(4)
     obs = Observation(y=op.apply(x0_hat), operator=op)
-    assert np.allclose(dps_direction(prior, sch, obs, x_t, t), 0.0, atol=1e-12)
+    assert np.allclose(dps_direction(prior, sch, obs, x_t, t, x0_hat), 0.0, atol=1e-12)
 
     point_mass = GaussianMixturePrior.single(np.array([1.0, 0.0, 0.0, 0.0]), 1e-12 * np.ones(4))
     obs2 = Observation(y=np.array([5.0, 5.0, 5.0, 5.0]), operator=op)
-    assert np.allclose(dps_direction(point_mass, sch, obs2, x_t, t), 0.0, atol=1e-6)
+    x0_hat = tweedie_estimate(point_mass, sch, x_t, t)
+    assert np.allclose(dps_direction(point_mass, sch, obs2, x_t, t, x0_hat), 0.0, atol=1e-6)
 
 
 def test_dps_direction_matches_likelihood_gradient():
@@ -209,5 +210,5 @@ def test_dps_direction_matches_likelihood_gradient():
             e = np.zeros(4)
             e[j] = h
             fd[j] = (loss(x_t + e) - loss(x_t - e)) / (2 * h)
-        c = dps_direction(prior, sch, obs, x_t, t)
+        c = dps_direction(prior, sch, obs, x_t, t, tweedie_estimate(prior, sch, x_t, t))
         assert np.linalg.norm(c + fd) <= 1e-4 * max(np.linalg.norm(c), 1e-6)

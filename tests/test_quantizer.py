@@ -50,7 +50,7 @@ def test_grid_one_bit():
 def test_grid_zero_bits_equal_split():
     grid = make_grid(0)
     assert grid.values.size == 0
-    code = StickCode(m=3, codes=(0, 0))
+    code = StickCode(codes=(0, 0))
     gamma = decode_weights(code, grid)
     assert np.allclose(gamma, 1 / np.sqrt(3.0), atol=1e-15)
 

@@ -44,27 +44,25 @@ def _toy_problem(seed=0, d=8, T=25, sigma=0.05, keep=None):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(solver="ALD", T=10)
+        SolverConfig(solver="ALD")
     with pytest.raises(ValueError):
-        SolverConfig(solver="DPS", T=10, K=8, m=9)
+        SolverConfig(solver="DPS", K=8, m=9)
     with pytest.raises(ValueError):
-        SolverConfig(solver="DPS", T=10, fallback="Retry")
+        SolverConfig(solver="DPS", fallback="Retry")
 
 
 def test_family_dispatch_guards():
     prior, sch, _, obs = _toy_problem()
     with pytest.raises(ValueError):
-        ncs_solve(prior, sch, obs, SolverConfig(solver="DPS", T=25))
+        ncs_solve(prior, sch, obs, SolverConfig(solver="DPS"))
     with pytest.raises(ValueError):
-        baseline_solve(prior, sch, obs, SolverConfig(solver="NCS-DPS", T=25))
-    with pytest.raises(ValueError):
-        solve(prior, sch, obs, SolverConfig(solver="DPS", T=10))  # T mismatch
+        baseline_solve(prior, sch, obs, SolverConfig(solver="NCS-DPS"))
 
 
 @pytest.mark.parametrize("solver", ["DPS", "MPGD", "DDCM", "NCS-DPS", "NCS-MPGD", "NCS-DDCM"])
 def test_deterministic_per_config_seed(solver):
     prior, sch, _, obs = _toy_problem(seed=5)
-    cfg = SolverConfig(solver=solver, T=25, K=16, seed=5)
+    cfg = SolverConfig(solver=solver, K=16, seed=5)
     a = solve(prior, sch, obs, cfg)
     b = solve(prior, sch, obs, cfg)
     assert np.array_equal(a.x0, b.x0)
@@ -74,15 +72,15 @@ def test_deterministic_per_config_seed(solver):
 def test_zero_guidance_baselines_reduce_to_unconditional():
     prior, sch, _, obs = _toy_problem(seed=3)
     uncond = unconditional_sample(prior, sch, 3)
-    dps = baseline_solve(prior, sch, obs, SolverConfig(solver="DPS", T=25, seed=3, zeta=0.0))
-    mpgd = baseline_solve(prior, sch, obs, SolverConfig(solver="MPGD", T=25, seed=3, lam=0.0))
+    dps = baseline_solve(prior, sch, obs, SolverConfig(solver="DPS", seed=3, zeta=0.0))
+    mpgd = baseline_solve(prior, sch, obs, SolverConfig(solver="MPGD", seed=3, lam=0.0))
     assert np.array_equal(dps.x0, uncond)
     assert np.array_equal(mpgd.x0, uncond)
 
 
 def test_ddcm_k1_is_unconditional_with_codebook_noise():
     prior, sch, _, obs = _toy_problem(seed=9)
-    got = baseline_solve(prior, sch, obs, SolverConfig(solver="DDCM", T=25, K=1, seed=9))
+    got = baseline_solve(prior, sch, obs, SolverConfig(solver="DDCM", K=1, seed=9))
     # replay: same trajectory but noise drawn from the single-atom codebooks
     x = derive_stream(StreamKey(9, Domain.INIT_LATENT, 25, 0)).standard_normal(prior.d)
     for t in range(25, 0, -1):
@@ -105,7 +103,7 @@ def test_degenerate_directions_fall_back_to_plain_ddpm():
     obs = Observation(y=np.zeros(1), operator=ZeroOperator(d))
     uncond = unconditional_sample(prior, sch, 21)
     for solver in ("NCS-DPS", "NCS-MPGD", "NCS-DDCM"):
-        res = ncs_solve(prior, sch, obs, SolverConfig(solver=solver, T=15, K=8, seed=21))
+        res = ncs_solve(prior, sch, obs, SolverConfig(solver=solver, K=8, seed=21))
         assert res.degenerate_steps == 14  # every noisy step degenerated
         assert np.array_equal(res.x0, uncond)
 
@@ -115,7 +113,7 @@ def test_degenerate_first_atom_fallback():
     prior = build_registered_prior(2, d)
     sch = build_schedule(10, 1e-4, 0.02)
     obs = Observation(y=np.zeros(1), operator=ZeroOperator(d))
-    cfg = SolverConfig(solver="NCS-MPGD", T=10, K=8, seed=2, fallback="FirstAtom")
+    cfg = SolverConfig(solver="NCS-MPGD", K=8, seed=2, fallback="FirstAtom")
     res = ncs_solve(prior, sch, obs, cfg)
     # replay with atom 0 as the step noise
     x = derive_stream(StreamKey(2, Domain.INIT_LATENT, 10, 0)).standard_normal(d)
@@ -138,21 +136,21 @@ def test_self_consistent_first_step_degenerates():
     x_T = derive_stream(StreamKey(6, Domain.INIT_LATENT, T, 0)).standard_normal(d)
     y = tweedie_estimate(prior, sch, x_T, T)
     obs = Observation(y=y, operator=Identity(d))
-    res = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", T=T, K=8, seed=6))
+    res = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", K=8, seed=6))
     assert res.degenerate_steps >= 1
 
 
 def test_ncs_mpgd_and_ncs_ddcm_identical():
     prior, sch, _, obs = _toy_problem(seed=13)
-    a = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", T=25, K=16, seed=13))
-    b = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-DDCM", T=25, K=16, seed=13))
+    a = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", K=16, seed=13))
+    b = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-DDCM", K=16, seed=13))
     assert np.array_equal(a.x0, b.x0)
 
 
 def test_ncs_ddcm_m1_equals_ddcm_baseline():
     prior, sch, _, obs = _toy_problem(seed=17)
-    ncs = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-DDCM", T=25, K=16, m=1, seed=17))
-    base = baseline_solve(prior, sch, obs, SolverConfig(solver="DDCM", T=25, K=16, seed=17))
+    ncs = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-DDCM", K=16, m=1, seed=17))
+    base = baseline_solve(prior, sch, obs, SolverConfig(solver="DDCM", K=16, seed=17))
     assert np.array_equal(ncs.x0, base.x0)
 
 
@@ -165,8 +163,8 @@ def test_restricted_support_interpolates():
     obs = make_observation(
         x0, Identity(d), 0.0, derive_stream(StreamKey(8, Domain.OBSERVATION_NOISE, 0, 0))
     )
-    full = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", T=20, K=2, seed=8))
-    restricted = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", T=20, K=2, m=2, seed=8))
+    full = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", K=2, seed=8))
+    restricted = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", K=2, m=2, seed=8))
     # differs only on steps where some inner product is negative; both stay finite
     assert np.all(np.isfinite(full.x0)) and np.all(np.isfinite(restricted.x0))
 
@@ -183,7 +181,7 @@ def test_solution_quality_mask_posterior():
     post_sd = np.sqrt(post_var)
     recs = []
     for seed in range(100):
-        r = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-DPS", T=T, K=16, seed=seed))
+        r = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-DPS", K=16, seed=seed))
         recs.append(r.x0[0])
     recs = np.array(recs)
     assert abs(recs.mean() - post_mean) <= 3 * post_sd
@@ -206,6 +204,6 @@ def test_paired_trend_ncs_dps_beats_dps_small():
             x0, op, 0.05, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
         )
         for solver in errs:
-            r = solve(prior, sch, obs, SolverConfig(solver=solver, T=20, K=64, seed=seed))
+            r = solve(prior, sch, obs, SolverConfig(solver=solver, K=64, seed=seed))
             errs[solver].append(float(np.mean((r.x0 - x0) ** 2)))
     assert np.median(errs["NCS-DPS"]) <= np.median(errs["DPS"])
