@@ -22,9 +22,11 @@ Container layout (all big-endian):
 Encoder and decoder are two noise policies of one ``reverse_loop`` that share
 one step synthesis, so the decoder replays the encoder by construction.
 
-The decoder rebuilds prior, schedule, latents, and codebooks from the header
-alone; priors travel out-of-band as registry keys, mirroring how the
-generative model itself is shared.
+The decoder rebuilds prior, schedule, latents, and the named atoms of each
+codebook from the header and payload alone: it reads a step's m indices
+first and draws only those m atoms, so its per-step work and memory are
+m * d, independent of K. Priors travel out-of-band as registry keys,
+mirroring how the generative model itself is shared.
 """
 
 from __future__ import annotations
@@ -75,8 +77,10 @@ FORMAT_VERSION = 1
 # 2^C fractions (512 KiB at C = 16). No shipped config or benchmark uses C > 8.
 MAX_C = 16
 
-# Largest T * K * d a header may declare: decoding draws (T - 1) * K * d codebook
-# normals, K * d per step. Admits T=1000, K=128, d=4096 (524,288,000).
+# Largest T * K * d a header may declare: encoding draws (T - 1) * K * d codebook
+# normals, K * d per step (decoding draws only the (T - 1) * m * d it names), and a
+# v1 decoder rejects what the encoder would refuse. Admits T=1000, K=128, d=4096
+# (524,288,000).
 MAX_DECODE_WORK = 1 << 29
 
 # Largest signal dimension d a header may declare: the decoder builds a prior of
@@ -313,10 +317,13 @@ _QUANTIZERS = {
 }
 
 
-def _step_noise(codebook, indices, code: StickCode, grid) -> np.ndarray:
-    """Noise of one coded step, summed in stored index order; shared by encoder and decoder."""
-    selection = TopMSelection(indices=indices, weights=decode_weights(code, grid))
-    return synthesize_noise(codebook, selection)
+def _step_noise(atoms, code: StickCode, grid) -> np.ndarray:
+    """Noise of one coded step from its ``(d, m)`` atoms in stored index order.
+
+    Summed in that order; shared by encoder and decoder.
+    """
+    selection = TopMSelection(indices=np.arange(atoms.shape[1]), weights=decode_weights(code, grid))
+    return synthesize_noise(atoms, selection)
 
 
 def _fallback_record(header: CodecHeader) -> tuple:
@@ -347,6 +354,8 @@ def compress(
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (prior.d,):
         raise ValueError(f"signal shape {x0.shape} != prior dimension ({prior.d},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("signal must be finite; it holds inf or NaN")
     if quantizer not in _QUANTIZERS:
         raise ValueError(f"unknown quantizer {quantizer!r}; choose from {sorted(_QUANTIZERS)}")
     header = CodecHeader(
@@ -393,7 +402,7 @@ def compress(
             writer.write(idx, header.index_bits)
         for value in code.codes:
             writer.write(value, C)
-        return _step_noise(codebook, indices, code, grid)
+        return _step_noise(codebook[:, indices], code, grid)
 
     x = reverse_loop(prior, schedule, seed, encode)
     stream = Bitstream(header=header, payload=writer.getvalue())
@@ -411,16 +420,14 @@ def decompress(stream: Bitstream) -> np.ndarray:
     schedule = build_schedule(header.T, header.beta_min, header.beta_max)
     grid = make_grid(header.C)
     reader = _BitReader(stream.payload, header.payload_bits)
-    codebook = None  # held across steps, see compress
 
     def decode(t, x, x0_hat):
-        nonlocal codebook
         indices = [reader.read(header.index_bits) for _ in range(header.m)]
         if len(set(indices)) != header.m:
             raise FormatError(f"step t={t} names an atom more than once: {indices}")
         code = StickCode(codes=tuple(reader.read(header.C) for _ in range(header.m - 1)))
-        codebook = build_codebook(header.seed, t, header.K, header.d)
-        return _step_noise(codebook, indices, code, grid)
+        atoms = build_codebook(header.seed, t, header.K, header.d, indices)
+        return _step_noise(atoms, code, grid)
 
     return reverse_loop(prior, schedule, header.seed, decode)
 

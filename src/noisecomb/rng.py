@@ -29,6 +29,7 @@ vectors in the test suite pin the normals only on the platforms they run on.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -167,20 +168,35 @@ def derive_stream(key: StreamKey) -> NoiseStream:
     return NoiseStream(key)
 
 
-def build_codebook(seed: int, t: int, K: int, d: int) -> np.ndarray:
+def build_codebook(seed: int, t: int, K: int, d: int, indices=None) -> np.ndarray:
     """Timestep-``t`` codebook: ``K`` standard-normal atoms as columns of a ``(d, K)`` array.
 
     Column ``i`` is exactly the stream output for key ``StreamKey(seed,
     CODEBOOK, t, i)``, so the result does not depend on generation order and
     regeneration is bit-identical. The inverse CDF is applied to all raw words
     in one vectorized call; element-wise it is exactly the per-atom map.
+
+    With ``indices``, only the named atoms are drawn: the result is the
+    ``(d, len(indices))`` array whose column ``j`` is exactly column
+    ``indices[j]`` of the full codebook (any order, repeats allowed). An index
+    outside ``[0, K)`` raises ``ValueError``.
     """
     if K < 1:
         raise ValueError(f"codebook size must be >= 1, got {K}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    raws = np.empty((K, d), dtype=np.uint64)
-    for i in range(K):
-        raws[i] = derive_stream(StreamKey(seed, Domain.CODEBOOK, t, i)).raw(d)
-    u = ((raws >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-    return ndtri(u).T
+    if indices is None:
+        atoms = range(K)
+    else:
+        atoms = [operator.index(i) for i in indices]
+        outside = [i for i in atoms if not 0 <= i < K]
+        if outside:
+            raise ValueError(f"atom indices must lie in [0, {K}), got {outside}")
+    raws = np.empty((len(atoms), d), dtype=np.uint64)
+    for j, i in enumerate(atoms):
+        raws[j] = derive_stream(StreamKey(seed, Domain.CODEBOOK, t, i)).raw(d)
+    # the v1 normal map, step by step in place: one float64 buffer beside the raw words
+    u = np.right_shift(raws, np.uint64(12), out=raws).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return ndtri(u, out=u).T

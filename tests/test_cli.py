@@ -424,6 +424,19 @@ def test_cli_compress_input_not_an_npy_array_is_an_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("i/o error:")
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_cli_compress_non_finite_input_is_a_config_error(tmp_path, capsys, bad):
+    signal = tmp_path / "x0.npy"
+    x0 = np.linspace(-1, 1, 8)
+    x0[2] = bad
+    np.save(signal, x0)
+    cfg = {"prior_id": 2, "T": 5, "K": 8, "m": 2, "C": 2, "seed": 0}
+    assert _run_config(tmp_path, "compress", cfg, signal) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "signal must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command,cfg",
     [

@@ -474,3 +474,84 @@ def test_decoder_fuzz_raises_only_documented_errors():
                 pass
 
     run()
+
+
+def _count_derive_stream(monkeypatch) -> list:
+    """Record the key of every stream opened anywhere in noisecomb."""
+    import sys
+
+    import noisecomb.rng as rng
+
+    keys, real = [], rng.derive_stream
+
+    def counting(key):
+        keys.append(key)
+        return real(key)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "noisecomb" or name.startswith("noisecomb.")) and vars(module).get("derive_stream") is real:
+            monkeypatch.setattr(module, "derive_stream", counting)
+    return keys
+
+
+@pytest.mark.parametrize("T,K,m,C", PARAM_MATRIX)
+def test_decoder_draws_only_the_named_atoms(monkeypatch, T, K, m, C):
+    prior, x0 = _signal(seed=5, d=12)
+    res = compress(x0, prior, build_schedule(T, 1e-4, 0.02), seed=5, K=K, m=m, C=C, n_side=4, prior_id=2)
+    keys = _count_derive_stream(monkeypatch)
+    assert np.array_equal(decompress(res.stream), res.reconstruction)
+    atoms = [k for k in keys if k.domain == Domain.CODEBOOK]
+    assert len(atoms) == (T - 1) * m  # not (T - 1) * K
+    assert len(keys) == len(atoms) + 1  # plus the initial latent
+
+
+def _one_atom_stream(K: int, d: int, index: int) -> bytes:
+    """A T=2, m=1, C=0, prior-1 stream whose single step names atom ``index``."""
+    bits = K.bit_length() - 1
+    nbytes = -(-bits // 8)
+    header = struct.pack(">4sBBQHIBBIHddI", b"NCSB", 1, 1, 7, 2, K, 1, 0, d, 1, 1e-4, 0.02, 1)
+    return header + (index << (8 * nbytes - bits)).to_bytes(nbytes, "big")
+
+
+def test_decoder_memory_does_not_scale_with_codebook_size():
+    import tracemalloc
+
+    # T*K*d = 2^29 meets the work bound; a full codebook would be K*d*8 = 2 GiB
+    K, d, m = 4096, 1 << 16, 1
+    blob = _one_atom_stream(K, d, K - 1)
+    assert len(blob) == 50
+    stream = Bitstream.from_bytes(blob)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x = decompress(stream)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the prior, the latent and the score's arrays are about 11 d-vectors of 8 bytes
+    assert peak <= 16 * m * d * 8
+    assert np.all(np.isfinite(x))
+
+
+def test_decoder_stream_calls_do_not_scale_with_codebook_size(monkeypatch):
+    # T*K*d = 2^29 meets the work bound; a full codebook would open 2^28 streams
+    T, K, d, m = 2, 1 << 28, 1, 1
+    blob = _one_atom_stream(K, d, K - 3)
+    assert len(blob) == 52
+    stream = Bitstream.from_bytes(blob)
+    keys = _count_derive_stream(monkeypatch)
+    x = decompress(stream)
+    assert len(keys) == (T - 1) * m + 1
+    assert StreamKey(7, Domain.CODEBOOK, 2, K - 3) in keys
+    assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_compress_rejects_a_non_finite_signal(monkeypatch, bad):
+    prior, x0 = _signal(seed=0, d=8)
+    x0 = x0.copy()
+    x0[3] = bad
+    keys = _count_derive_stream(monkeypatch)
+    with pytest.raises(ValueError, match="signal must be finite"):
+        compress(x0, prior, build_schedule(5, 1e-4, 0.02), seed=0, K=8, m=2, C=2, n_side=3, prior_id=2)
+    assert keys == []  # refused before the first step

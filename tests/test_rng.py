@@ -210,6 +210,40 @@ def test_codebook_rejects_bad_sizes():
         build_codebook(0, 0, 4, 0)
 
 
+def test_codebook_named_atoms_are_columns_of_the_full_codebook():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        K = draw(st.sampled_from([1, 2, 3, 8, 16, 64]))
+        d = draw(st.integers(1, 40))
+        indices = draw(st.lists(st.integers(0, K - 1), max_size=2 * K + 1))
+        return draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 65535)), K, d, indices
+
+    @given(cases(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def run(case, reverse):
+        seed, t, K, d, indices = case
+        if reverse:
+            indices = indices[::-1]
+        named = build_codebook(seed, t, K, d, indices)
+        assert named.shape == (d, len(indices))
+        assert named.tobytes() == build_codebook(seed, t, K, d)[:, indices].tobytes()
+
+    run()
+    full = build_codebook(2, 3, 8, 16)
+    every_atom_reversed = list(range(8))[::-1]
+    assert build_codebook(2, 3, 8, 16, every_atom_reversed).tobytes() == full[:, ::-1].tobytes()
+    assert build_codebook(2, 3, 1, 16, [0]).tobytes() == build_codebook(2, 3, 1, 16).tobytes()
+
+
+@pytest.mark.parametrize("indices", [[8], [-1], [0, 3, 9], [2**32]])
+def test_codebook_rejects_atom_indices_outside_the_codebook(indices):
+    with pytest.raises(ValueError, match="atom indices"):
+        build_codebook(0, 1, 8, 4, indices)
+
+
 def test_atom_norms_concentrate():
     d, K = 4096, 64
     cb = build_codebook(3, 1, K, d)
