@@ -228,7 +228,13 @@ def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
 def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     """Run the (solver x T x seed) grid against one task; write metric rows.
 
-    The whole config is read, and checked, before the first solve runs.
+    The whole config is read, and checked, before the first solve runs. Jobs
+    run seed by seed: each seed's ground truth and observation are drawn once,
+    and its jobs share one codebook dict (see :mod:`noisecomb.solvers`), so a
+    ``(seed, t, K, d)`` codebook is built once per seed and dropped with the
+    seed's dict. With ``"timing": true``, a job's ``wall_ms`` therefore leaves
+    out the codebooks an earlier job of its seed built. Rows are sorted by
+    ``(solver, task, T, seed)``, so the CSV does not depend on the run order.
     """
     prior = prior_from_config(_require(cfg, "prior"))
     task = _object(_require(cfg, "task"), "task")
@@ -261,17 +267,19 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
         raise ConfigError(str(exc)) from exc
     task_name = task.get("name", op.kind)
     rows = []
-    for config, T, seed in itertools.product(configs, t_values, seeds):
+    for seed in seeds:
         x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
         noise = derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
         obs = make_observation(x0, op, sigma_obs, noise)
-        start = time.perf_counter() if timing else 0.0
-        result = solve(prior, schedules[T], obs, replace(config, seed=seed))
-        wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        err = mse(result.x0, x0)
-        m_used = config.m if config.m is not None else config.K
-        rows.append((seed, config.solver, task_name, T, config.K, m_used, err,
-                     psnr(err, psnr_range), wall_ms, result.degenerate_steps))
+        codebooks = {}
+        for config, T in itertools.product(configs, t_values):
+            start = time.perf_counter() if timing else 0.0
+            result = solve(prior, schedules[T], obs, replace(config, seed=seed), codebooks)
+            wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
+            err = mse(result.x0, x0)
+            m_used = config.m if config.m is not None else config.K
+            rows.append((seed, config.solver, task_name, T, config.K, m_used, err,
+                         psnr(err, psnr_range), wall_ms, result.degenerate_steps))
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
     _write_csv(out, METRIC_COLUMNS, rows)
     return rows

@@ -386,11 +386,11 @@ def compress(
     # again (at d=4096 on a 2-core Xeon: twice the page faults, ~15% slower).
     codebook = None
 
-    def encode(t, x, x0_hat):
+    def encode(step):
         nonlocal degenerate, codebook
-        codebook = build_codebook(seed, t, K, prior.d)
+        codebook = build_codebook(seed, step.t, K, prior.d)
         try:
-            selection = top_m_weights(x0 - x0_hat, codebook, m)
+            selection = top_m_weights(x0 - step.x0_hat, codebook, m)
             indices = selection.indices.tolist()
             # quantizers are scale-invariant in b, so the normalized clamped
             # weights stand in for the restricted inner products
@@ -421,12 +421,12 @@ def decompress(stream: Bitstream) -> np.ndarray:
     grid = make_grid(header.C)
     reader = _BitReader(stream.payload, header.payload_bits)
 
-    def decode(t, x, x0_hat):
+    def decode(step):
         indices = [reader.read(header.index_bits) for _ in range(header.m)]
         if len(set(indices)) != header.m:
-            raise FormatError(f"step t={t} names an atom more than once: {indices}")
+            raise FormatError(f"step t={step.t} names an atom more than once: {indices}")
         code = StickCode(codes=tuple(reader.read(header.C) for _ in range(header.m - 1)))
-        atoms = build_codebook(header.seed, t, header.K, header.d, indices)
+        atoms = build_codebook(header.seed, step.t, header.K, header.d, indices)
         return _step_noise(atoms, code, grid)
 
     return reverse_loop(prior, schedule, header.seed, decode)

@@ -14,7 +14,10 @@ simultaneously. Timesteps are 1-indexed (``t = 1 .. T``); the final ``t = 1``
 reverse step adds no noise.
 
 Sampler, solvers and codec all run :func:`reverse_loop` with their own noise
-policy and optional mean hook.
+policy and optional mean hook. The loop scores each state once and hands the
+hooks a :class:`Step` that carries those mixture statistics, so a hook that
+needs the Tweedie Jacobian at the step's state (DPS, NCS-DPS) does not score
+it again.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "ddpm_mean",
     "ddpm_step",
     "fresh_noise",
+    "Step",
     "reverse_loop",
     "unconditional_sample",
 ]
@@ -331,14 +335,19 @@ def tweedie_jacobian(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: in
 
 
 def tweedie_jacobian_apply(
-    prior: GaussianMixturePrior, schedule: Schedule, x_t, t: int, v: np.ndarray
+    prior: GaussianMixturePrior, schedule: Schedule, x_t, t: int, v: np.ndarray, stats=None
 ) -> np.ndarray:
-    """Product J @ v without materializing J (J is symmetric, so J^T v = J v)."""
+    """Product J @ v without materializing J (J is symmetric, so J^T v = J v).
+
+    ``stats``, the mixture statistics ``(resp, g, s)`` already scored at
+    ``x_t`` (a :class:`Step`'s ``stats``), saves scoring ``x_t`` again; the
+    product is then computed by the same operations on the same values.
+    """
     x_t = np.asarray(x_t, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if x_t.ndim != 1 or v.shape != x_t.shape:
         raise ValueError("tweedie_jacobian_apply expects matching 1-d state and vector")
-    resp, g, s = _mixture_stats(prior, schedule, x_t, t)
+    resp, g, s = _mixture_stats(prior, schedule, x_t, t) if stats is None else stats
     ab = schedule.alpha_bar_at(t)
     _, _, covs = marginal_params(prior, schedule, t)
     Hv = (resp * (g @ v)) @ g - s * (s @ v)
@@ -377,6 +386,20 @@ def fresh_noise(seed: int, t: int, d: int) -> np.ndarray:
     return derive_stream(StreamKey(seed, Domain.FRESH_NOISE, t, 0)).standard_normal(d)
 
 
+@dataclass(frozen=True)
+class Step:
+    """One reverse step as :func:`reverse_loop` hands it to its hooks.
+
+    ``x`` is the state at timestep ``t``, ``stats`` the mixture statistics
+    ``(resp, g, s)`` scored there once, and ``x0_hat`` their Tweedie estimate.
+    """
+
+    t: int
+    x: np.ndarray
+    x0_hat: np.ndarray
+    stats: tuple
+
+
 def reverse_loop(
     prior: GaussianMixturePrior,
     schedule: Schedule,
@@ -386,18 +409,20 @@ def reverse_loop(
 ) -> np.ndarray:
     """The reverse process from a keyed N(0, I) latent down to x_0.
 
-    Per t = T..1: one score ``s`` at ``x`` and its Tweedie estimate ``x0_hat``;
-    step noise ``noise(t, x, x0_hat)`` for t >= 2 (the t = 1 step is
-    noiseless); ``ddpm_step`` to ``x_next``; then the optional mean hook
-    ``correct(t, x, x0_hat, x_next)`` returns the state kept.
+    Per t = T..1: the mixture statistics at ``x``, scored once, with their
+    score ``s`` and Tweedie estimate ``x0_hat``; step noise ``noise(step)``
+    for t >= 2 (the t = 1 step is noiseless); ``ddpm_step`` to ``x_next``;
+    then the optional mean hook ``correct(step, x_next)`` returns the state
+    kept. ``step`` is the :class:`Step` of ``(t, x, x0_hat, stats)``.
     """
     x = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(prior.d)
     for t in range(schedule.T, 0, -1):
-        s = score(prior, schedule, x, t)
-        x0_hat = tweedie_from_score(schedule, x, t, s)
-        eps = noise(t, x, x0_hat) if t >= 2 else np.zeros(prior.d)
+        stats = _mixture_stats(prior, schedule, x, t)
+        s = stats[2]
+        step = Step(t, x, tweedie_from_score(schedule, x, t, s), stats)
+        eps = noise(step) if t >= 2 else np.zeros(prior.d)
         x_next = ddpm_step(schedule, x, t, eps, s)
-        x = x_next if correct is None else correct(t, x, x0_hat, x_next)
+        x = x_next if correct is None else correct(step, x_next)
     return x
 
 
@@ -405,4 +430,4 @@ def unconditional_sample(
     prior: GaussianMixturePrior, schedule: Schedule, seed: int
 ) -> np.ndarray:
     """Plain DDPM sampling: the reverse loop with fresh keyed noise."""
-    return reverse_loop(prior, schedule, seed, lambda t, x, x0_hat: fresh_noise(seed, t, prior.d))
+    return reverse_loop(prior, schedule, seed, lambda step: fresh_noise(seed, step.t, prior.d))

@@ -195,15 +195,17 @@ def dps_direction(
     x_t: np.ndarray,
     t: int,
     x0_hat: np.ndarray,
+    stats=None,
 ) -> np.ndarray:
     """Likelihood-gradient direction: (1/sigma_t^2) J^T A^T (y - A x0_hat).
 
     Equals the ascent direction of the Gaussian log-likelihood of y given the
     Tweedie estimate ``x0_hat`` of ``x_t``, with the schedule's sigma_t as the
-    likelihood scale.
+    likelihood scale. ``stats`` is passed on to :func:`tweedie_jacobian_apply`.
     """
     pulled = mpgd_direction(obs, x0_hat)
-    return tweedie_jacobian_apply(prior, schedule, x_t, t, pulled) / schedule.sigma_at(t) ** 2
+    jv = tweedie_jacobian_apply(prior, schedule, x_t, t, pulled, stats)
+    return jv / schedule.sigma_at(t) ** 2
 
 
 def mpgd_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:

@@ -13,13 +13,17 @@ Version tag ``RNG_VERSION = 1`` pins the exact recipe:
 * standard normals: one raw word per normal, mapped through the inverse
   normal CDF as ``ndtri(((raw >> 12) + 0.5) * 2**-52)``.
 
-A :class:`NoiseStream` is a plain ``(key, position)`` value; it owns no
-generator. Each read re-keys one Philox generator per thread through its
-``.state`` (counter ``position // 4``, empty output buffer) and discards the
-``position % 4`` words already consumed from that block. Because Philox is
-counter-based this is exactly the word sequence of a freshly keyed generator,
-so opening, seeking and cloning a handle cost no generator construction, and
-handles read from several threads never share generator state.
+One private helper, ``_rekey``, holds the Philox state recipe: it re-keys
+this thread's one Philox generator through its ``.state`` (key words, counter
+block, empty output buffer). Because Philox is counter-based, that is exactly
+the word sequence of a freshly keyed generator. A :class:`NoiseStream` is a
+plain ``(key, position)`` value that owns no generator: each read re-keys at
+block ``position // 4`` and discards the ``position % 4`` words already
+consumed from it, so opening, seeking and cloning a handle cost no generator
+construction, and handles read from several threads never share generator
+state. :func:`build_codebook` re-keys once per atom with that atom's key
+words, without building a key or a handle per atom; the key fields are range
+checked once per call, exactly as :class:`StreamKey` checks them.
 
 Raw words and bytes are integer arithmetic and identical on every platform.
 The normals additionally depend on ``ndtri``, which evaluates ``log`` in its
@@ -52,6 +56,16 @@ RNG_VERSION = 1
 _PHILOX_BLOCK = 4  # raw uint64 outputs per counter increment
 
 
+def _check_key_fields(seed: int, t: int, i: int) -> None:
+    """The ranges that let ``(seed, domain, t, i)`` pack into two uint64 key words."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if not 0 <= t < 2**16:
+        raise ValueError(f"timestep index out of range [0, 65535]: {t}")
+    if not 0 <= i < 2**32:
+        raise ValueError(f"sub-stream index out of range [0, 2^32): {i}")
+
+
 class Domain(IntEnum):
     """Independent usage domains carved out of one master seed."""
 
@@ -78,12 +92,7 @@ class StreamKey:
     _words: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 <= self.t < 2**16:
-            raise ValueError(f"timestep index out of range [0, 65535]: {self.t}")
-        if not 0 <= self.i < 2**32:
-            raise ValueError(f"sub-stream index out of range [0, 2^32): {self.i}")
+        _check_key_fields(self.seed, self.t, self.i)
         packed = (int(self.domain) << 48) | (self.t << 32) | self.i
         object.__setattr__(self, "_words", (int(self.seed), packed))
 
@@ -102,6 +111,20 @@ def _thread_generator() -> Philox:
     except AttributeError:
         _local.bitgen = Philox(key=0)
         return _local.bitgen
+
+
+def _rekey(words: tuple, block: int = 0) -> Philox:
+    """This thread's Philox, keyed by the two key ``words``, next output at counter ``block``."""
+    bitgen = _thread_generator()
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (block, 0, 0, 0), "key": words},
+        "buffer": (0,) * _PHILOX_BLOCK,
+        "buffer_pos": _PHILOX_BLOCK,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
 
 
 class NoiseStream:
@@ -136,16 +159,7 @@ class NoiseStream:
         if n < 0:
             raise ValueError("n must be nonnegative")
         block, within = divmod(self._position, _PHILOX_BLOCK)
-        bitgen = _thread_generator()
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (block, 0, 0, 0), "key": self.key._words},
-            "buffer": (0,) * _PHILOX_BLOCK,
-            "buffer_pos": _PHILOX_BLOCK,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        out = bitgen.random_raw(within + n)[within:]
+        out = _rekey(self.key._words, block).random_raw(within + n)[within:]
         self._position += n
         return out
 
@@ -173,8 +187,10 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None) -> np.ndarra
 
     Column ``i`` is exactly the stream output for key ``StreamKey(seed,
     CODEBOOK, t, i)``, so the result does not depend on generation order and
-    regeneration is bit-identical. The inverse CDF is applied to all raw words
-    in one vectorized call; element-wise it is exactly the per-atom map.
+    regeneration is bit-identical. Each atom re-keys the thread's Philox with
+    that key's words directly; the key fields are checked once, up front, with
+    :class:`StreamKey`'s ranges. The inverse CDF is applied to all raw words in
+    one vectorized call; element-wise it is exactly the per-atom map.
 
     With ``indices``, only the named atoms are drawn: the result is the
     ``(d, len(indices))`` array whose column ``j`` is exactly column
@@ -186,15 +202,19 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None) -> np.ndarra
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if indices is None:
-        atoms = range(K)
+        atoms, top = range(K), K - 1
     else:
         atoms = [operator.index(i) for i in indices]
         outside = [i for i in atoms if not 0 <= i < K]
         if outside:
             raise ValueError(f"atom indices must lie in [0, {K}), got {outside}")
+        top = max(atoms, default=0)
+    seed, t = operator.index(seed), operator.index(t)
+    _check_key_fields(seed, t, top)
+    base = (int(Domain.CODEBOOK) << 48) | (t << 32)
     raws = np.empty((len(atoms), d), dtype=np.uint64)
     for j, i in enumerate(atoms):
-        raws[j] = derive_stream(StreamKey(seed, Domain.CODEBOOK, t, i)).raw(d)
+        raws[j] = _rekey((seed, base | i)).random_raw(d)
     # the v1 normal map, step by step in place: one float64 buffer beside the raw words
     u = np.right_shift(raws, np.uint64(12), out=raws).astype(np.float64)
     u += 0.5

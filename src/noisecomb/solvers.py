@@ -12,6 +12,15 @@ Two families share one stream layout so runs with equal seeds are paired:
 
 Degenerate directions (no usable codebook projection) fall back to either a
 fresh keyed Gaussian draw or the first codebook atom, per configuration.
+
+A codebook depends only on ``(seed, t, K, d)``, not on the solver or on T, so
+the solvers that use one (NCS-*, DDCM) take it from an optional ``codebooks``
+dict keyed by that full tuple: a build is stored there, read-only, and later
+solves that name the same key reuse it. Without a dict every step builds its
+own codebook. The caller owns the dict and its scope; ``cli.cmd_solve`` keeps
+one per seed, so it holds at most ``max(T) - 1`` codebooks of ``K*d`` floats
+at a time (about 0.8 MB for the shipped d=16 grid, 207 MB at d=4096, T=100,
+K=64). There is no process-wide cache.
 """
 
 from __future__ import annotations
@@ -91,6 +100,18 @@ class SolveResult:
     degenerate_steps: int
 
 
+def _codebook(config: SolverConfig, t: int, d: int, codebooks: dict | None) -> np.ndarray:
+    """The read-only step-``t`` codebook of ``config``, reused from ``codebooks`` when there."""
+    key = (config.seed, t, config.K, d)
+    codebook = None if codebooks is None else codebooks.get(key)
+    if codebook is None:
+        codebook = build_codebook(*key)
+        codebook.flags.writeable = False
+        if codebooks is not None:
+            codebooks[key] = codebook
+    return codebook
+
+
 def _fallback_noise(config: SolverConfig, t: int, codebook) -> np.ndarray:
     """Step noise for a degenerate direction: a fresh keyed draw or the first atom."""
     if config.fallback == "FreshNoise":
@@ -103,25 +124,27 @@ def ncs_solve(
     schedule: Schedule,
     obs: Observation,
     config: SolverConfig,
+    codebooks: dict | None = None,
 ) -> SolveResult:
     """Combination solvers: plain DDPM steps with guided noise.
 
     The noise policy of each step: the measurement direction at the loop's
-    Tweedie estimate (``dps_direction`` for NCS-DPS, ``mpgd_direction``
-    otherwise), optimal (or top-m) weights over the timestep codebook,
-    synthesized noise. The DDPM mean is left as it is.
+    Tweedie estimate (``dps_direction`` for NCS-DPS, on the loop's mixture
+    statistics; ``mpgd_direction`` otherwise), optimal (or top-m) weights over
+    the timestep codebook, synthesized noise. The DDPM mean is left as it is.
     """
     if config.solver not in NCS_SOLVERS:
         raise ValueError(f"ncs_solve requires a combination solver, got {config.solver!r}")
     degenerate = 0
 
-    def combination(t, x, x0_hat):
+    def combination(step):
         nonlocal degenerate
+        t = step.t
         if config.solver == "NCS-DPS":
-            c = dps_direction(prior, schedule, obs, x, t, x0_hat)
+            c = dps_direction(prior, schedule, obs, step.x, t, step.x0_hat, step.stats)
         else:
-            c = mpgd_direction(obs, x0_hat)
-        codebook = build_codebook(config.seed, t, config.K, prior.d)
+            c = mpgd_direction(obs, step.x0_hat)
+        codebook = _codebook(config, t, prior.d, codebooks)
         try:
             if config.m is None:
                 weights = optimal_weights(c, codebook)
@@ -141,6 +164,7 @@ def baseline_solve(
     schedule: Schedule,
     obs: Observation,
     config: SolverConfig,
+    codebooks: dict | None = None,
 ) -> SolveResult:
     """Reference solvers guided through the mean term or one-hot atom choice.
 
@@ -155,29 +179,31 @@ def baseline_solve(
         raise ValueError(f"baseline_solve requires a baseline solver, got {config.solver!r}")
     degenerate = 0
 
-    def fresh(t, x, x0_hat):
-        return fresh_noise(config.seed, t, prior.d)
+    def fresh(step):
+        return fresh_noise(config.seed, step.t, prior.d)
 
-    def argmax_atom(t, x, x0_hat):
+    def argmax_atom(step):
         nonlocal degenerate
-        c = mpgd_direction(obs, x0_hat)
-        codebook = build_codebook(config.seed, t, config.K, prior.d)
+        c = mpgd_direction(obs, step.x0_hat)
+        codebook = _codebook(config, step.t, prior.d, codebooks)
         if np.linalg.norm(c) > 0:
             return codebook[:, int(np.argmax(inner_products(c, codebook)))]
         degenerate += 1
-        return _fallback_noise(config, t, codebook)
+        return _fallback_noise(config, step.t, codebook)
 
-    def dps(t, x, x0_hat, x_next):
-        rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(x0_hat)))
+    def dps(step, x_next):
+        rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(step.x0_hat)))
         if rnorm > 0 and config.zeta != 0.0:
-            grad = -2.0 * tweedie_jacobian_apply(prior, schedule, x, t, mpgd_direction(obs, x0_hat))
+            pulled = mpgd_direction(obs, step.x0_hat)
+            grad = -2.0 * tweedie_jacobian_apply(prior, schedule, step.x, step.t, pulled, step.stats)
             x_next = x_next - (config.zeta / rnorm) * grad
         return x_next
 
-    def mpgd(t, x, x0_hat, x_next):
+    def mpgd(step, x_next):
         if config.lam != 0.0:
+            t = step.t
             ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
-            pulled = mpgd_direction(obs, x0_hat)
+            pulled = mpgd_direction(obs, step.x0_hat)
             shift = 2.0 * config.lam * np.sqrt(ab) * pulled
             coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
             x_next = x_next + coef0 * shift
@@ -196,8 +222,9 @@ def solve(
     schedule: Schedule,
     obs: Observation,
     config: SolverConfig,
+    codebooks: dict | None = None,
 ) -> SolveResult:
-    """Dispatch on the solver family."""
+    """Dispatch on the solver family; ``codebooks`` is the optional codebook memo."""
     if config.solver in NCS_SOLVERS:
-        return ncs_solve(prior, schedule, obs, config)
-    return baseline_solve(prior, schedule, obs, config)
+        return ncs_solve(prior, schedule, obs, config, codebooks)
+    return baseline_solve(prior, schedule, obs, config, codebooks)

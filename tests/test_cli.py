@@ -341,6 +341,44 @@ def test_shipped_configs_run(tmp_path):
     assert cmd_bench_quant(bench_cfg, str(tmp_path / "b.csv"))
 
 
+def test_shipped_solve_grid_builds_each_codebook_once_per_seed(tmp_path, monkeypatch):
+    import hashlib
+    import pathlib
+    import sys
+
+    import noisecomb.rng
+    import noisecomb.solvers
+
+    builds, handed = [], []
+    real_build = noisecomb.rng.build_codebook
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "noisecomb" or name.startswith("noisecomb.")) and vars(module).get("build_codebook") is real_build:
+            monkeypatch.setattr(module, "build_codebook", counting_build)
+    for name in ("optimal_weights", "top_m_weights", "synthesize_noise", "inner_products"):
+        real = getattr(noisecomb.solvers, name)
+
+        def recording(*args, _real=real, **kwargs):
+            handed.extend(a for a in args if isinstance(a, np.ndarray) and a.ndim == 2)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(noisecomb.solvers, name, recording)
+
+    config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "solve_inpaint.json"
+    out = tmp_path / "grid.csv"
+    rows = cmd_solve(load_config(str(config)), str(out))
+    assert len(rows) == 80
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "940da54d386c8c5c6f785ecd7b1ba33d7ac82735355988117bb6f939d6d546c2"
+    # 990 distinct (seed, t, K, d) keys; without reuse the grid builds 2360
+    assert len(builds) == len(set(builds)) == 990
+    assert handed and not any(codebook.flags.writeable for codebook in handed)
+
+
 def test_k_presets_resolve(tmp_path):
     cfg = dict(SOLVE_CONFIG)
     cfg["K"] = "inpaint_box"

@@ -477,20 +477,17 @@ def test_decoder_fuzz_raises_only_documented_errors():
 
 
 def _count_derive_stream(monkeypatch) -> list:
-    """Record the key of every stream opened anywhere in noisecomb."""
-    import sys
-
+    """Record the key of every Philox re-key, the one way noisecomb draws random words."""
     import noisecomb.rng as rng
 
-    keys, real = [], rng.derive_stream
+    keys, real = [], rng._rekey
 
-    def counting(key):
-        keys.append(key)
-        return real(key)
+    def counting(words, block=0):
+        seed, packed = words
+        keys.append(StreamKey(seed, Domain(packed >> 48), packed >> 32 & 0xFFFF, packed & 0xFFFFFFFF))
+        return real(words, block)
 
-    for name, module in list(sys.modules.items()):
-        if (name == "noisecomb" or name.startswith("noisecomb.")) and vars(module).get("derive_stream") is real:
-            monkeypatch.setattr(module, "derive_stream", counting)
+    monkeypatch.setattr(rng, "_rekey", counting)
     return keys
 
 

@@ -244,6 +244,26 @@ def test_codebook_rejects_atom_indices_outside_the_codebook(indices):
         build_codebook(0, 1, 8, 4, indices)
 
 
+def test_codebook_rejects_out_of_range_key_fields(monkeypatch):
+    # the per-atom loop builds no StreamKey, so build_codebook itself must
+    # apply StreamKey's ranges, and before the first atom is drawn
+    draws = []
+    real = rng._rekey
+    monkeypatch.setattr(rng, "_rekey", lambda *a: draws.append(a) or real(*a))
+    cases = [
+        ((2**64, 1, 8, 4), {}),
+        ((-1, 1, 8, 4), {}),
+        ((0, 2**16, 8, 4), {}),
+        ((0, 1, 2**32 + 8, 4), {"indices": [2**32]}),
+    ]
+    for args, kwargs in cases:
+        with pytest.raises(ValueError):
+            build_codebook(*args, **kwargs)
+    assert draws == []
+    build_codebook(2**64 - 1, 2**16 - 1, 2**32 + 8, 4, indices=[2**32 - 1])
+    assert len(draws) == 1
+
+
 def test_atom_norms_concentrate():
     d, K = 4096, 64
     cb = build_codebook(3, 1, K, d)

@@ -6,10 +6,20 @@ from noisecomb.diffusion import (
     GaussianMixturePrior,
     build_schedule,
     ddpm_step,
+    fresh_noise,
+    reverse_loop,
     score,
+    tweedie_jacobian_apply,
     unconditional_sample,
 )
-from noisecomb.operators import Identity, LinearOperator, Mask, Observation, make_observation
+from noisecomb.operators import (
+    Identity,
+    LinearOperator,
+    Mask,
+    Observation,
+    dps_direction,
+    make_observation,
+)
 from noisecomb.rng import Domain, StreamKey, build_codebook, derive_stream
 from noisecomb.solvers import SolverConfig, baseline_solve, ncs_solve, solve
 
@@ -207,3 +217,56 @@ def test_paired_trend_ncs_dps_beats_dps_small():
             r = solve(prior, sch, obs, SolverConfig(solver=solver, K=64, seed=seed))
             errs[solver].append(float(np.mean((r.x0 - x0) ** 2)))
     assert np.median(errs["NCS-DPS"]) <= np.median(errs["DPS"])
+
+
+def _full_covariance_prior(d=4):
+    gen = np.random.default_rng(5)
+    covs = np.empty((2, d, d))
+    for j in range(2):
+        A = gen.normal(size=(d, d)) / np.sqrt(d)
+        covs[j] = A @ A.T + 0.5 * np.eye(d)
+    return GaussianMixturePrior(
+        weights=np.array([0.6, 0.4]), means=gen.normal(size=(2, d)), covariances=covs
+    )
+
+
+@pytest.mark.parametrize("prior_kind", ["diagonal", "full"])
+def test_solves_score_each_step_once(monkeypatch, prior_kind):
+    import noisecomb.diffusion
+
+    prior = build_registered_prior(4, 8) if prior_kind == "diagonal" else _full_covariance_prior()
+    op = Mask(prior.d, list(range(prior.d // 2)))
+    calls = []
+    real = noisecomb.diffusion.logsumexp
+    monkeypatch.setattr(noisecomb.diffusion, "logsumexp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for seed in (0, 1):
+        x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+        obs = make_observation(x0, op, 0.05, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0)))
+        for T in (5, 12):
+            for solver in ("DPS", "NCS-DPS"):
+                calls.clear()
+                solve(prior, build_schedule(T, 1e-4, 0.02), obs, SolverConfig(solver=solver, K=16, seed=seed))
+                assert len(calls) == T, (solver, T, seed)
+
+
+@pytest.mark.parametrize("prior_kind", ["diagonal", "full"])
+def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
+    prior = build_registered_prior(4, 8) if prior_kind == "diagonal" else _full_covariance_prior()
+    sch = build_schedule(15, 1e-4, 0.02)
+    obs = Observation(y=np.ones(2), operator=Mask(prior.d, [0, 1]))
+    v = np.random.default_rng(9).normal(size=prior.d)
+    steps = []
+
+    def noise(step):
+        steps.append(step)
+        return fresh_noise(3, step.t, prior.d)
+
+    reverse_loop(prior, sch, 3, noise)
+    assert [step.t for step in steps] == list(range(15, 1, -1))
+    for step in steps:
+        fresh = tweedie_jacobian_apply(prior, sch, step.x, step.t, v)
+        reused = tweedie_jacobian_apply(prior, sch, step.x, step.t, v, step.stats)
+        assert reused.tobytes() == fresh.tobytes()
+        c_fresh = dps_direction(prior, sch, obs, step.x, step.t, step.x0_hat)
+        c_reused = dps_direction(prior, sch, obs, step.x, step.t, step.x0_hat, step.stats)
+        assert c_reused.tobytes() == c_fresh.tobytes()
