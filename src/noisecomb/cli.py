@@ -32,16 +32,7 @@ from .codec import (
 )
 from .diffusion import GaussianMixturePrior, build_schedule, unconditional_sample
 from .operators import make_observation, operator_from_config
-from .quantizer import (
-    BudgetExceededError,
-    fractions_from_scores,
-    make_grid,
-    quantize_dp,
-    quantize_greedy_exponential,
-    quantize_nn,
-    quantize_stagewise,
-    stick_objective,
-)
+from .quantizer import QUANTIZERS, make_grid, quantize_greedy_exponential, stick_objective
 from .rng import Domain, StreamKey, derive_stream
 from .solvers import TASK_K_PRESETS, SolverConfig, solve
 
@@ -90,11 +81,13 @@ def _object(value, where: str) -> dict:
 
 
 def _typed(kind, value, where: str, lo=None, hi=None):
-    """``kind(value)`` within ``[lo, hi]``; the one reader of config numbers."""
+    """``kind(value)`` within ``[lo, hi]``, finite if a float; the one reader of config numbers."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not np.isfinite(out):
+        raise ConfigError(f"{where}: must be finite, got {out}")
     if (lo is not None and out < lo) or (hi is not None and out > hi):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{where}: must be {bound}, got {out}")
@@ -320,7 +313,7 @@ def cmd_compress(cfg: dict, input_path: str, out: str, recon_path: str | None = 
             prior_id=prior_id,
             quantizer=_typed(str, cfg.get("quantizer", "dp"), "quantizer"),
         )
-    except (ValueError, BudgetExceededError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     wall_ms = (time.perf_counter() - start) * 1e3
     with open(out, "wb") as fh:
@@ -366,7 +359,7 @@ def cmd_bench_quant(cfg: dict, out: str) -> list:
     """Time the quantizers on identical score batches; one CSV row per cell."""
     m_values = _int_list(cfg.get("m_values", [2, 4, 8, 16, 32]), "m_values", 1, 255)
     c_values = _int_list(cfg.get("C_values", [3]), "C_values", 0, MAX_C)
-    batch = _typed(int, cfg.get("batch", 64), "batch")
+    batch = _typed(int, cfg.get("batch", 64), "batch", 1)
     seed = _typed(int, cfg.get("seed", 0), "seed", 0, 2**64 - 1)
     budget = _typed(int, cfg.get("budget", 1_000_000), "budget")
     rows = []
@@ -374,16 +367,12 @@ def cmd_bench_quant(cfg: dict, out: str) -> list:
         grid = make_grid(C)
         for m in m_values:
             scores = _bench_scores(seed, m, batch)
-            methods = {
-                "nn": lambda b: quantize_nn(fractions_from_scores(b), grid),
-                "stagewise": lambda b: quantize_stagewise(b, grid),
-                "dp": lambda b: quantize_dp(b, grid)[0],
-            }
+            methods = dict(QUANTIZERS)
             if grid.levels ** (m - 1) <= budget:
-                methods["greedy"] = lambda b: quantize_greedy_exponential(b, grid, budget)[0]
-            for name, fn in methods.items():
+                methods["greedy"] = lambda b, grid: quantize_greedy_exponential(b, grid, budget)[0]
+            for name, quantize in methods.items():
                 start = time.perf_counter_ns()
-                codes = [fn(b) for b in scores]
+                codes = [quantize(b, grid) for b in scores]
                 wall_ns = time.perf_counter_ns() - start
                 objective = float(
                     np.mean([stick_objective(b, code, grid) for b, code in zip(scores, codes)])

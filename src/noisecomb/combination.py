@@ -45,8 +45,6 @@ class TopMSelection:
         w = np.asarray(self.weights, dtype=np.float64)
         if idx.shape != w.shape or idx.ndim != 1:
             raise ValueError("indices and weights must be matching 1-d arrays")
-        if len(np.unique(idx)) != len(idx):
-            raise ValueError("selected indices must be distinct")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "weights", w)
 

@@ -13,11 +13,13 @@ alpha_bar[t]) * s``, which makes the Tweedie formula and the DDPM mean exact
 simultaneously. Timesteps are 1-indexed (``t = 1 .. T``); the final ``t = 1``
 reverse step adds no noise.
 
-Sampler, solvers and codec all run :func:`reverse_loop` with their own noise
-policy and optional mean hook. The loop scores each state once and hands the
-hooks a :class:`Step` that carries those mixture statistics, so a hook that
-needs the Tweedie Jacobian at the step's state (DPS, NCS-DPS) does not score
-it again.
+:func:`step_at` is the one place that scores a state: it returns the
+:class:`Step` of that state, with its mixture statistics and Tweedie estimate.
+The Jacobian-vector product :func:`tweedie_jacobian_apply` (and with it the DPS
+direction) takes a Step, so it reuses those statistics. Sampler, solvers and
+codec all run :func:`reverse_loop` with their own noise policy and optional
+mean hook; the loop calls ``step_at`` once per timestep and hands the hooks
+the Step.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "marginal_log_density",
     "logsumexp",
     "score",
-    "tweedie_from_score",
     "tweedie_estimate",
     "tweedie_jacobian",
     "tweedie_jacobian_apply",
@@ -46,6 +47,7 @@ __all__ = [
     "ddpm_step",
     "fresh_noise",
     "Step",
+    "step_at",
     "reverse_loop",
     "unconditional_sample",
 ]
@@ -301,15 +303,9 @@ def score(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> np.ndar
     return _mixture_stats(prior, schedule, x, t)[2]
 
 
-def tweedie_from_score(schedule: Schedule, x_t, t: int, s) -> np.ndarray:
-    """Tweedie's formula ``(x_t + (1 - alpha_bar) s) / sqrt(alpha_bar)`` for a given score."""
-    ab = schedule.alpha_bar_at(t)
-    return (np.asarray(x_t, dtype=np.float64) + (1.0 - ab) * s) / np.sqrt(ab)
-
-
 def tweedie_estimate(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: int) -> np.ndarray:
     """Posterior mean E[x_0 | x_t], via Tweedie's formula on the exact score."""
-    return tweedie_from_score(schedule, x_t, t, score(prior, schedule, x_t, t))
+    return step_at(prior, schedule, x_t, t).x0_hat
 
 
 def tweedie_jacobian(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: int) -> np.ndarray:
@@ -335,21 +331,19 @@ def tweedie_jacobian(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: in
 
 
 def tweedie_jacobian_apply(
-    prior: GaussianMixturePrior, schedule: Schedule, x_t, t: int, v: np.ndarray, stats=None
+    prior: GaussianMixturePrior, schedule: Schedule, step: Step, v: np.ndarray
 ) -> np.ndarray:
-    """Product J @ v without materializing J (J is symmetric, so J^T v = J v).
+    """Product J @ v at ``step``'s state without materializing J (J^T v = J v).
 
-    ``stats``, the mixture statistics ``(resp, g, s)`` already scored at
-    ``x_t`` (a :class:`Step`'s ``stats``), saves scoring ``x_t`` again; the
-    product is then computed by the same operations on the same values.
+    Built from the mixture statistics the :class:`Step` already holds, so the
+    state is not scored again.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if x_t.ndim != 1 or v.shape != x_t.shape:
+    if step.x.ndim != 1 or v.shape != step.x.shape:
         raise ValueError("tweedie_jacobian_apply expects matching 1-d state and vector")
-    resp, g, s = _mixture_stats(prior, schedule, x_t, t) if stats is None else stats
-    ab = schedule.alpha_bar_at(t)
-    _, _, covs = marginal_params(prior, schedule, t)
+    resp, g, s = step.stats
+    ab = schedule.alpha_bar_at(step.t)
+    _, _, covs = marginal_params(prior, schedule, step.t)
     Hv = (resp * (g @ v)) @ g - s * (s @ v)
     if prior.diagonal:
         Hv -= np.einsum("k,kd->d", resp, v / covs)
@@ -388,16 +382,28 @@ def fresh_noise(seed: int, t: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Step:
-    """One reverse step as :func:`reverse_loop` hands it to its hooks.
+    """A state ``x`` at timestep ``t``, scored once; built by :func:`step_at`.
 
-    ``x`` is the state at timestep ``t``, ``stats`` the mixture statistics
-    ``(resp, g, s)`` scored there once, and ``x0_hat`` their Tweedie estimate.
+    ``stats`` are the mixture statistics ``(resp, g, s)`` at ``x`` and
+    ``x0_hat`` their Tweedie estimate.
     """
 
     t: int
     x: np.ndarray
     x0_hat: np.ndarray
     stats: tuple
+
+
+def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
+    """The :class:`Step` of state ``x`` at timestep ``t``: ``x`` scored once.
+
+    The Tweedie estimate is ``(x + (1 - alpha_bar) s) / sqrt(alpha_bar)`` on
+    the score ``s`` of those mixture statistics.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    stats = _mixture_stats(prior, schedule, x, t)
+    ab = schedule.alpha_bar_at(t)
+    return Step(t, x, (x + (1.0 - ab) * stats[2]) / np.sqrt(ab), stats)
 
 
 def reverse_loop(
@@ -409,19 +415,16 @@ def reverse_loop(
 ) -> np.ndarray:
     """The reverse process from a keyed N(0, I) latent down to x_0.
 
-    Per t = T..1: the mixture statistics at ``x``, scored once, with their
-    score ``s`` and Tweedie estimate ``x0_hat``; step noise ``noise(step)``
-    for t >= 2 (the t = 1 step is noiseless); ``ddpm_step`` to ``x_next``;
-    then the optional mean hook ``correct(step, x_next)`` returns the state
-    kept. ``step`` is the :class:`Step` of ``(t, x, x0_hat, stats)``.
+    Per t = T..1: ``step = step_at(prior, schedule, x, t)``; step noise
+    ``noise(step)`` for t >= 2 (the t = 1 step is noiseless); ``ddpm_step``
+    on the step's score to ``x_next``; then the optional mean hook
+    ``correct(step, x_next)`` returns the state kept.
     """
     x = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(prior.d)
     for t in range(schedule.T, 0, -1):
-        stats = _mixture_stats(prior, schedule, x, t)
-        s = stats[2]
-        step = Step(t, x, tweedie_from_score(schedule, x, t, s), stats)
+        step = step_at(prior, schedule, x, t)
         eps = noise(step) if t >= 2 else np.zeros(prior.d)
-        x_next = ddpm_step(schedule, x, t, eps, s)
+        x_next = ddpm_step(schedule, x, t, eps, step.stats[2])
         x = x_next if correct is None else correct(step, x_next)
     return x
 

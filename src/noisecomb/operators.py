@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import GaussianMixturePrior, Schedule, tweedie_jacobian_apply
+from .diffusion import GaussianMixturePrior, Schedule, Step, tweedie_jacobian_apply
 from .rng import NoiseStream
 
 __all__ = [
@@ -189,23 +189,17 @@ def make_observation(
 
 
 def dps_direction(
-    prior: GaussianMixturePrior,
-    schedule: Schedule,
-    obs: Observation,
-    x_t: np.ndarray,
-    t: int,
-    x0_hat: np.ndarray,
-    stats=None,
+    prior: GaussianMixturePrior, schedule: Schedule, obs: Observation, step: Step
 ) -> np.ndarray:
     """Likelihood-gradient direction: (1/sigma_t^2) J^T A^T (y - A x0_hat).
 
     Equals the ascent direction of the Gaussian log-likelihood of y given the
-    Tweedie estimate ``x0_hat`` of ``x_t``, with the schedule's sigma_t as the
-    likelihood scale. ``stats`` is passed on to :func:`tweedie_jacobian_apply`.
+    Tweedie estimate ``x0_hat`` of the :class:`Step`'s state, with the
+    schedule's sigma_t as the likelihood scale.
     """
-    pulled = mpgd_direction(obs, x0_hat)
-    jv = tweedie_jacobian_apply(prior, schedule, x_t, t, pulled, stats)
-    return jv / schedule.sigma_at(t) ** 2
+    pulled = mpgd_direction(obs, step.x0_hat)
+    jv = tweedie_jacobian_apply(prior, schedule, step, pulled)
+    return jv / schedule.sigma_at(step.t) ** 2
 
 
 def mpgd_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:

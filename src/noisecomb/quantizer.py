@@ -43,6 +43,7 @@ __all__ = [
     "quantize_stagewise",
     "quantize_dp",
     "quantize_greedy_exponential",
+    "QUANTIZERS",
     "payload_bits",
     "bpp",
 ]
@@ -281,6 +282,16 @@ def quantize_greedy_exponential(b, grid: Grid, budget: int = 1_000_000):
             best_value = value
             best_codes = assignment
     return StickCode(codes=best_codes), best_value
+
+
+# The codec's quantizers by name, each ``(b, grid) -> StickCode`` for descending
+# nonnegative scores b, in bench-quant's row order. The exhaustive search is
+# left out: it is the oracle and complexity foil, not a quantizer to ship.
+QUANTIZERS = {
+    "nn": lambda b, grid: quantize_nn(fractions_from_scores(b), grid),
+    "stagewise": quantize_stagewise,
+    "dp": lambda b, grid: quantize_dp(b, grid)[0],
+}
 
 
 def payload_bits(T: int, K: int, m: int, C: int) -> int:

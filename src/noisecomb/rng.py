@@ -13,12 +13,15 @@ Version tag ``RNG_VERSION = 1`` pins the exact recipe:
 * standard normals: one raw word per normal, mapped through the inverse
   normal CDF as ``ndtri(((raw >> 12) + 0.5) * 2**-52)``.
 
-One private helper, ``_rekey``, holds the Philox state recipe: it re-keys
-this thread's one Philox generator through its ``.state`` (key words, counter
-block, empty output buffer). Because Philox is counter-based, that is exactly
-the word sequence of a freshly keyed generator. A :class:`NoiseStream` is a
-plain ``(key, position)`` value that owns no generator: each read re-keys at
-block ``position // 4`` and discards the ``position % 4`` words already
+Two private helpers hold the recipe, and both
+:meth:`NoiseStream.standard_normal` and :func:`build_codebook` go through them.
+``_rekey`` holds the Philox state recipe: it re-keys this thread's one Philox
+generator through its ``.state`` (key words, counter block, empty output
+buffer). Because Philox is counter-based, that is exactly the word sequence
+of a freshly keyed generator. ``_normals`` is the one normal map; it works in
+place, with one float64 buffer beside the raw words. A :class:`NoiseStream` is
+a plain ``(key, position)`` value that owns no generator: each read re-keys
+at block ``position // 4`` and discards the ``position % 4`` words already
 consumed from it, so opening, seeking and cloning a handle cost no generator
 construction, and handles read from several threads never share generator
 state. :func:`build_codebook` re-keys once per atom with that atom's key
@@ -127,6 +130,14 @@ def _rekey(words: tuple, block: int = 0) -> Philox:
     return bitgen
 
 
+def _normals(raws: np.ndarray) -> np.ndarray:
+    """The v1 normal map ``ndtri(((raw >> 12) + 0.5) * 2**-52)``; overwrites ``raws``."""
+    u = np.right_shift(raws, np.uint64(12), out=raws).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return ndtri(u, out=u)
+
+
 class NoiseStream:
     """A value-like handle on one keyed random stream: ``(key, position)``.
 
@@ -172,9 +183,7 @@ class NoiseStream:
         """Draw ``d`` i.i.d. standard normals; one raw word per normal."""
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
-        raws = self.raw(d)
-        u = ((raws >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-        return ndtri(u)
+        return _normals(self.raw(d))
 
 
 def derive_stream(key: StreamKey) -> NoiseStream:
@@ -189,7 +198,7 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None) -> np.ndarra
     CODEBOOK, t, i)``, so the result does not depend on generation order and
     regeneration is bit-identical. Each atom re-keys the thread's Philox with
     that key's words directly; the key fields are checked once, up front, with
-    :class:`StreamKey`'s ranges. The inverse CDF is applied to all raw words in
+    :class:`StreamKey`'s ranges. The normal map is applied to all raw words in
     one vectorized call; element-wise it is exactly the per-atom map.
 
     With ``indices``, only the named atoms are drawn: the result is the
@@ -215,8 +224,4 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None) -> np.ndarra
     raws = np.empty((len(atoms), d), dtype=np.uint64)
     for j, i in enumerate(atoms):
         raws[j] = _rekey((seed, base | i)).random_raw(d)
-    # the v1 normal map, step by step in place: one float64 buffer beside the raw words
-    u = np.right_shift(raws, np.uint64(12), out=raws).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-52
-    return ndtri(u, out=u).T
+    return _normals(raws).T

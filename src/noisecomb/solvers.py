@@ -10,6 +10,12 @@ Two families share one stream layout so runs with equal seeds are paired:
   atoms aligned with the solver's measurement direction. This restriction is
   structural: the combination path has no code that modifies the mean.
 
+Every solver is a noise policy, plus a mean hook for DPS and MPGD, of
+:func:`~noisecomb.diffusion.reverse_loop`, and reads what it needs from the
+loop's :class:`~noisecomb.diffusion.Step`: the Tweedie estimate for the
+measurement direction and, for DPS and NCS-DPS, the mixture statistics that
+``tweedie_jacobian_apply`` takes. No solver scores a state itself.
+
 Degenerate directions (no usable codebook projection) fall back to either a
 fresh keyed Gaussian draw or the first codebook atom, per configuration.
 
@@ -129,9 +135,9 @@ def ncs_solve(
     """Combination solvers: plain DDPM steps with guided noise.
 
     The noise policy of each step: the measurement direction at the loop's
-    Tweedie estimate (``dps_direction`` for NCS-DPS, on the loop's mixture
-    statistics; ``mpgd_direction`` otherwise), optimal (or top-m) weights over
-    the timestep codebook, synthesized noise. The DDPM mean is left as it is.
+    Tweedie estimate (``dps_direction`` of the loop's Step for NCS-DPS,
+    ``mpgd_direction`` otherwise), optimal (or top-m) weights over the
+    timestep codebook, synthesized noise. The DDPM mean is left as it is.
     """
     if config.solver not in NCS_SOLVERS:
         raise ValueError(f"ncs_solve requires a combination solver, got {config.solver!r}")
@@ -141,7 +147,7 @@ def ncs_solve(
         nonlocal degenerate
         t = step.t
         if config.solver == "NCS-DPS":
-            c = dps_direction(prior, schedule, obs, step.x, t, step.x0_hat, step.stats)
+            c = dps_direction(prior, schedule, obs, step)
         else:
             c = mpgd_direction(obs, step.x0_hat)
         codebook = _codebook(config, t, prior.d, codebooks)
@@ -195,7 +201,7 @@ def baseline_solve(
         rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(step.x0_hat)))
         if rnorm > 0 and config.zeta != 0.0:
             pulled = mpgd_direction(obs, step.x0_hat)
-            grad = -2.0 * tweedie_jacobian_apply(prior, schedule, step.x, step.t, pulled, step.stats)
+            grad = -2.0 * tweedie_jacobian_apply(prior, schedule, step, pulled)
             x_next = x_next - (config.zeta / rnorm) * grad
         return x_next
 

@@ -257,17 +257,13 @@ def test_cli_huge_dimension_header_is_a_format_error(tmp_path, capsys):
     assert not (tmp_path / "r.npy").exists()
 
 
-def test_cli_greedy_over_budget_is_a_config_error(tmp_path, capsys):
-    sig_path = tmp_path / "x0.npy"
-    np.save(sig_path, np.linspace(-1, 1, 8))
-    cfg = _write_json(
-        tmp_path / "greedy.json",
-        {"prior_id": 2, "T": 5, "K": 16, "m": 8, "C": 4, "seed": 0, "quantizer": "greedy"},
-    )
-    argv = ["compress", "--config", cfg, "--input", str(sig_path), "--out", str(tmp_path / "s.bin")]
-    assert main(argv) == 2
+def test_cli_greedy_quantizer_is_a_config_error(tmp_path, capsys):
+    # the exhaustive search is bench-quant's oracle, not a codec quantizer
+    cfg = {"prior_id": 2, "T": 5, "K": 16, "m": 8, "C": 4, "seed": 0, "quantizer": "greedy"}
+    assert _compress_exit(tmp_path, cfg) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "budget" in err
+    assert err.startswith("config error:") and "unknown quantizer" in err
+    assert not (tmp_path / "s.bin").exists()
 
 
 def _compress_exit(tmp_path, cfg):
@@ -439,18 +435,35 @@ def _tiny_solve(**fields):
         ("bench-quant", {"C_values": [2], "m_values": ["x"], "batch": 1}),
         ("bench-quant", {"C_values": [17], "m_values": [2], "batch": 1}),  # C > MAX_C
         ("bench-quant", {"C_values": [1], "m_values": [256], "batch": 1}),
+        ("bench-quant", {"C_values": [2], "m_values": [2], "batch": 0}),
         ("sample", {"prior": {"preset_id": 1, "d": 4}, "T": 3, "seeds": [0],
                     "schedule": {"beta_min": 1e-17, "beta_max": 1e-17}}),  # alpha_bar = 1
     ],
     ids=[
         "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "bench-C-negative",
         "bench-m-zero", "bench-m-not-int", "bench-C-above-bound", "bench-m-above-255",
-        "schedule-alpha-bar-one",
+        "bench-batch-zero", "schedule-alpha-bar-one",
     ],
 )
 def test_cli_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command, cfg):
     assert _run_config(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("field", ["zeta", "lambda", "sigma_obs", "beta_min", "psnr_range"])
+def test_cli_non_finite_config_float_is_a_config_error(tmp_path, capsys, field, value):
+    # json.load reads NaN and Infinity; no config float may be either
+    if field == "sigma_obs":
+        cfg = _tiny_solve(task={**SOLVE_CONFIG["task"], "sigma_obs": value})
+    elif field == "beta_min":
+        cfg = _tiny_solve(schedule={"beta_min": value, "beta_max": 0.02})
+    else:
+        cfg = _tiny_solve(**{field: value})
+    assert _run_config(tmp_path, "solve", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be finite" in err
     assert not (tmp_path / "out").exists()
 
 

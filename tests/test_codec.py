@@ -83,16 +83,6 @@ def test_corrupting_one_bit_changes_output():
     assert not np.array_equal(decompress(corrupted), res.reconstruction)
 
 
-def test_quantizer_interchange_dp_vs_exhaustive():
-    prior, x0 = _signal(seed=5, d=16)
-    sch = build_schedule(8, 1e-4, 0.02)
-    kw = dict(seed=5, K=8, m=3, C=2, n_side=4, prior_id=2)
-    a = compress(x0, prior, sch, quantizer="dp", **kw)
-    b = compress(x0, prior, sch, quantizer="greedy", **kw)
-    assert a.stream == b.stream
-    assert np.array_equal(a.reconstruction, b.reconstruction)
-
-
 def test_encoder_quantizer_choice_changes_stream_not_format():
     prior, x0 = _signal(seed=6, d=16)
     sch = build_schedule(10, 1e-4, 0.02)

@@ -3,7 +3,6 @@ import pytest
 
 from noisecomb.combination import (
     DegenerateDirectionError,
-    TopMSelection,
     inner_products,
     optimal_weights,
     synthesize_noise,
@@ -161,11 +160,6 @@ def test_synthesize_selection_matches_dense():
     dense = np.zeros(8)
     dense[sel.indices] = sel.weights
     assert np.allclose(synthesize_noise(cb, sel), cb @ dense, atol=1e-12)
-
-
-def test_selection_requires_distinct_indices():
-    with pytest.raises(ValueError):
-        TopMSelection(indices=np.array([1, 1]), weights=np.array([0.6, 0.8]))
 
 
 def test_synthesized_noise_is_standard_normal_for_fixed_weights():

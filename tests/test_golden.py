@@ -27,6 +27,7 @@ from noisecomb.cli import cmd_sample, cmd_solve
 from noisecomb.codec import build_registered_prior, compress, decompress
 from noisecomb.diffusion import GaussianMixturePrior, build_schedule, unconditional_sample
 from noisecomb.operators import LinearOperator, Mask, make_observation
+from noisecomb.quantizer import QUANTIZERS
 from noisecomb.rng import Domain, StreamKey, derive_stream
 from noisecomb.solvers import SolverConfig, solve
 
@@ -233,6 +234,11 @@ def test_golden_digest(name):
 
 def test_golden_table_covers_every_case():
     assert set(GOLDEN) == set(CASES)
+
+
+def test_codec_cells_cover_every_codec_quantizer():
+    # a quantizer added to the codec needs pinned digests here
+    assert {q for q, *_ in CODEC_CELLS} == set(QUANTIZERS)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisecomb.diffusion import GaussianMixturePrior, build_schedule, tweedie_estimate
+from noisecomb.diffusion import GaussianMixturePrior, build_schedule, step_at, tweedie_estimate
 from noisecomb.operators import (
     CircularBlur,
     Downsample,
@@ -179,15 +179,15 @@ def test_dps_direction_zero_cases():
     sch = build_schedule(30, 1e-4, 0.02)
     t = 15
     x_t = RNG.normal(size=4)
-    x0_hat = tweedie_estimate(prior, sch, x_t, t)
+    step = step_at(prior, sch, x_t, t)
     op = Identity(4)
-    obs = Observation(y=op.apply(x0_hat), operator=op)
-    assert np.allclose(dps_direction(prior, sch, obs, x_t, t, x0_hat), 0.0, atol=1e-12)
+    obs = Observation(y=op.apply(step.x0_hat), operator=op)
+    assert np.allclose(dps_direction(prior, sch, obs, step), 0.0, atol=1e-12)
 
     point_mass = GaussianMixturePrior.single(np.array([1.0, 0.0, 0.0, 0.0]), 1e-12 * np.ones(4))
     obs2 = Observation(y=np.array([5.0, 5.0, 5.0, 5.0]), operator=op)
-    x0_hat = tweedie_estimate(point_mass, sch, x_t, t)
-    assert np.allclose(dps_direction(point_mass, sch, obs2, x_t, t, x0_hat), 0.0, atol=1e-6)
+    step = step_at(point_mass, sch, x_t, t)
+    assert np.allclose(dps_direction(point_mass, sch, obs2, step), 0.0, atol=1e-6)
 
 
 def test_dps_direction_matches_likelihood_gradient():
@@ -210,5 +210,5 @@ def test_dps_direction_matches_likelihood_gradient():
             e = np.zeros(4)
             e[j] = h
             fd[j] = (loss(x_t + e) - loss(x_t - e)) / (2 * h)
-        c = dps_direction(prior, sch, obs, x_t, t, tweedie_estimate(prior, sch, x_t, t))
+        c = dps_direction(prior, sch, obs, step_at(prior, sch, x_t, t))
         assert np.linalg.norm(c + fd) <= 1e-4 * max(np.linalg.norm(c), 1e-6)

@@ -9,6 +9,7 @@ from noisecomb.diffusion import (
     fresh_noise,
     reverse_loop,
     score,
+    tweedie_jacobian,
     tweedie_jacobian_apply,
     unconditional_sample,
 )
@@ -19,6 +20,7 @@ from noisecomb.operators import (
     Observation,
     dps_direction,
     make_observation,
+    mpgd_direction,
 )
 from noisecomb.rng import Domain, StreamKey, build_codebook, derive_stream
 from noisecomb.solvers import SolverConfig, baseline_solve, ncs_solve, solve
@@ -251,6 +253,8 @@ def test_solves_score_each_step_once(monkeypatch, prior_kind):
 
 @pytest.mark.parametrize("prior_kind", ["diagonal", "full"])
 def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
+    # at every Step the loop hands its hooks, the products built from the Step's
+    # mixture statistics match the dense Jacobian at the Step's state
     prior = build_registered_prior(4, 8) if prior_kind == "diagonal" else _full_covariance_prior()
     sch = build_schedule(15, 1e-4, 0.02)
     obs = Observation(y=np.ones(2), operator=Mask(prior.d, [0, 1]))
@@ -264,9 +268,8 @@ def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
     reverse_loop(prior, sch, 3, noise)
     assert [step.t for step in steps] == list(range(15, 1, -1))
     for step in steps:
-        fresh = tweedie_jacobian_apply(prior, sch, step.x, step.t, v)
-        reused = tweedie_jacobian_apply(prior, sch, step.x, step.t, v, step.stats)
-        assert reused.tobytes() == fresh.tobytes()
-        c_fresh = dps_direction(prior, sch, obs, step.x, step.t, step.x0_hat)
-        c_reused = dps_direction(prior, sch, obs, step.x, step.t, step.x0_hat, step.stats)
-        assert c_reused.tobytes() == c_fresh.tobytes()
+        J = tweedie_jacobian(prior, sch, step.x, step.t)
+        assert np.allclose(tweedie_jacobian_apply(prior, sch, step, v), J @ v, atol=1e-12)
+        pulled = mpgd_direction(obs, step.x0_hat)
+        expected = J @ pulled / sch.sigma_at(step.t) ** 2
+        assert np.allclose(dps_direction(prior, sch, obs, step), expected, atol=1e-12)
