@@ -139,10 +139,12 @@ def prior_from_config(spec: dict) -> GaussianMixturePrior:
 
 def _schedule_from_config(spec: dict, T: int):
     _object(spec, "schedule")
+    if spec.get("kind", "linear") != "linear":
+        raise ConfigError(f"schedule: unknown kind {spec['kind']!r}; only 'linear' exists")
     beta_min = _typed(float, spec.get("beta_min", 1e-4), "schedule: beta_min")
     beta_max = _typed(float, spec.get("beta_max", 0.02), "schedule: beta_max")
     try:
-        return build_schedule(T, beta_min, beta_max, kind=spec.get("kind", "linear"))
+        return build_schedule(T, beta_min, beta_max)
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
 
@@ -241,6 +243,10 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     timing = bool(cfg.get("timing", False))
     sigma_obs = _typed(float, task.get("sigma_obs", 0.05), "task: sigma_obs", 0.0)
     psnr_range = _typed(float, cfg.get("psnr_range", 2.0), "psnr_range")
+    if psnr_range <= 0:
+        raise ConfigError(f"psnr_range: must be > 0, got {psnr_range}")
+    if "fallback" in cfg:
+        raise ConfigError("fallback: the option is gone; a degenerate step draws fresh noise")
     m = cfg.get("m")
     try:
         op_spec = _object(_require(task, "operator", "task"), "task: operator")
@@ -252,7 +258,6 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
                 m=None if m is None else _typed(int, m, "m"),
                 zeta=_typed(float, cfg.get("zeta", 1.0), "zeta"),
                 lam=_typed(float, cfg.get("lambda", 0.1), "lambda"),
-                fallback=cfg.get("fallback", "FreshNoise"),
             )
             for solver_name in solvers
         ]
@@ -322,7 +327,7 @@ def cmd_compress(cfg: dict, input_path: str, out: str, recon_path: str | None = 
         np.save(recon_path, result.reconstruction)
     info = {
         "bpp": report_bpp(result.stream),
-        "payload_bits": result.stream.payload_bit_length,
+        "payload_bits": result.stream.header.payload_bits,
         "wall_ms": wall_ms,
         "degenerate_steps": result.degenerate_steps,
         "mse": mse(result.reconstruction, x0),

@@ -215,10 +215,6 @@ class Bitstream:
         if pad and self.payload[-1] & ((1 << pad) - 1):
             raise FormatError(f"the {pad} padding bits of the last payload byte must be zero")
 
-    @property
-    def payload_bit_length(self) -> int:
-        return self.header.payload_bits
-
     def to_bytes(self) -> bytes:
         return self.header.pack() + self.payload
 
@@ -331,7 +327,11 @@ def compress(
     prior_id: int,
     quantizer: str = "dp",
 ) -> CompressResult:
-    """Encode ``x0`` and return the stream plus the encoder-side reconstruction."""
+    """Encode ``x0`` and return the stream plus the encoder-side reconstruction.
+
+    ``prior`` and ``schedule`` must be the ones the decoder rebuilds from
+    ``prior_id`` and the header; anything else raises ``ValueError``.
+    """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (prior.d,):
         raise ValueError(f"signal shape {x0.shape} != prior dimension ({prior.d},)")
@@ -355,6 +355,16 @@ def compress(
     if not np.array_equal(rebuilt.beta, schedule.beta):
         raise ValueError(
             "schedule is not reproducible from (T, beta_min, beta_max); "
+            "the decoder could not rebuild it from the header"
+        )
+    try:
+        registered = build_registered_prior(prior_id, prior.d)
+    except PriorRegistryError as exc:
+        raise ValueError(exc.args[0]) from None
+    fields = ("weights", "means", "variances", "covariances")
+    if not all(np.array_equal(getattr(prior, f), getattr(registered, f)) for f in fields):
+        raise ValueError(
+            f"prior is not registered prior {prior_id} at d={prior.d}; "
             "the decoder could not rebuild it from the header"
         )
     quantize = QUANTIZERS[quantizer]

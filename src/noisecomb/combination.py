@@ -48,10 +48,6 @@ class TopMSelection:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def m(self) -> int:
-        return len(self.indices)
-
 
 def atom_matrix(E) -> np.ndarray:
     """Validate a codebook: a (d, K) array of atom columns."""
@@ -80,7 +76,7 @@ def optimal_weights(c: np.ndarray, E) -> np.ndarray:
     """Unit-norm weights gamma* = E^T c / ||E^T c|| over the full codebook.
 
     Raises :class:`DegenerateDirectionError` when the projection is
-    numerically zero; callers apply their configured fallback.
+    numerically zero; solvers then draw fresh noise, the codec a fixed record.
     """
     atoms = atom_matrix(E)
     b = inner_products(c, E)

@@ -138,12 +138,8 @@ class Schedule:
         return float(self.sigma[t - 1])
 
 
-def build_schedule(
-    T: int, beta_min: float = 1e-4, beta_max: float = 0.02, kind: str = "linear"
-) -> Schedule:
+def build_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> Schedule:
     """Linear beta schedule from ``beta_min`` at t=1 to ``beta_max`` at t=T."""
-    if kind != "linear":
-        raise ValueError(f"unknown schedule kind {kind!r}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if not (0.0 < beta_min <= beta_max < 1.0):

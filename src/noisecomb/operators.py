@@ -163,18 +163,15 @@ def operator_from_config(spec: dict, d: int) -> LinearOperator:
 
 @dataclass(frozen=True)
 class Observation:
-    """Measurement y = A x_0 + sigma_obs * z."""
+    """Measurement y = A x_0 + sigma_obs * z; solvers read only ``y`` and ``A``."""
 
     y: np.ndarray
     operator: LinearOperator
-    sigma_obs: float = 0.0
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=np.float64)
         if y.shape != (self.operator.n,):
             raise ValueError(f"y has shape {y.shape}, operator expects ({self.operator.n},)")
-        if self.sigma_obs < 0:
-            raise ValueError("sigma_obs must be >= 0")
         object.__setattr__(self, "y", y)
 
 
@@ -182,10 +179,12 @@ def make_observation(
     x0: np.ndarray, op: LinearOperator, sigma_obs: float, stream: NoiseStream
 ) -> Observation:
     """Synthesize an observation; deterministic given the noise stream."""
+    if sigma_obs < 0:
+        raise ValueError("sigma_obs must be >= 0")
     y = op.apply(x0)
     if sigma_obs > 0:
         y = y + sigma_obs * stream.standard_normal(op.n)
-    return Observation(y=y, operator=op, sigma_obs=sigma_obs)
+    return Observation(y=y, operator=op)
 
 
 def dps_direction(

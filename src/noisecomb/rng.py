@@ -99,10 +99,6 @@ class StreamKey:
         packed = (int(self.domain) << 48) | (self.t << 32) | self.i
         object.__setattr__(self, "_words", (int(self.seed), packed))
 
-    def words(self) -> np.ndarray:
-        """The two uint64 Philox key words for this stream."""
-        return np.array(self._words, dtype=np.uint64)
-
 
 _local = threading.local()
 

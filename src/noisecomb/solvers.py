@@ -16,8 +16,8 @@ loop's :class:`~noisecomb.diffusion.Step`: the Tweedie estimate for the
 measurement direction and, for DPS and NCS-DPS, the mixture statistics that
 ``tweedie_jacobian_apply`` takes. No solver scores a state itself.
 
-Degenerate directions (no usable codebook projection) fall back to either a
-fresh keyed Gaussian draw or the first codebook atom, per configuration.
+A degenerate direction (no usable codebook projection) makes its step draw
+the keyed fresh noise of a plain DDPM step, ``fresh_noise(seed, t, d)``.
 
 A codebook depends only on ``(seed, t, K, d)``, not on the solver or on T, so
 the solvers that use one (NCS-*, DDCM) take it from an optional ``codebooks``
@@ -87,7 +87,6 @@ class SolverConfig:
     seed: int = 0
     zeta: float = 1.0  # DPS guidance scale (normalized by the residual norm)
     lam: float = 0.1  # MPGD step size, scaled by sqrt(alpha_bar_t)
-    fallback: str = "FreshNoise"
 
     def __post_init__(self) -> None:
         if self.solver not in BASELINE_SOLVERS + NCS_SOLVERS:
@@ -96,8 +95,6 @@ class SolverConfig:
             raise ValueError("K must be >= 1")
         if self.m is not None and not 1 <= self.m <= self.K:
             raise ValueError(f"m must be in [1, {self.K}], got {self.m}")
-        if self.fallback not in ("FreshNoise", "FirstAtom"):
-            raise ValueError(f"unknown fallback {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -116,13 +113,6 @@ def _codebook(config: SolverConfig, t: int, d: int, codebooks: dict | None) -> n
         if codebooks is not None:
             codebooks[key] = codebook
     return codebook
-
-
-def _fallback_noise(config: SolverConfig, t: int, codebook) -> np.ndarray:
-    """Step noise for a degenerate direction: a fresh keyed draw or the first atom."""
-    if config.fallback == "FreshNoise":
-        return fresh_noise(config.seed, t, codebook.shape[0])
-    return codebook[:, 0]
 
 
 def ncs_solve(
@@ -159,7 +149,7 @@ def ncs_solve(
             return synthesize_noise(codebook, weights)
         except DegenerateDirectionError:
             degenerate += 1
-            return _fallback_noise(config, t, codebook)
+            return fresh_noise(config.seed, t, prior.d)
 
     x0 = reverse_loop(prior, schedule, config.seed, combination)
     return SolveResult(x0=x0, degenerate_steps=degenerate)
@@ -195,7 +185,7 @@ def baseline_solve(
         if np.linalg.norm(c) > 0:
             return codebook[:, int(np.argmax(inner_products(c, codebook)))]
         degenerate += 1
-        return _fallback_noise(config, step.t, codebook)
+        return fresh(step)
 
     def dps(step, x_next):
         rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(step.x0_hat)))

@@ -246,8 +246,8 @@ def test_criterion_08_bpp_law():
         sch = build_schedule(T, 1e-4, 0.02)
         res = compress(x0, prior, sch, seed=8, K=K, m=m, C=C, n_side=4, prior_id=2)
         expected_bits = (T - 1) * (m * (K.bit_length() - 1) + C * (m - 1))
-        assert res.stream.payload_bit_length == expected_bits
-        assert res.stream.payload_bit_length == payload_bits(T, K, m, C)
+        assert res.stream.header.payload_bits == expected_bits
+        assert res.stream.header.payload_bits == payload_bits(T, K, m, C)
     # figure parameter sets, evaluated from the formula (exact rationals)
     val_a = bpp(1000, 32768, 12, 8, 512)
     val_b = bpp(100, 32768, 2, 0, 512)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from noisecomb.cli import (
+    METRIC_COLUMNS,
     ConfigError,
     cmd_bench_quant,
     cmd_sample,
@@ -110,6 +111,15 @@ def test_cmd_solve_grid_and_reproducibility(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     # timing disabled by default: wall_ms column is identically zero
     assert all(r[8] == "0.0" for r in _read_csv(out_a)[1:])
+
+
+def test_cmd_solve_timing_fills_only_wall_ms(tmp_path):
+    cfg = {**SOLVE_CONFIG, "T": [4], "seeds": [0, 1]}
+    off = cmd_solve(cfg, str(tmp_path / "off.csv"))
+    on = cmd_solve({**cfg, "timing": True}, str(tmp_path / "on.csv"))
+    wall = METRIC_COLUMNS.index("wall_ms")
+    assert all(row[wall] > 0 for row in on)
+    assert [row[:wall] + row[wall + 1:] for row in on] == [row[:wall] + row[wall + 1:] for row in off]
 
 
 def test_cmd_solve_seed_offset_changes_rows(tmp_path):
@@ -430,6 +440,10 @@ def _tiny_solve(**fields):
         ("solve", _tiny_solve(seeds=["a"])),
         ("solve", _tiny_solve(task={"operator": "mask"})),
         ("solve", _tiny_solve(task={"operator": {"kind": "identity"}, "sigma_obs": "x"})),
+        ("solve", _tiny_solve(psnr_range=0)),
+        ("solve", _tiny_solve(psnr_range=-2.0)),
+        ("solve", _tiny_solve(fallback="FirstAtom")),  # the option is gone
+        ("solve", _tiny_solve(schedule={"kind": "cosine"})),
         ("bench-quant", {"C_values": [-1], "m_values": [2], "batch": 1}),
         ("bench-quant", {"C_values": [2], "m_values": [0], "batch": 1}),
         ("bench-quant", {"C_values": [2], "m_values": ["x"], "batch": 1}),
@@ -440,7 +454,8 @@ def _tiny_solve(**fields):
                     "schedule": {"beta_min": 1e-17, "beta_max": 1e-17}}),  # alpha_bar = 1
     ],
     ids=[
-        "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "bench-C-negative",
+        "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "psnr-range-zero",
+        "psnr-range-negative", "fallback-option-gone", "schedule-kind-not-linear", "bench-C-negative",
         "bench-m-zero", "bench-m-not-int", "bench-C-above-bound", "bench-m-above-255",
         "bench-batch-zero", "schedule-alpha-bar-one",
     ],

@@ -46,7 +46,7 @@ def test_round_trip_bit_exact(T, K, m, C):
     prior, x0 = _signal(seed=3, d=d)
     sch = build_schedule(T, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=3, K=K, m=m, C=C, n_side=5, prior_id=2)
-    assert res.stream.payload_bit_length == payload_bits(T, K, m, C)
+    assert res.stream.header.payload_bits == payload_bits(T, K, m, C)
     assert len(res.stream.payload) == -(-payload_bits(T, K, m, C) // 8)
     decoded = decompress(res.stream)
     assert np.array_equal(decoded, res.reconstruction)
@@ -114,7 +114,7 @@ def test_report_bpp_matches_formula():
     sch = build_schedule(10, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=2, K=16, m=2, C=3, n_side=4, prior_id=2)
     assert report_bpp(res.stream) == bpp(10, 16, 2, 3, 4)
-    assert report_bpp(res.stream) == res.stream.payload_bit_length / 16.0
+    assert report_bpp(res.stream) == res.stream.header.payload_bits / 16.0
 
 
 def test_header_validation():
@@ -179,7 +179,7 @@ def test_nonzero_padding_bits_rejected():
         x0, prior, sch, seed=cfg["seed"], K=cfg["K"], m=cfg["m"], C=cfg["C"],
         n_side=cfg["n_side"], prior_id=cfg["prior_id"],
     )
-    assert res.stream.payload_bit_length == 3564  # 4 padding bits in the last byte
+    assert res.stream.header.payload_bits == 3564  # 4 padding bits in the last byte
     blob = res.stream.to_bytes()
     assert blob[-1] & 0x0F == 0
     for bit in range(4):
@@ -368,6 +368,28 @@ def test_compress_rejects_undecodable_schedule():
     custom = Schedule(beta=beta)
     with pytest.raises(ValueError, match="reproducible"):
         compress(x0, prior, custom, seed=0, K=8, m=2, C=2, n_side=3, prior_id=1)
+
+
+def test_compress_rejects_prior_the_decoder_cannot_rebuild():
+    # the decoder rebuilds the prior from prior_id alone, so any other prior
+    # would give a stream whose decode differs from the reconstruction
+    prior, x0 = _signal(seed=0, d=16, prior_id=2)
+    sch = build_schedule(10, 1e-4, 0.02)
+    kw = dict(seed=0, K=16, m=2, C=2, n_side=4)
+    with pytest.raises(ValueError, match="registered prior 1"):
+        compress(x0, prior, sch, prior_id=1, **kw)
+    with pytest.raises(ValueError, match="not registered"):
+        compress(x0, prior, sch, prior_id=999_999, **kw)
+    nudged = GaussianMixturePrior(weights=prior.weights, means=prior.means, variances=prior.variances * 1.01)
+    with pytest.raises(ValueError, match="registered prior 2"):
+        compress(x0, nudged, sch, prior_id=2, **kw)
+    full = GaussianMixturePrior(
+        weights=prior.weights, means=prior.means, covariances=np.stack([np.diag(v) for v in prior.variances])
+    )
+    with pytest.raises(ValueError, match="registered prior 2"):
+        compress(x0, full, sch, prior_id=2, **kw)
+    res = compress(x0, prior, sch, prior_id=2, **kw)
+    assert np.array_equal(decompress(res.stream), res.reconstruction)
 
 
 def test_dimension_bound_rejects_huge_prior_before_decoding():

@@ -86,8 +86,6 @@ def test_schedule_rejects_bad_arguments():
         build_schedule(10, 0.03, 0.02)
     with pytest.raises(ValueError):
         build_schedule(10, 1e-4, 1.0)
-    with pytest.raises(ValueError):
-        build_schedule(10, 1e-4, 0.02, kind="cosine")
 
 
 # ---------------------------------------------------------------------------

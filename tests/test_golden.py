@@ -2,8 +2,9 @@
 
 Each case hashes the float64 bytes of its output and its degenerate-step count
 with SHA-256 (codec cases also hash the stream bytes and the decoder's output).
-The table pins the sampler, all six solvers at m in {None, 1, 3} with both
-fallbacks (plus an operator whose directions are all degenerate), codec cells
+The table pins the sampler, all six solvers at m in {None, 1, 3} (plus an
+operator whose directions are all degenerate, so every step draws fresh noise;
+the ``-FreshNoise`` key suffix names that rule), codec cells
 for the three codec quantizers, and the CSV bytes the ``sample`` and ``solve``
 commands write (grids listed out of row order too, so the row sort is pinned),
 so any change to the shared reverse loop or the CLI grids that moves a single
@@ -29,7 +30,7 @@ from noisecomb.diffusion import GaussianMixturePrior, build_schedule, unconditio
 from noisecomb.operators import LinearOperator, Mask, make_observation
 from noisecomb.quantizer import QUANTIZERS
 from noisecomb.rng import Domain, StreamKey, derive_stream
-from noisecomb.solvers import SolverConfig, solve
+from noisecomb.solvers import BASELINE_SOLVERS, NCS_SOLVERS, SolverConfig, solve
 
 
 class ZeroOperator(LinearOperator):
@@ -70,13 +71,13 @@ def _sample_case(kind: str, T: int) -> str:
     return _digest(x.tobytes())
 
 
-def _solve_case(operator: str, solver: str, m, fallback: str) -> str:
+def _solve_case(operator: str, solver: str, m) -> str:
     d, T, seed = 8, 12, 5
     prior = build_registered_prior(4, d)
     x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
     op = Mask(d, [0, 1, 2, 3]) if operator == "mask" else ZeroOperator(d)
     obs = make_observation(x0, op, 0.05, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0)))
-    cfg = SolverConfig(solver=solver, K=4, m=m, seed=seed, fallback=fallback)
+    cfg = SolverConfig(solver=solver, K=4, m=m, seed=seed)
     res = solve(prior, build_schedule(T, 1e-4, 0.02), obs, cfg)
     return _digest(res.x0.tobytes(), res.degenerate_steps)
 
@@ -125,7 +126,6 @@ def _cli_case(name: str) -> str:
 
 
 SOLVERS = ("DPS", "MPGD", "DDCM", "NCS-DPS", "NCS-MPGD", "NCS-DDCM")
-FALLBACKS = ("FreshNoise", "FirstAtom")
 CODEC_CELLS = [
     (q, K, m, C)
     for q in ("dp", "stagewise", "nn")
@@ -137,10 +137,9 @@ for _kind in ("diag", "full"):
     for _T in (1, 2, 15):
         CASES[f"sample-{_kind}-T{_T}"] = (_sample_case, (_kind, _T))
 for _solver in SOLVERS:
-    for _fallback in FALLBACKS:
-        for _m in (None, 1, 3):
-            CASES[f"solve-mask-{_solver}-m{_m}-{_fallback}"] = (_solve_case, ("mask", _solver, _m, _fallback))
-        CASES[f"solve-zero-{_solver}-{_fallback}"] = (_solve_case, ("zero", _solver, None, _fallback))
+    for _m in (None, 1, 3):
+        CASES[f"solve-mask-{_solver}-m{_m}-FreshNoise"] = (_solve_case, ("mask", _solver, _m))
+    CASES[f"solve-zero-{_solver}-FreshNoise"] = (_solve_case, ("zero", _solver, None))
 for _q, _K, _m, _C in CODEC_CELLS:
     CASES[f"codec-{_q}-K{_K}-m{_m}-C{_C}"] = (_codec_case, (_q, _K, _m, _C))
 for _name in CLI_CONFIGS:
@@ -175,53 +174,29 @@ GOLDEN = {
     "sample-full-T1": "8e91a26dbb2feada5e6e83974f7af5af8114fff1acdfe37b7dd684207eed7ea5",
     "sample-full-T15": "f7f93e04748f89cb1185310dc3dc3234ec60227e64f64044aa44ccf172d85294",
     "sample-full-T2": "0daf4bb554ce0b162d9fa5ca33ad6f657f8b97bb24837f765a4e5e73363c5cf3",
-    "solve-mask-DDCM-m1-FirstAtom": "d5cf1c02cea4d2dcba556089c2c573882871bc8185931deb645b069e3f80b324",
     "solve-mask-DDCM-m1-FreshNoise": "d5cf1c02cea4d2dcba556089c2c573882871bc8185931deb645b069e3f80b324",
-    "solve-mask-DDCM-m3-FirstAtom": "d5cf1c02cea4d2dcba556089c2c573882871bc8185931deb645b069e3f80b324",
     "solve-mask-DDCM-m3-FreshNoise": "d5cf1c02cea4d2dcba556089c2c573882871bc8185931deb645b069e3f80b324",
-    "solve-mask-DDCM-mNone-FirstAtom": "d5cf1c02cea4d2dcba556089c2c573882871bc8185931deb645b069e3f80b324",
     "solve-mask-DDCM-mNone-FreshNoise": "d5cf1c02cea4d2dcba556089c2c573882871bc8185931deb645b069e3f80b324",
-    "solve-mask-DPS-m1-FirstAtom": "e5fd14a2fdc1ae9348814fdd74d3f28c935c5e60245de9598e884924e438d277",
     "solve-mask-DPS-m1-FreshNoise": "e5fd14a2fdc1ae9348814fdd74d3f28c935c5e60245de9598e884924e438d277",
-    "solve-mask-DPS-m3-FirstAtom": "e5fd14a2fdc1ae9348814fdd74d3f28c935c5e60245de9598e884924e438d277",
     "solve-mask-DPS-m3-FreshNoise": "e5fd14a2fdc1ae9348814fdd74d3f28c935c5e60245de9598e884924e438d277",
-    "solve-mask-DPS-mNone-FirstAtom": "e5fd14a2fdc1ae9348814fdd74d3f28c935c5e60245de9598e884924e438d277",
     "solve-mask-DPS-mNone-FreshNoise": "e5fd14a2fdc1ae9348814fdd74d3f28c935c5e60245de9598e884924e438d277",
-    "solve-mask-MPGD-m1-FirstAtom": "542da13a4c0db5a3eaa908fcce929c828b1bdd7d7da580a2aaf773816478d754",
     "solve-mask-MPGD-m1-FreshNoise": "542da13a4c0db5a3eaa908fcce929c828b1bdd7d7da580a2aaf773816478d754",
-    "solve-mask-MPGD-m3-FirstAtom": "542da13a4c0db5a3eaa908fcce929c828b1bdd7d7da580a2aaf773816478d754",
     "solve-mask-MPGD-m3-FreshNoise": "542da13a4c0db5a3eaa908fcce929c828b1bdd7d7da580a2aaf773816478d754",
-    "solve-mask-MPGD-mNone-FirstAtom": "542da13a4c0db5a3eaa908fcce929c828b1bdd7d7da580a2aaf773816478d754",
     "solve-mask-MPGD-mNone-FreshNoise": "542da13a4c0db5a3eaa908fcce929c828b1bdd7d7da580a2aaf773816478d754",
-    "solve-mask-NCS-DDCM-m1-FirstAtom": "ec05f20ddd49f6e513bbd36a88a8b1696b2e5ddec7077e2939cd3aa5e3e19b9c",
     "solve-mask-NCS-DDCM-m1-FreshNoise": "89b0dd530774fd48240c228a9867cc77d68cd383cb287feb85e8eb9ba5ad677c",
-    "solve-mask-NCS-DDCM-m3-FirstAtom": "bbbf0e034b494e95744468598a7e66cb257e2168109cdc5b159e96b2e2c9e7bc",
     "solve-mask-NCS-DDCM-m3-FreshNoise": "c9b63cae0c44959134adbd2bdf48f6df3e07098b27958bec83f6903474963fd3",
-    "solve-mask-NCS-DDCM-mNone-FirstAtom": "7603eaba9fe54a10e466b8a78a536a4d58514950ca93ab911b7c9b2b6073128b",
     "solve-mask-NCS-DDCM-mNone-FreshNoise": "7603eaba9fe54a10e466b8a78a536a4d58514950ca93ab911b7c9b2b6073128b",
-    "solve-mask-NCS-DPS-m1-FirstAtom": "ec05f20ddd49f6e513bbd36a88a8b1696b2e5ddec7077e2939cd3aa5e3e19b9c",
     "solve-mask-NCS-DPS-m1-FreshNoise": "e83962731916d7d24615c65e918d87951a12ab4622840ce749c1a5ca31c86954",
-    "solve-mask-NCS-DPS-m3-FirstAtom": "5216a835cef9a9050cf46b71d5353a2b41a344196e8b16f065595604e9f038cd",
     "solve-mask-NCS-DPS-m3-FreshNoise": "4e2d8e9f8b01fb0d4d45f8a6db01c2be2f457ea0915da26cd0677c762ed12a7a",
-    "solve-mask-NCS-DPS-mNone-FirstAtom": "3b113c5fbfcd5ee29802806f2b6fdcce823b2934169ffc72e06a77a2ba5c1384",
     "solve-mask-NCS-DPS-mNone-FreshNoise": "3b113c5fbfcd5ee29802806f2b6fdcce823b2934169ffc72e06a77a2ba5c1384",
-    "solve-mask-NCS-MPGD-m1-FirstAtom": "ec05f20ddd49f6e513bbd36a88a8b1696b2e5ddec7077e2939cd3aa5e3e19b9c",
     "solve-mask-NCS-MPGD-m1-FreshNoise": "89b0dd530774fd48240c228a9867cc77d68cd383cb287feb85e8eb9ba5ad677c",
-    "solve-mask-NCS-MPGD-m3-FirstAtom": "bbbf0e034b494e95744468598a7e66cb257e2168109cdc5b159e96b2e2c9e7bc",
     "solve-mask-NCS-MPGD-m3-FreshNoise": "c9b63cae0c44959134adbd2bdf48f6df3e07098b27958bec83f6903474963fd3",
-    "solve-mask-NCS-MPGD-mNone-FirstAtom": "7603eaba9fe54a10e466b8a78a536a4d58514950ca93ab911b7c9b2b6073128b",
     "solve-mask-NCS-MPGD-mNone-FreshNoise": "7603eaba9fe54a10e466b8a78a536a4d58514950ca93ab911b7c9b2b6073128b",
-    "solve-zero-DDCM-FirstAtom": "bb5ad9b3d277351b2b5cab14494567362b01e5ef535ec3b3583ad8d742a01d13",
     "solve-zero-DDCM-FreshNoise": "8d9a55701b17672a48fc0dd32460ca403eb7bf3ba6c83c77d9383fce2fcd1514",
-    "solve-zero-DPS-FirstAtom": "4029dfcd5093933a3ed144bcbfec61f00b2874baebd7fda3637da640054ead97",
     "solve-zero-DPS-FreshNoise": "4029dfcd5093933a3ed144bcbfec61f00b2874baebd7fda3637da640054ead97",
-    "solve-zero-MPGD-FirstAtom": "4029dfcd5093933a3ed144bcbfec61f00b2874baebd7fda3637da640054ead97",
     "solve-zero-MPGD-FreshNoise": "4029dfcd5093933a3ed144bcbfec61f00b2874baebd7fda3637da640054ead97",
-    "solve-zero-NCS-DDCM-FirstAtom": "bb5ad9b3d277351b2b5cab14494567362b01e5ef535ec3b3583ad8d742a01d13",
     "solve-zero-NCS-DDCM-FreshNoise": "8d9a55701b17672a48fc0dd32460ca403eb7bf3ba6c83c77d9383fce2fcd1514",
-    "solve-zero-NCS-DPS-FirstAtom": "bb5ad9b3d277351b2b5cab14494567362b01e5ef535ec3b3583ad8d742a01d13",
     "solve-zero-NCS-DPS-FreshNoise": "8d9a55701b17672a48fc0dd32460ca403eb7bf3ba6c83c77d9383fce2fcd1514",
-    "solve-zero-NCS-MPGD-FirstAtom": "bb5ad9b3d277351b2b5cab14494567362b01e5ef535ec3b3583ad8d742a01d13",
     "solve-zero-NCS-MPGD-FreshNoise": "8d9a55701b17672a48fc0dd32460ca403eb7bf3ba6c83c77d9383fce2fcd1514",
 }
 
@@ -234,6 +209,11 @@ def test_golden_digest(name):
 
 def test_golden_table_covers_every_case():
     assert set(GOLDEN) == set(CASES)
+
+
+def test_solve_cases_cover_every_solver():
+    # a solver added to the package needs pinned digests here
+    assert set(SOLVERS) == set(BASELINE_SOLVERS + NCS_SOLVERS)
 
 
 def test_codec_cells_cover_every_codec_quantizer():

@@ -59,8 +59,6 @@ def test_config_validation():
         SolverConfig(solver="ALD")
     with pytest.raises(ValueError):
         SolverConfig(solver="DPS", K=8, m=9)
-    with pytest.raises(ValueError):
-        SolverConfig(solver="DPS", fallback="Retry")
 
 
 def test_family_dispatch_guards():
@@ -114,26 +112,10 @@ def test_degenerate_directions_fall_back_to_plain_ddpm():
     sch = build_schedule(15, 1e-4, 0.02)
     obs = Observation(y=np.zeros(1), operator=ZeroOperator(d))
     uncond = unconditional_sample(prior, sch, 21)
-    for solver in ("NCS-DPS", "NCS-MPGD", "NCS-DDCM"):
-        res = ncs_solve(prior, sch, obs, SolverConfig(solver=solver, K=8, seed=21))
+    for solver in ("NCS-DPS", "NCS-MPGD", "NCS-DDCM", "DDCM"):
+        res = solve(prior, sch, obs, SolverConfig(solver=solver, K=8, seed=21))
         assert res.degenerate_steps == 14  # every noisy step degenerated
         assert np.array_equal(res.x0, uncond)
-
-
-def test_degenerate_first_atom_fallback():
-    d = 6
-    prior = build_registered_prior(2, d)
-    sch = build_schedule(10, 1e-4, 0.02)
-    obs = Observation(y=np.zeros(1), operator=ZeroOperator(d))
-    cfg = SolverConfig(solver="NCS-MPGD", K=8, seed=2, fallback="FirstAtom")
-    res = ncs_solve(prior, sch, obs, cfg)
-    # replay with atom 0 as the step noise
-    x = derive_stream(StreamKey(2, Domain.INIT_LATENT, 10, 0)).standard_normal(d)
-    for t in range(10, 0, -1):
-        s = score(prior, sch, x, t)
-        noise = build_codebook(2, t, 8, d)[:, 0] if t >= 2 else np.zeros(d)
-        x = ddpm_step(sch, x, t, noise, s)
-    assert np.array_equal(res.x0, x)
 
 
 def test_self_consistent_first_step_degenerates():
@@ -187,7 +169,7 @@ def test_solution_quality_mask_posterior():
     prior = GaussianMixturePrior.single(np.zeros(2), np.ones(2))
     T = 50
     sch = build_schedule(T, 1e-4, 0.05)
-    obs = Observation(y=np.array([3.0]), operator=Mask(2, [0]), sigma_obs=0.05)
+    obs = Observation(y=np.array([3.0]), operator=Mask(2, [0]))
     post_var = 1.0 / (1.0 + 1.0 / 0.05**2)
     post_mean = post_var * 3.0 / 0.05**2
     post_sd = np.sqrt(post_var)
