@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 import time
@@ -34,7 +33,7 @@ from .diffusion import GaussianMixturePrior, build_schedule, unconditional_sampl
 from .operators import make_observation, operator_from_config
 from .quantizer import QUANTIZERS, make_grid, quantize_greedy_exponential, stick_objective
 from .rng import Domain, StreamKey, derive_stream
-from .solvers import TASK_K_PRESETS, SolverConfig, solve
+from .solvers import TASK_K_PRESETS, SolverConfig, solve_rows
 
 __all__ = [
     "ConfigError",
@@ -64,8 +63,28 @@ METRIC_COLUMNS = [
 ]
 
 
+# The keys each config object may hold; any other key is a config error, so a
+# misspelt key cannot silently run with the default.
+_SAMPLE_KEYS = {"prior", "schedule", "T", "seeds", "dump"}
+_SOLVE_KEYS = {
+    "prior", "schedule", "task", "solvers", "T", "K", "m", "zeta", "lambda", "seeds",
+    "psnr_range", "timing",
+}
+_TASK_KEYS = {"name", "operator", "sigma_obs"}
+_SCHEDULE_KEYS = {"kind", "beta_min", "beta_max"}
+_COMPRESS_KEYS = {"prior_id", "schedule", "T", "K", "m", "C", "seed", "n_side", "quantizer"}
+_BENCH_QUANT_KEYS = {"m_values", "C_values", "batch", "seed", "budget"}
+
+
 class ConfigError(ValueError):
     """The experiment config is missing fields or malformed."""
+
+
+def _known_keys(cfg: dict, keys: set, where: str) -> None:
+    unknown = sorted(set(cfg) - keys)
+    if unknown:
+        names = ", ".join(repr(key) for key in unknown)
+        raise ConfigError(f"{where}: unknown key {names}; known keys: {', '.join(sorted(keys))}")
 
 
 def _require(cfg: dict, field: str, where: str = "config"):
@@ -138,7 +157,7 @@ def prior_from_config(spec: dict) -> GaussianMixturePrior:
 
 
 def _schedule_from_config(spec: dict, T: int):
-    _object(spec, "schedule")
+    _known_keys(_object(spec, "schedule"), _SCHEDULE_KEYS, "schedule")
     if spec.get("kind", "linear") != "linear":
         raise ConfigError(f"schedule: unknown kind {spec['kind']!r}; only 'linear' exists")
     beta_min = _typed(float, spec.get("beta_min", 1e-4), "schedule: beta_min")
@@ -198,6 +217,7 @@ def _t_values(cfg: dict) -> list:
 
 def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
     """Unconditional samples per (seed, T): moment summary CSV plus a dump."""
+    _known_keys(cfg, _SAMPLE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
     schedule_spec = cfg.get("schedule", {})
     seeds = _seeds(cfg, seed_offset)
@@ -227,12 +247,18 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     run seed by seed: each seed's ground truth and observation are drawn once,
     and its jobs share one codebook dict (see :mod:`noisecomb.solvers`), so a
     ``(seed, t, K, d)`` codebook is built once per seed and dropped with the
-    seed's dict. With ``"timing": true``, a job's ``wall_ms`` therefore leaves
-    out the codebooks an earlier job of its seed built. Rows are sorted by
+    seed's dict. Within a seed, each T is one lockstep ``solve_rows`` call
+    that runs every configured solver as one row. With ``"timing": true``,
+    each row's ``wall_ms`` is the wall time of its (seed, T) call, so the rows
+    of one call show the same value. Rows are sorted by
     ``(solver, task, T, seed)``, so the CSV does not depend on the run order.
     """
+    if "fallback" in cfg:
+        raise ConfigError("fallback: the option is gone; a degenerate step draws fresh noise")
+    _known_keys(cfg, _SOLVE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
     task = _object(_require(cfg, "task"), "task")
+    _known_keys(task, _TASK_KEYS, "task")
     solvers = _require(cfg, "solvers")
     if not isinstance(solvers, list) or not solvers:
         raise ConfigError("solvers: must be a nonempty list")
@@ -240,13 +266,13 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     seeds = _seeds(cfg, seed_offset)
     t_values = _t_values(cfg)
     schedules = {T: _schedule_from_config(schedule_spec, T) for T in t_values}
-    timing = bool(cfg.get("timing", False))
+    timing = cfg.get("timing", False)
+    if not isinstance(timing, bool):
+        raise ConfigError(f"timing: expected true or false, got {timing!r}")
     sigma_obs = _typed(float, task.get("sigma_obs", 0.05), "task: sigma_obs", 0.0)
     psnr_range = _typed(float, cfg.get("psnr_range", 2.0), "psnr_range")
     if psnr_range <= 0:
         raise ConfigError(f"psnr_range: must be > 0, got {psnr_range}")
-    if "fallback" in cfg:
-        raise ConfigError("fallback: the option is gone; a degenerate step draws fresh noise")
     m = cfg.get("m")
     try:
         op_spec = _object(_require(task, "operator", "task"), "task: operator")
@@ -269,15 +295,17 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
         x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
         noise = derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
         obs = make_observation(x0, op, sigma_obs, noise)
+        seed_configs = [replace(config, seed=seed) for config in configs]
         codebooks = {}
-        for config, T in itertools.product(configs, t_values):
+        for T in t_values:
             start = time.perf_counter() if timing else 0.0
-            result = solve(prior, schedules[T], obs, replace(config, seed=seed), codebooks)
+            results = solve_rows(prior, schedules[T], obs, seed_configs, codebooks)
             wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-            err = mse(result.x0, x0)
-            m_used = config.m if config.m is not None else config.K
-            rows.append((seed, config.solver, task_name, T, config.K, m_used, err,
-                         psnr(err, psnr_range), wall_ms, result.degenerate_steps))
+            for config, result in zip(configs, results):
+                err = mse(result.x0, x0)
+                m_used = config.m if config.m is not None else config.K
+                rows.append((seed, config.solver, task_name, T, config.K, m_used, err,
+                             psnr(err, psnr_range), wall_ms, result.degenerate_steps))
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
     _write_csv(out, METRIC_COLUMNS, rows)
     return rows
@@ -297,6 +325,7 @@ def _load_signal(path: str) -> np.ndarray:
 
 def cmd_compress(cfg: dict, input_path: str, out: str, recon_path: str | None = None) -> dict:
     """Encode a raw float vector; print BPP and wall time."""
+    _known_keys(cfg, _COMPRESS_KEYS, "config")
     x0 = _load_signal(input_path)
     if x0.ndim != 1:
         raise ConfigError(f"input signal must be 1-d, got shape {x0.shape}")
@@ -362,6 +391,7 @@ def _bench_scores(seed: int, m: int, batch: int) -> list:
 
 def cmd_bench_quant(cfg: dict, out: str) -> list:
     """Time the quantizers on identical score batches; one CSV row per cell."""
+    _known_keys(cfg, _BENCH_QUANT_KEYS, "config")
     m_values = _int_list(cfg.get("m_values", [2, 4, 8, 16, 32]), "m_values", 1, 255)
     c_values = _int_list(cfg.get("C_values", [3]), "C_values", 0, MAX_C)
     batch = _typed(int, cfg.get("batch", 64), "batch", 1)

@@ -371,17 +371,13 @@ def compress(
     grid = make_grid(C)
     writer = _BitWriter()
     degenerate = 0
-    # Held across steps like a loop variable: a step's codebook is released
-    # only once the next one is built. Released at the end of each step, an
-    # encode at d=4096, K=64, T=100 took 98,000 minor faults and 1.54 s, against
-    # 2,000-50,000 faults (median 36,000) and 1.33 s with the hold (medians of
-    # 40 encodes, ten alternating process pairs on a 2-core Xeon). The hold
-    # does not fix the fault count, which varies with unrelated allocations.
-    codebook = None
+    # Every step draws its codebook into one pair of (K, d) buffers allocated
+    # here, so the encoder's heap does not grow and shrink by a codebook a step.
+    buffers = (np.empty((K, prior.d), dtype=np.uint64), np.empty((K, prior.d)))
 
     def encode(step):
-        nonlocal degenerate, codebook
-        codebook = build_codebook(seed, step.t, K, prior.d)
+        nonlocal degenerate
+        codebook = build_codebook(seed, step.t, K, prior.d, buffers=buffers)
         try:
             selection = top_m_weights(x0 - step.x0_hat, codebook, m)
             indices = selection.indices.tolist()
@@ -397,7 +393,7 @@ def compress(
             writer.write(value, C)
         return _step_noise(codebook[:, indices], code, grid)
 
-    x = reverse_loop(prior, schedule, seed, encode)
+    x = reverse_loop(prior, schedule, [(seed, encode, None)])[0]
     stream = Bitstream(header=header, payload=writer.getvalue())
     return CompressResult(stream=stream, reconstruction=x, degenerate_steps=degenerate)
 
@@ -422,7 +418,7 @@ def decompress(stream: Bitstream) -> np.ndarray:
         atoms = build_codebook(header.seed, step.t, header.K, header.d, indices)
         return _step_noise(atoms, code, grid)
 
-    return reverse_loop(prior, schedule, header.seed, decode)
+    return reverse_loop(prior, schedule, [(header.seed, decode, None)])[0]
 
 
 def report_bpp(stream: Bitstream) -> float:

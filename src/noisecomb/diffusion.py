@@ -18,14 +18,14 @@ reverse step adds no noise.
 The Jacobian-vector product :func:`tweedie_jacobian_apply` (and with it the DPS
 direction) takes a Step, so it reuses those statistics. Sampler, solvers and
 codec all run :func:`reverse_loop` with their own noise policy and optional
-mean hook; the loop calls ``step_at`` once per timestep and hands the hooks
-the Step.
+mean hook. The loop advances a batch of such rows in lockstep: it calls
+``step_at`` once per timestep on the ``(B, d)`` state and hands each row's
+hooks that row's Step; the sampler and the codec are its one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -254,21 +254,21 @@ def _component_stats(prior, schedule, x, t):
     ``g[..., k, :]`` is ``-C_k^{-1} (x - m_k)``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("state contains non-finite entries")
     if x.shape[-1] != prior.d:
         raise ValueError(f"state dimension {x.shape[-1]} != prior dimension {prior.d}")
     w, means, covs = marginal_params(prior, schedule, t)
     k = prior.n_components
     diff = x[..., None, :] - means  # (..., k, d)
-    g = np.empty_like(diff)
-    quad = np.empty(diff.shape[:-1])
-    logdet = np.empty(k)
     if prior.diagonal:
-        g[:] = -diff / covs
-        quad[:] = np.sum(diff * diff / covs, axis=-1)
-        logdet[:] = np.sum(np.log(covs), axis=-1)
+        g = -diff / covs
+        quad = (diff * diff / covs).sum(axis=-1)
+        logdet = np.log(covs).sum(axis=-1)
     else:
+        g = np.empty_like(diff)
+        quad = np.empty(diff.shape[:-1])
+        logdet = np.empty(k)
         for j in range(k):
             dj = diff[..., j, :]
             cf = cho_factor(covs[j], lower=True)
@@ -402,26 +402,40 @@ def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
     return Step(t, x, (x + (1.0 - ab) * stats[2]) / np.sqrt(ab), stats)
 
 
-def reverse_loop(
-    prior: GaussianMixturePrior,
-    schedule: Schedule,
-    seed: int,
-    noise: Callable,
-    correct: Callable | None = None,
-) -> np.ndarray:
-    """The reverse process from a keyed N(0, I) latent down to x_0.
+def reverse_loop(prior: GaussianMixturePrior, schedule: Schedule, rows) -> np.ndarray:
+    """The reverse process of every row, in lockstep, from its keyed N(0, I) latent down to x_0.
 
-    Per t = T..1: ``step = step_at(prior, schedule, x, t)``; step noise
-    ``noise(step)`` for t >= 2 (the t = 1 step is noiseless); ``ddpm_step``
-    on the step's score to ``x_next``; then the optional mean hook
-    ``correct(step, x_next)`` returns the state kept.
+    ``rows`` lists ``(seed, noise, correct)``: the seed keys the row's latent,
+    ``noise(step)`` is its noise policy and ``correct(step, x_next)`` its
+    optional mean hook (``None`` for none). The rows share ``prior`` and
+    ``schedule``. Per t = T..1: one ``step_at`` scores the ``(B, d)`` state;
+    each row's hooks get that row's own :class:`Step`, with 1-d ``x`` and
+    ``x0_hat`` and that row's slice of the statistics; each row's noise fills
+    its row of one ``(B, d)`` array (the t = 1 step is noiseless); one
+    ``ddpm_step`` moves every row; then each row's mean hook returns the state
+    that row keeps. Returns the ``(B, d)`` states x_0. Every row is
+    bit-identical to a run of that row alone, and a single row (B = 1) is the
+    plain reverse loop.
     """
-    x = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(prior.d)
+    B, d = len(rows), prior.d
+    x = np.empty((B, d))
+    for r, (seed, _, _) in enumerate(rows):
+        x[r] = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(d)
+    eps = np.zeros((B, d))
     for t in range(schedule.T, 0, -1):
         step = step_at(prior, schedule, x, t)
-        eps = noise(step) if t >= 2 else np.zeros(prior.d)
-        x_next = ddpm_step(schedule, x, t, eps, step.stats[2])
-        x = x_next if correct is None else correct(step, x_next)
+        resp, g, s = step.stats
+        views = [Step(t, x[r], step.x0_hat[r], (resp[r], g[r], s[r])) for r in range(B)]
+        if t >= 2:
+            for r, (_, noise, _) in enumerate(rows):
+                row_noise = noise(views[r])
+                if np.shape(row_noise) != (d,):
+                    raise ValueError(f"noise shape {np.shape(row_noise)} != state shape ({d},)")
+                eps[r] = row_noise
+        x = ddpm_step(schedule, x, t, eps, s)
+        for r, (_, _, correct) in enumerate(rows):
+            if correct is not None:
+                x[r] = correct(views[r], x[r])
     return x
 
 
@@ -429,4 +443,8 @@ def unconditional_sample(
     prior: GaussianMixturePrior, schedule: Schedule, seed: int
 ) -> np.ndarray:
     """Plain DDPM sampling: the reverse loop with fresh keyed noise."""
-    return reverse_loop(prior, schedule, seed, lambda step: fresh_noise(seed, step.t, prior.d))
+
+    def noise(step):
+        return fresh_noise(seed, step.t, prior.d)
+
+    return reverse_loop(prior, schedule, [(seed, noise, None)])[0]

@@ -126,9 +126,13 @@ def _rekey(words: tuple, block: int = 0) -> Philox:
     return bitgen
 
 
-def _normals(raws: np.ndarray) -> np.ndarray:
-    """The v1 normal map ``ndtri(((raw >> 12) + 0.5) * 2**-52)``; overwrites ``raws``."""
-    u = np.right_shift(raws, np.uint64(12), out=raws).astype(np.float64)
+def _normals(raws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The v1 normal map ``ndtri(((raw >> 12) + 0.5) * 2**-52)``; overwrites ``raws``.
+
+    The normals go to ``out``, a float64 array of ``raws``' shape, when given.
+    """
+    u = np.empty(raws.shape) if out is None else out
+    u[...] = np.right_shift(raws, np.uint64(12), out=raws)
     u += 0.5
     u *= 2.0**-52
     return ndtri(u, out=u)
@@ -187,7 +191,7 @@ def derive_stream(key: StreamKey) -> NoiseStream:
     return NoiseStream(key)
 
 
-def build_codebook(seed: int, t: int, K: int, d: int, indices=None) -> np.ndarray:
+def build_codebook(seed: int, t: int, K: int, d: int, indices=None, buffers=None) -> np.ndarray:
     """Timestep-``t`` codebook: ``K`` standard-normal atoms as columns of a ``(d, K)`` array.
 
     Column ``i`` is exactly the stream output for key ``StreamKey(seed,
@@ -201,6 +205,11 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None) -> np.ndarra
     ``(d, len(indices))`` array whose column ``j`` is exactly column
     ``indices[j]`` of the full codebook (any order, repeats allowed). An index
     outside ``[0, K)`` raises ``ValueError``.
+
+    With ``buffers``, a caller-owned pair ``(raws, normals)`` of ``(n, d)``
+    uint64 and float64 arrays, ``n`` the atom count, the build draws into them
+    instead of allocating: the result is the view ``normals.T``, which the next
+    build into the same pair overwrites. The values are the same.
     """
     if K < 1:
         raise ValueError(f"codebook size must be >= 1, got {K}")
@@ -214,10 +223,17 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None) -> np.ndarra
         if outside:
             raise ValueError(f"atom indices must lie in [0, {K}), got {outside}")
         top = max(atoms, default=0)
+    if buffers is None:
+        raws, normals = np.empty((len(atoms), d), dtype=np.uint64), None
+    else:
+        raws, normals = buffers
+        shape = (len(atoms), d)
+        if not (raws.dtype == np.uint64 and normals.dtype == np.float64
+                and raws.shape == normals.shape == shape):
+            raise ValueError(f"buffers must be uint64 and float64 arrays of shape {shape}")
     seed, t = operator.index(seed), operator.index(t)
     _check_key_fields(seed, t, top)
     base = (int(Domain.CODEBOOK) << 48) | (t << 32)
-    raws = np.empty((len(atoms), d), dtype=np.uint64)
     for j, i in enumerate(atoms):
         raws[j] = _rekey((seed, base | i)).random_raw(d)
-    return _normals(raws).T
+    return _normals(raws, normals).T

@@ -11,13 +11,19 @@ Two families share one stream layout so runs with equal seeds are paired:
   structural: the combination path has no code that modifies the mean.
 
 Every solver is a noise policy, plus a mean hook for DPS and MPGD, of
-:func:`~noisecomb.diffusion.reverse_loop`, and reads what it needs from the
+:func:`~noisecomb.diffusion.reverse_loop`, built per config by
+``_ncs_policy`` or ``_baseline_policy``, and reads what it needs from the
 loop's :class:`~noisecomb.diffusion.Step`: the Tweedie estimate for the
 measurement direction and, for DPS and NCS-DPS, the mixture statistics that
 ``tweedie_jacobian_apply`` takes. No solver scores a state itself.
+:func:`solve_rows` runs several configs as the rows of one lockstep loop, so
+the solvers of a ``(seed, T)`` share one scoring and one DDPM update per
+step; each row is bit-identical to its own :func:`solve`, which is the
+one-row case (as are :func:`ncs_solve` and :func:`baseline_solve`).
 
 A degenerate direction (no usable codebook projection) makes its step draw
-the keyed fresh noise of a plain DDPM step, ``fresh_noise(seed, t, d)``.
+the keyed fresh noise of a plain DDPM step, ``fresh_noise(seed, t, d)``. An
+all-zero direction is degenerate for every codebook, so its step builds none.
 
 A codebook depends only on ``(seed, t, K, d)``, not on the solver or on T, so
 the solvers that use one (NCS-*, DDCM) take it from an optional ``codebooks``
@@ -60,6 +66,7 @@ __all__ = [
     "ncs_solve",
     "baseline_solve",
     "solve",
+    "solve_rows",
 ]
 
 BASELINE_SOLVERS = ("DPS", "MPGD", "DDCM")
@@ -115,76 +122,59 @@ def _codebook(config: SolverConfig, t: int, d: int, codebooks: dict | None) -> n
     return codebook
 
 
-def ncs_solve(
-    prior: GaussianMixturePrior,
-    schedule: Schedule,
-    obs: Observation,
-    config: SolverConfig,
-    codebooks: dict | None = None,
-) -> SolveResult:
-    """Combination solvers: plain DDPM steps with guided noise.
+def _ncs_policy(prior, schedule, obs, config, codebooks, tally):
+    """The noise policy of a combination solver; it counts degenerate steps in ``tally[0]``.
 
-    The noise policy of each step: the measurement direction at the loop's
-    Tweedie estimate (``dps_direction`` of the loop's Step for NCS-DPS,
-    ``mpgd_direction`` otherwise), optimal (or top-m) weights over the
-    timestep codebook, synthesized noise. The DDPM mean is left as it is.
+    Per step: the measurement direction at the loop's Tweedie estimate
+    (``dps_direction`` of the loop's Step for NCS-DPS, ``mpgd_direction``
+    otherwise), optimal (or top-m) weights over the timestep codebook,
+    synthesized noise. An all-zero direction is degenerate for every codebook,
+    so its step draws fresh noise without building one.
     """
-    if config.solver not in NCS_SOLVERS:
-        raise ValueError(f"ncs_solve requires a combination solver, got {config.solver!r}")
-    degenerate = 0
 
     def combination(step):
-        nonlocal degenerate
         t = step.t
         if config.solver == "NCS-DPS":
             c = dps_direction(prior, schedule, obs, step)
         else:
             c = mpgd_direction(obs, step.x0_hat)
-        codebook = _codebook(config, t, prior.d, codebooks)
-        try:
-            if config.m is None:
-                weights = optimal_weights(c, codebook)
-            else:
-                weights = top_m_weights(c, codebook, config.m)
-            return synthesize_noise(codebook, weights)
-        except DegenerateDirectionError:
-            degenerate += 1
-            return fresh_noise(config.seed, t, prior.d)
+        if np.any(c):
+            codebook = _codebook(config, t, prior.d, codebooks)
+            try:
+                if config.m is None:
+                    weights = optimal_weights(c, codebook)
+                else:
+                    weights = top_m_weights(c, codebook, config.m)
+                return synthesize_noise(codebook, weights)
+            except DegenerateDirectionError:
+                pass
+        tally[0] += 1
+        return fresh_noise(config.seed, t, prior.d)
 
-    x0 = reverse_loop(prior, schedule, config.seed, combination)
-    return SolveResult(x0=x0, degenerate_steps=degenerate)
+    return combination, None
 
 
-def baseline_solve(
-    prior: GaussianMixturePrior,
-    schedule: Schedule,
-    obs: Observation,
-    config: SolverConfig,
-    codebooks: dict | None = None,
-) -> SolveResult:
-    """Reference solvers guided through the mean term or one-hot atom choice.
+def _baseline_policy(prior, schedule, obs, config, codebooks, tally):
+    """The noise policy and mean hook of a baseline solver; DDCM counts degenerates in ``tally[0]``.
 
     DPS subtracts ``zeta_t * grad ||y - A x0_hat||^2`` from the DDPM update
     with the residual-normalized step ``zeta_t = zeta / ||y - A x0_hat||``.
     MPGD moves the Tweedie estimate by ``2 lam sqrt(alpha_bar) A^T r`` and
     folds the shift back through the posterior-mean coefficient. Both draw
     fresh noise and correct the mean at every step, t = 1 included. DDCM swaps
-    the step noise for the single best-aligned codebook atom.
+    the step noise for the single best-aligned codebook atom; a zero direction
+    draws fresh noise without building the codebook.
     """
-    if config.solver not in BASELINE_SOLVERS:
-        raise ValueError(f"baseline_solve requires a baseline solver, got {config.solver!r}")
-    degenerate = 0
 
     def fresh(step):
         return fresh_noise(config.seed, step.t, prior.d)
 
     def argmax_atom(step):
-        nonlocal degenerate
         c = mpgd_direction(obs, step.x0_hat)
-        codebook = _codebook(config, step.t, prior.d, codebooks)
         if np.linalg.norm(c) > 0:
+            codebook = _codebook(config, step.t, prior.d, codebooks)
             return codebook[:, int(np.argmax(inner_products(c, codebook)))]
-        degenerate += 1
+        tally[0] += 1
         return fresh(step)
 
     def dps(step, x_next):
@@ -206,11 +196,64 @@ def baseline_solve(
         return x_next
 
     if config.solver == "DDCM":
-        x0 = reverse_loop(prior, schedule, config.seed, argmax_atom)
-    else:
-        correct = dps if config.solver == "DPS" else mpgd
-        x0 = reverse_loop(prior, schedule, config.seed, fresh, correct)
-    return SolveResult(x0=x0, degenerate_steps=degenerate)
+        return argmax_atom, None
+    return fresh, dps if config.solver == "DPS" else mpgd
+
+
+def solve_rows(
+    prior: GaussianMixturePrior,
+    schedule: Schedule,
+    obs: Observation,
+    configs,
+    codebooks: dict | None = None,
+) -> list:
+    """One :class:`SolveResult` per config, all solved in one lockstep ``reverse_loop``.
+
+    Each config is one row of the loop: its solver's noise policy and mean
+    hook, keyed by its own seed. Every result is bit-identical to
+    ``solve(prior, schedule, obs, config, codebooks)`` run alone; rows that
+    name the same ``(seed, t, K, d)`` share one codebook through
+    ``codebooks``, as consecutive solves would.
+    """
+    tallies = [[0] for _ in configs]
+    rows = []
+    for config, tally in zip(configs, tallies):
+        policy = _ncs_policy if config.solver in NCS_SOLVERS else _baseline_policy
+        rows.append((config.seed, *policy(prior, schedule, obs, config, codebooks, tally)))
+    x0 = reverse_loop(prior, schedule, rows)
+    return [SolveResult(x0=x, degenerate_steps=tally[0]) for x, tally in zip(x0, tallies)]
+
+
+def ncs_solve(
+    prior: GaussianMixturePrior,
+    schedule: Schedule,
+    obs: Observation,
+    config: SolverConfig,
+    codebooks: dict | None = None,
+) -> SolveResult:
+    """Combination solvers: plain DDPM steps with guided noise (see ``_ncs_policy``).
+
+    The DDPM mean is left as it is. The one-row case of :func:`solve_rows`.
+    """
+    if config.solver not in NCS_SOLVERS:
+        raise ValueError(f"ncs_solve requires a combination solver, got {config.solver!r}")
+    return solve_rows(prior, schedule, obs, [config], codebooks)[0]
+
+
+def baseline_solve(
+    prior: GaussianMixturePrior,
+    schedule: Schedule,
+    obs: Observation,
+    config: SolverConfig,
+    codebooks: dict | None = None,
+) -> SolveResult:
+    """Reference solvers, guided through the mean term or one atom (see ``_baseline_policy``).
+
+    The one-row case of :func:`solve_rows`.
+    """
+    if config.solver not in BASELINE_SOLVERS:
+        raise ValueError(f"baseline_solve requires a baseline solver, got {config.solver!r}")
+    return solve_rows(prior, schedule, obs, [config], codebooks)[0]
 
 
 def solve(

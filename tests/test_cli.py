@@ -444,6 +444,12 @@ def _tiny_solve(**fields):
         ("solve", _tiny_solve(psnr_range=-2.0)),
         ("solve", _tiny_solve(fallback="FirstAtom")),  # the option is gone
         ("solve", _tiny_solve(schedule={"kind": "cosine"})),
+        ("solve", _tiny_solve(lamda=5.0)),  # misspelt "lambda"
+        ("solve", _tiny_solve(timing="false")),  # a nonempty string is truthy
+        ("solve", _tiny_solve(task={**SOLVE_CONFIG["task"], "sigma": 0.1})),
+        ("sample", {"prior": {"preset_id": 1, "d": 4}, "T": 3, "seeds": [0], "solvers": ["DPS"]}),
+        ("solve", _tiny_solve(schedule={"beta_mx": 0.05})),
+        ("bench-quant", {"C_values": [2], "m_values": [2], "batch": 1, "budgett": 10}),
         ("bench-quant", {"C_values": [-1], "m_values": [2], "batch": 1}),
         ("bench-quant", {"C_values": [2], "m_values": [0], "batch": 1}),
         ("bench-quant", {"C_values": [2], "m_values": ["x"], "batch": 1}),
@@ -455,7 +461,9 @@ def _tiny_solve(**fields):
     ],
     ids=[
         "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "psnr-range-zero",
-        "psnr-range-negative", "fallback-option-gone", "schedule-kind-not-linear", "bench-C-negative",
+        "psnr-range-negative", "fallback-option-gone", "schedule-kind-not-linear",
+        "unknown-key-lamda", "timing-not-bool", "unknown-task-key", "sample-unknown-key",
+        "unknown-schedule-key", "bench-unknown-key", "bench-C-negative",
         "bench-m-zero", "bench-m-not-int", "bench-C-above-bound", "bench-m-above-255",
         "bench-batch-zero", "schedule-alpha-bar-one",
     ],
@@ -463,6 +471,20 @@ def _tiny_solve(**fields):
 def test_cli_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command, cfg):
     assert _run_config(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unknown_config_key_is_named(tmp_path, capsys):
+    # a misspelt key must not run with the default it failed to set
+    assert _run_config(tmp_path, "solve", _tiny_solve(lamda=5.0)) == 2
+    assert "unknown key 'lamda'" in capsys.readouterr().err
+    assert _run_config(tmp_path, "solve", _tiny_solve(task={**SOLVE_CONFIG["task"], "sigma": 0.1})) == 2
+    assert "task: unknown key 'sigma'" in capsys.readouterr().err
+    signal = tmp_path / "x0.npy"
+    np.save(signal, np.linspace(-1, 1, 8))
+    cfg = {"prior_id": 2, "T": 5, "K": 8, "m": 2, "C": 2, "seed": 0, "quantiser": "nn"}
+    assert _run_config(tmp_path, "compress", cfg, signal) == 2
+    assert "unknown key 'quantiser'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -542,6 +542,24 @@ def test_decoder_memory_does_not_scale_with_codebook_size():
     assert np.all(np.isfinite(x))
 
 
+def test_encoder_draws_every_codebook_into_one_pair_of_buffers():
+    import tracemalloc
+
+    # raw words and normals, K*d*8 bytes each, allocated once per encode; a new
+    # codebook per step held beside the previous one peaked at 3.1 K*d*8
+    K, d = 64, 1 << 14
+    prior = build_registered_prior(1, d)
+    x0 = np.linspace(-1.0, 1.0, d)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compress(x0, prior, build_schedule(6, 1e-4, 0.02), seed=0, K=K, m=2, C=2, n_side=1, prior_id=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * K * d * 8
+
+
 def test_decoder_stream_calls_do_not_scale_with_codebook_size(monkeypatch):
     # T*K*d = 2^29 meets the work bound; a full codebook would open 2^28 streams
     T, K, d, m = 2, 1 << 28, 1, 1

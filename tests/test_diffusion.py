@@ -6,9 +6,11 @@ from noisecomb.diffusion import (
     build_schedule,
     ddpm_mean,
     ddpm_step,
+    fresh_noise,
     logsumexp,
     marginal_log_density,
     marginal_params,
+    reverse_loop,
     score,
     step_at,
     tweedie_estimate,
@@ -16,7 +18,6 @@ from noisecomb.diffusion import (
     tweedie_jacobian_apply,
     unconditional_sample,
 )
-from noisecomb.rng import Domain, StreamKey, derive_stream
 
 RNG = np.random.default_rng(20240811)
 
@@ -213,6 +214,37 @@ def test_logsumexp_bit_identical_to_scipy():
     run()
 
 
+def _mixture_16d_full():
+    rng = np.random.default_rng(16)
+    d, k = 16, 3
+    covs = np.empty((k, d, d))
+    for j in range(k):
+        A = rng.normal(size=(d, d)) / np.sqrt(d)
+        covs[j] = A @ A.T + 0.3 * np.eye(d)
+    return GaussianMixturePrior(
+        weights=np.array([0.5, 0.3, 0.2]), means=rng.normal(size=(k, d)), covariances=covs
+    )
+
+
+@pytest.mark.parametrize("prior_kind", ["diagonal", "full"])
+def test_step_at_rows_match_single_states(prior_kind):
+    # the lockstep loop scores a (B, d) state once; each row must equal the
+    # single-state Step byte for byte (the full prior takes the cho_solve path)
+    from noisecomb.codec import build_registered_prior
+
+    prior = build_registered_prior(4, 16) if prior_kind == "diagonal" else _mixture_16d_full()
+    sch = build_schedule(40, 1e-4, 0.02)
+    for B in (1, 2, 4, 7):
+        xs = RNG.normal(size=(B, prior.d))
+        for t in (1, 17, 40):
+            batched = step_at(prior, sch, xs, t)
+            for r in range(B):
+                one = step_at(prior, sch, xs[r], t)
+                assert batched.x0_hat[r].tobytes() == one.x0_hat.tobytes()
+                for rows, single in zip(batched.stats, one.stats):
+                    assert rows[r].tobytes() == single.tobytes()
+
+
 def test_score_batched_matches_pointwise():
     prior = _mixture_4d_diag()
     sch = build_schedule(60, 1e-4, 0.02)
@@ -367,6 +399,14 @@ def test_ddpm_step_zero_noise_is_mean():
     assert np.array_equal(ddpm_step(sch, x, 3, np.zeros(3), s), ddpm_mean(sch, x, 3, s))
 
 
+def test_reverse_loop_rejects_noise_of_the_wrong_shape():
+    prior = _mixture_4d_diag()
+    sch = build_schedule(3, 1e-4, 0.02)
+    for bad in (0.5, np.zeros(1), np.zeros(5), np.zeros((1, 4))):
+        with pytest.raises(ValueError, match="noise shape"):
+            reverse_loop(prior, sch, [(0, lambda step: bad, None)])
+
+
 def test_ddpm_step_rejects_dimension_mismatch():
     sch = build_schedule(5, 1e-4, 0.02)
     with pytest.raises(ValueError):
@@ -379,38 +419,12 @@ def test_ddpm_step_rejects_dimension_mismatch():
 
 
 def _batched_unconditional(prior, sch, seeds):
-    """Vectorized replica of unconditional_sample over a seed batch.
+    """``unconditional_sample`` over a seed batch: one lockstep loop, one row per seed."""
 
-    Uses the same keyed streams per seed; verified below to match the
-    sequential sampler bitwise before being used for Monte Carlo statistics.
-    """
-    from noisecomb.diffusion import score as score_fn
+    def row(seed):
+        return seed, lambda step: fresh_noise(seed, step.t, prior.d), None
 
-    d = prior.d
-    T = sch.T
-    x = np.stack(
-        [
-            derive_stream(StreamKey(s, Domain.INIT_LATENT, T, 0)).standard_normal(d)
-            for s in seeds
-        ]
-    )
-    for t in range(T, 0, -1):
-        s_val = score_fn(prior, sch, x, t)
-        mean = (x + sch.beta_at(t) * s_val) / np.sqrt(sch.alpha_at(t))
-        ab = sch.alpha_bar_at(t)
-        eps_hat = -np.sqrt(1 - ab) * s_val
-        mean = (x - sch.beta_at(t) / np.sqrt(1 - ab) * eps_hat) / np.sqrt(sch.alpha_at(t))
-        if t >= 2:
-            noise = np.stack(
-                [
-                    derive_stream(StreamKey(s, Domain.FRESH_NOISE, t, 0)).standard_normal(d)
-                    for s in seeds
-                ]
-            )
-            x = mean + sch.sigma_at(t) * noise
-        else:
-            x = mean
-    return x
+    return reverse_loop(prior, sch, [row(seed) for seed in seeds])
 
 
 def test_unconditional_deterministic_per_seed():

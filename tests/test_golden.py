@@ -105,7 +105,16 @@ CLI_SOLVE_CONFIG = {
     "seeds": [0, 1, 2],
 }
 # The "-reordered" grids list T descending, seeds shuffled and solvers reversed,
-# so their digests pin the row sort.
+# so their digests pin the row sort. The "-six-solvers" grids run every solver
+# of a (seed, T) together; their digests were taken with each solve run on its
+# own, so they pin the batched grid to the one-row solves.
+CLI_SIX_SOLVERS_CONFIG = {
+    **CLI_SOLVE_CONFIG,
+    "solvers": ["NCS-DDCM", "DPS", "MPGD", "NCS-MPGD", "DDCM", "NCS-DPS"],
+    "T": [12, 7],
+    "K": 8,
+    "seeds": [4, 1],
+}
 CLI_CONFIGS = {
     "sample": (cmd_sample, CLI_SAMPLE_CONFIG),
     "sample-reordered": (cmd_sample, {**CLI_SAMPLE_CONFIG, "T": [8, 3], "seeds": [3, 1, 2, 0]}),
@@ -114,6 +123,8 @@ CLI_CONFIGS = {
         cmd_solve,
         {**CLI_SOLVE_CONFIG, "solvers": ["NCS-DPS", "DPS"], "T": [20, 10], "seeds": [2, 0, 1]},
     ),
+    "solve-six-solvers": (cmd_solve, CLI_SIX_SOLVERS_CONFIG),
+    "solve-six-solvers-m2": (cmd_solve, {**CLI_SIX_SOLVERS_CONFIG, "m": 2}),
 }
 
 
@@ -150,6 +161,8 @@ GOLDEN = {
     "cli-sample-reordered": "43dc4132be496a7a263192cf892ff0240a0cf1fd3bcd6f7c2f42a9d2986bcd69",
     "cli-solve": "23aeda3ac91def705f414740acb6a6dfb20f48e9d44c675d18515dd813388e6a",
     "cli-solve-reordered": "23aeda3ac91def705f414740acb6a6dfb20f48e9d44c675d18515dd813388e6a",
+    "cli-solve-six-solvers": "832e7aa1eaf82cd333df60af7a505afd6d22046b98e8e82cf509511c3ea8b7d0",
+    "cli-solve-six-solvers-m2": "361d90be67015c7f7db2f78c8b4cd05e6cd19e0004674d0e6ccaec96db4c0946",
     "codec-dp-K16-m1-C3": "f1e79d1c5ea79b8e6d3d1e70ead993db0297ca0bbb65cb5e899f2ec6d4c12891",
     "codec-dp-K16-m3-C0": "5d9dc43be514a47ed95fd40530f7ff8d4bf45c25b8a376a07d4d6d41f8305f33",
     "codec-dp-K16-m3-C2": "eeda05a39a640f553d96055a3328a13abf4f89cd54a13ad5d024a505534957b4",

@@ -238,6 +238,19 @@ def test_codebook_named_atoms_are_columns_of_the_full_codebook():
     assert build_codebook(2, 3, 1, 16, [0]).tobytes() == build_codebook(2, 3, 1, 16).tobytes()
 
 
+def test_codebook_into_caller_buffers_is_the_same_codebook():
+    raws, normals = np.empty((8, 16), dtype=np.uint64), np.empty((8, 16))
+    for t in (3, 4):
+        into = build_codebook(2, t, 8, 16, buffers=(raws, normals))
+        assert np.shares_memory(into, normals)
+        assert into.tobytes() == build_codebook(2, t, 8, 16).tobytes()
+    named = build_codebook(2, 3, 8, 16, [5, 1], buffers=(raws[:2], normals[:2]))
+    assert named.tobytes() == build_codebook(2, 3, 8, 16)[:, [5, 1]].tobytes()
+    for bad in ((raws[:7], normals[:7]), (raws, normals.astype(np.float32)), (normals, normals)):
+        with pytest.raises(ValueError, match="buffers"):
+            build_codebook(2, 3, 8, 16, buffers=bad)
+
+
 @pytest.mark.parametrize("indices", [[8], [-1], [0, 3, 9], [2**32]])
 def test_codebook_rejects_atom_indices_outside_the_codebook(indices):
     with pytest.raises(ValueError, match="atom indices"):

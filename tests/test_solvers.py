@@ -23,7 +23,15 @@ from noisecomb.operators import (
     mpgd_direction,
 )
 from noisecomb.rng import Domain, StreamKey, build_codebook, derive_stream
-from noisecomb.solvers import SolverConfig, baseline_solve, ncs_solve, solve
+from noisecomb.solvers import (
+    BASELINE_SOLVERS,
+    NCS_SOLVERS,
+    SolverConfig,
+    baseline_solve,
+    ncs_solve,
+    solve,
+    solve_rows,
+)
 
 
 class ZeroOperator(LinearOperator):
@@ -116,6 +124,54 @@ def test_degenerate_directions_fall_back_to_plain_ddpm():
         res = solve(prior, sch, obs, SolverConfig(solver=solver, K=8, seed=21))
         assert res.degenerate_steps == 14  # every noisy step degenerated
         assert np.array_equal(res.x0, uncond)
+
+
+@pytest.mark.parametrize("solver", ["DDCM", "NCS-DPS", "NCS-MPGD", "NCS-DDCM"])
+def test_zero_direction_builds_no_codebook(monkeypatch, solver):
+    # an all-zero direction is degenerate for any codebook, so its step draws
+    # fresh noise without building one
+    import noisecomb.solvers
+
+    builds = []
+    real = noisecomb.solvers.build_codebook
+    monkeypatch.setattr(noisecomb.solvers, "build_codebook", lambda *a, **k: builds.append(a) or real(*a, **k))
+    d = 6
+    prior = build_registered_prior(2, d)
+    sch = build_schedule(15, 1e-4, 0.02)
+    zero = Observation(y=np.zeros(1), operator=ZeroOperator(d))
+    res = solve(prior, sch, zero, SolverConfig(solver=solver, K=8, seed=21))
+    assert res.degenerate_steps == 14
+    assert builds == []
+    masked = Observation(y=np.ones(2), operator=Mask(d, [0, 1]))
+    solve(prior, sch, masked, SolverConfig(solver=solver, K=8, seed=21))
+    assert len(builds) == 14  # one per noisy step when the direction is not zero
+
+
+@pytest.mark.parametrize("operator", ["mask", "zero"])
+def test_lockstep_rows_match_one_row_solves(operator):
+    # each row of one lockstep call is its one-row solve, byte for byte: all six
+    # solvers, m in {None, 1, 3}, two seeds, one shared codebook dict
+    prior, sch, _, obs = _toy_problem(seed=5, T=12)
+    if operator == "zero":
+        obs = Observation(y=np.zeros(1), operator=ZeroOperator(prior.d))
+    configs = [
+        SolverConfig(solver=solver, K=8, m=m, seed=seed)
+        for seed in (5, 6)
+        for solver in BASELINE_SOLVERS + NCS_SOLVERS
+        for m in (None, 1, 3)
+    ]
+    rows = solve_rows(prior, sch, obs, configs, {})
+    assert len(rows) == len(configs)
+    for config, row in zip(configs, rows):
+        alone = solve(prior, sch, obs, config)
+        assert row.x0.tobytes() == alone.x0.tobytes(), config
+        assert row.degenerate_steps == alone.degenerate_steps, config
+    # per seed, the mask gives 8 distinct trajectories (NCS-MPGD and NCS-DDCM
+    # coincide, and so do m = 1 and DDCM); the zero operator leaves every
+    # solver at plain DDPM, one trajectory
+    degenerate = {row.degenerate_steps for row in rows}
+    assert degenerate == ({0, 11} if operator == "zero" else {0})
+    assert len({row.x0.tobytes() for row in rows}) == (2 if operator == "zero" else 16)
 
 
 def test_self_consistent_first_step_degenerates():
@@ -247,7 +303,7 @@ def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
         steps.append(step)
         return fresh_noise(3, step.t, prior.d)
 
-    reverse_loop(prior, sch, 3, noise)
+    reverse_loop(prior, sch, [(3, noise, None)])
     assert [step.t for step in steps] == list(range(15, 1, -1))
     for step in steps:
         J = tweedie_jacobian(prior, sch, step.x, step.t)
