@@ -253,8 +253,6 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     of one call show the same value. Rows are sorted by
     ``(solver, task, T, seed)``, so the CSV does not depend on the run order.
     """
-    if "fallback" in cfg:
-        raise ConfigError("fallback: the option is gone; a degenerate step draws fresh noise")
     _known_keys(cfg, _SOLVE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
     task = _object(_require(cfg, "task"), "task")

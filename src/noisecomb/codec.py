@@ -25,15 +25,14 @@ one step synthesis, so the decoder replays the encoder by construction.
 The decoder rebuilds prior, schedule, latents, and the named atoms of each
 codebook from the header and payload alone: it reads a step's m indices
 first and draws only those m atoms, so its per-step work and memory are
-m * d, independent of K. Priors travel out-of-band as registry keys,
-mirroring how the generative model itself is shared.
+m * d, independent of K. Priors travel as ids into one fixed table, the
+same in every process, mirroring how the generative model itself is shared.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import astuple, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,9 +51,7 @@ __all__ = [
     "CodecHeader",
     "Bitstream",
     "CompressResult",
-    "register_prior",
     "build_registered_prior",
-    "registered_prior_ids",
     "compress",
     "decompress",
     "report_bpp",
@@ -231,31 +228,8 @@ class CompressResult:
 
 
 # --------------------------------------------------------------------------
-# prior registry: decodable priors are shared out-of-band, addressed by id
+# prior table: decodable priors are fixed in code and addressed by id
 # --------------------------------------------------------------------------
-
-PriorBuilder = Callable[[int], GaussianMixturePrior]
-
-_PRIOR_REGISTRY: dict[int, PriorBuilder] = {}
-
-
-def register_prior(prior_id: int, builder: PriorBuilder) -> None:
-    if not 0 <= prior_id < 2**32:
-        raise ValueError("prior_id must fit in u32")
-    _PRIOR_REGISTRY[prior_id] = builder
-
-
-def registered_prior_ids() -> tuple:
-    return tuple(sorted(_PRIOR_REGISTRY))
-
-
-def build_registered_prior(prior_id: int, d: int) -> GaussianMixturePrior:
-    try:
-        builder = _PRIOR_REGISTRY[prior_id]
-    except KeyError:
-        raise PriorRegistryError(f"prior id {prior_id} is not registered") from None
-    return builder(d)
-
 
 def _standard_normal_prior(d: int) -> GaussianMixturePrior:
     return GaussianMixturePrior.single(np.zeros(d), np.ones(d))
@@ -284,10 +258,20 @@ def _seeded_mixture_prior(d: int) -> GaussianMixturePrior:
     )
 
 
-register_prior(1, _standard_normal_prior)
-register_prior(2, _bimodal_prior)
-register_prior(3, _anisotropic_prior)
-register_prior(4, _seeded_mixture_prior)
+_PRIORS = {
+    1: _standard_normal_prior,
+    2: _bimodal_prior,
+    3: _anisotropic_prior,
+    4: _seeded_mixture_prior,
+}
+
+
+def build_registered_prior(prior_id: int, d: int) -> GaussianMixturePrior:
+    try:
+        builder = _PRIORS[prior_id]
+    except KeyError:
+        raise PriorRegistryError(f"prior id {prior_id} is not registered") from None
+    return builder(d)
 
 
 # --------------------------------------------------------------------------
@@ -402,10 +386,6 @@ def decompress(stream: Bitstream) -> np.ndarray:
     """Replay the encoder's synthesis path; bit-identical to its reconstruction."""
     header = stream.header
     prior = build_registered_prior(header.prior_id, header.d)
-    if prior.d != header.d:
-        raise PriorRegistryError(
-            f"registered prior has dimension {prior.d}, header says {header.d}"
-        )
     schedule = build_schedule(header.T, header.beta_min, header.beta_max)
     grid = make_grid(header.C)
     reader = _BitReader(stream.payload, header.payload_bits)

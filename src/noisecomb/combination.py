@@ -66,10 +66,8 @@ def inner_products(c: np.ndarray, E) -> np.ndarray:
     return atoms.T @ c
 
 
-def _degenerate_floor(c: np.ndarray, atoms: np.ndarray) -> float:
-    K = atoms.shape[1]
-    d = atoms.shape[0]
-    return DEGENERATE_RTOL * np.sqrt(K * d) * float(np.linalg.norm(c))
+def _degenerate_floor(c: np.ndarray, E) -> float:
+    return DEGENERATE_RTOL * np.sqrt(np.size(E)) * float(np.linalg.norm(c))
 
 
 def optimal_weights(c: np.ndarray, E) -> np.ndarray:
@@ -78,10 +76,9 @@ def optimal_weights(c: np.ndarray, E) -> np.ndarray:
     Raises :class:`DegenerateDirectionError` when the projection is
     numerically zero; solvers then draw fresh noise, the codec a fixed record.
     """
-    atoms = atom_matrix(E)
     b = inner_products(c, E)
     norm = float(np.linalg.norm(b))
-    if norm <= _degenerate_floor(c, atoms):
+    if norm <= _degenerate_floor(c, E):
         raise DegenerateDirectionError("direction has negligible codebook projection")
     return b / norm
 
@@ -94,12 +91,10 @@ def top_m_weights(c: np.ndarray, E, m: int) -> TopMSelection:
     the nonnegative orthant on that support); m = 1 degenerates to argmax
     selection with weight 1. All b_i <= 0 is a degenerate instance.
     """
-    atoms = atom_matrix(E)
-    K = atoms.shape[1]
-    if not 1 <= m <= K:
-        raise ValueError(f"m must be in [1, {K}], got {m}")
     b = inner_products(c, E)
-    if np.all(b <= 0) or np.linalg.norm(b) <= _degenerate_floor(c, atoms):
+    if not 1 <= m <= b.size:
+        raise ValueError(f"m must be in [1, {b.size}], got {m}")
+    if np.all(b <= 0) or np.linalg.norm(b) <= _degenerate_floor(c, E):
         raise DegenerateDirectionError("no atom has positive alignment with the direction")
     # stable sort so equal inner products resolve to the smaller index
     order = np.argsort(-b, kind="stable")[:m]

@@ -10,20 +10,24 @@ Two families share one stream layout so runs with equal seeds are paired:
   atoms aligned with the solver's measurement direction. This restriction is
   structural: the combination path has no code that modifies the mean.
 
-Every solver is a noise policy, plus a mean hook for DPS and MPGD, of
-:func:`~noisecomb.diffusion.reverse_loop`, built per config by
-``_ncs_policy`` or ``_baseline_policy``, and reads what it needs from the
-loop's :class:`~noisecomb.diffusion.Step`: the Tweedie estimate for the
-measurement direction and, for DPS and NCS-DPS, the mixture statistics that
+Every solver is one row of :func:`~noisecomb.diffusion.reverse_loop`, built
+per config by ``_row``: a noise policy, plus a mean hook for DPS and MPGD. DPS
+and MPGD draw fresh keyed noise; DDCM and NCS-* share one guided noise rule
+that takes the measurement direction and the step codebook, and differ only
+in the weights (DDCM the argmax atom over all K, NCS-* the optimal or top-m
+combination). Each row reads what it needs from the loop's
+:class:`~noisecomb.diffusion.Step`: the Tweedie estimate for the measurement
+direction and, for DPS and NCS-DPS, the mixture statistics that
 ``tweedie_jacobian_apply`` takes. No solver scores a state itself.
 :func:`solve_rows` runs several configs as the rows of one lockstep loop, so
 the solvers of a ``(seed, T)`` share one scoring and one DDPM update per
 step; each row is bit-identical to its own :func:`solve`, which is the
 one-row case (as are :func:`ncs_solve` and :func:`baseline_solve`).
 
-A degenerate direction (no usable codebook projection) makes its step draw
-the keyed fresh noise of a plain DDPM step, ``fresh_noise(seed, t, d)``. An
-all-zero direction is degenerate for every codebook, so its step builds none.
+A degenerate direction (zero, or with no usable codebook projection) makes
+its step draw the keyed fresh noise of a plain DDPM step, ``fresh_noise(seed,
+t, d)``. A zero direction (``||c|| == 0``) is degenerate for every codebook,
+so its step builds none.
 
 A codebook depends only on ``(seed, t, K, d)``, not on the solver or on T, so
 the solvers that use one (NCS-*, DDCM) take it from an optional ``codebooks``
@@ -122,58 +126,35 @@ def _codebook(config: SolverConfig, t: int, d: int, codebooks: dict | None) -> n
     return codebook
 
 
-def _ncs_policy(prior, schedule, obs, config, codebooks, tally):
-    """The noise policy of a combination solver; it counts degenerate steps in ``tally[0]``.
+def _row(prior, schedule, obs, config, codebooks, tally):
+    """The ``(noise, correct)`` pair of one loop row; it counts degenerate steps in ``tally[0]``.
 
-    Per step: the measurement direction at the loop's Tweedie estimate
-    (``dps_direction`` of the loop's Step for NCS-DPS, ``mpgd_direction``
-    otherwise), optimal (or top-m) weights over the timestep codebook,
-    synthesized noise. An all-zero direction is degenerate for every codebook,
-    so its step draws fresh noise without building one.
-    """
-
-    def combination(step):
-        t = step.t
-        if config.solver == "NCS-DPS":
-            c = dps_direction(prior, schedule, obs, step)
-        else:
-            c = mpgd_direction(obs, step.x0_hat)
-        if np.any(c):
-            codebook = _codebook(config, t, prior.d, codebooks)
-            try:
-                if config.m is None:
-                    weights = optimal_weights(c, codebook)
-                else:
-                    weights = top_m_weights(c, codebook, config.m)
-                return synthesize_noise(codebook, weights)
-            except DegenerateDirectionError:
-                pass
-        tally[0] += 1
-        return fresh_noise(config.seed, t, prior.d)
-
-    return combination, None
-
-
-def _baseline_policy(prior, schedule, obs, config, codebooks, tally):
-    """The noise policy and mean hook of a baseline solver; DDCM counts degenerates in ``tally[0]``.
-
-    DPS subtracts ``zeta_t * grad ||y - A x0_hat||^2`` from the DDPM update
-    with the residual-normalized step ``zeta_t = zeta / ||y - A x0_hat||``.
-    MPGD moves the Tweedie estimate by ``2 lam sqrt(alpha_bar) A^T r`` and
-    folds the shift back through the posterior-mean coefficient. Both draw
-    fresh noise and correct the mean at every step, t = 1 included. DDCM swaps
-    the step noise for the single best-aligned codebook atom; a zero direction
-    draws fresh noise without building the codebook.
+    DPS and MPGD draw fresh noise and correct the mean at every step, t = 1
+    included. DPS subtracts ``zeta_t * grad ||y - A x0_hat||^2`` from the DDPM
+    update with the residual-normalized step ``zeta_t = zeta / ||y - A
+    x0_hat||``; MPGD moves the Tweedie estimate by ``2 lam sqrt(alpha_bar) A^T
+    r`` and folds the shift back through the posterior-mean coefficient. DDCM
+    and NCS-* leave the mean alone and take the guided noise rule.
     """
 
     def fresh(step):
         return fresh_noise(config.seed, step.t, prior.d)
 
-    def argmax_atom(step):
-        c = mpgd_direction(obs, step.x0_hat)
+    def guided(step):
+        if config.solver == "NCS-DPS":
+            c = dps_direction(prior, schedule, obs, step)
+        else:
+            c = mpgd_direction(obs, step.x0_hat)
         if np.linalg.norm(c) > 0:
             codebook = _codebook(config, step.t, prior.d, codebooks)
-            return codebook[:, int(np.argmax(inner_products(c, codebook)))]
+            try:
+                if config.solver == "DDCM":
+                    return codebook[:, int(np.argmax(inner_products(c, codebook)))]
+                if config.m is None:
+                    return synthesize_noise(codebook, optimal_weights(c, codebook))
+                return synthesize_noise(codebook, top_m_weights(c, codebook, config.m))
+            except DegenerateDirectionError:
+                pass
         tally[0] += 1
         return fresh(step)
 
@@ -195,9 +176,11 @@ def _baseline_policy(prior, schedule, obs, config, codebooks, tally):
             x_next = x_next + coef0 * shift
         return x_next
 
-    if config.solver == "DDCM":
-        return argmax_atom, None
-    return fresh, dps if config.solver == "DPS" else mpgd
+    if config.solver == "DPS":
+        return fresh, dps
+    if config.solver == "MPGD":
+        return fresh, mpgd
+    return guided, None
 
 
 def solve_rows(
@@ -216,10 +199,10 @@ def solve_rows(
     ``codebooks``, as consecutive solves would.
     """
     tallies = [[0] for _ in configs]
-    rows = []
-    for config, tally in zip(configs, tallies):
-        policy = _ncs_policy if config.solver in NCS_SOLVERS else _baseline_policy
-        rows.append((config.seed, *policy(prior, schedule, obs, config, codebooks, tally)))
+    rows = [
+        (config.seed, *_row(prior, schedule, obs, config, codebooks, tally))
+        for config, tally in zip(configs, tallies)
+    ]
     x0 = reverse_loop(prior, schedule, rows)
     return [SolveResult(x0=x, degenerate_steps=tally[0]) for x, tally in zip(x0, tallies)]
 
@@ -231,7 +214,7 @@ def ncs_solve(
     config: SolverConfig,
     codebooks: dict | None = None,
 ) -> SolveResult:
-    """Combination solvers: plain DDPM steps with guided noise (see ``_ncs_policy``).
+    """Combination solvers: plain DDPM steps with guided noise (see ``_row``).
 
     The DDPM mean is left as it is. The one-row case of :func:`solve_rows`.
     """
@@ -247,7 +230,7 @@ def baseline_solve(
     config: SolverConfig,
     codebooks: dict | None = None,
 ) -> SolveResult:
-    """Reference solvers, guided through the mean term or one atom (see ``_baseline_policy``).
+    """Reference solvers, guided through the mean term or one atom (see ``_row``).
 
     The one-row case of :func:`solve_rows`.
     """

@@ -13,8 +13,6 @@ from noisecomb.codec import (
     build_registered_prior,
     compress,
     decompress,
-    register_prior,
-    registered_prior_ids,
     report_bpp,
 )
 from noisecomb.diffusion import GaussianMixturePrior, build_schedule
@@ -339,14 +337,6 @@ def test_bit_packing_round_trip_property():
             assert reader.read(width) == value
 
     run()
-
-
-def test_register_custom_prior():
-    marker = 77_000
-    register_prior(marker, lambda d: GaussianMixturePrior.single(np.full(d, 0.25), np.ones(d)))
-    assert marker in registered_prior_ids()
-    prior = build_registered_prior(marker, 5)
-    assert prior.means[0][0] == 0.25
 
 
 def test_compress_validates_inputs():

@@ -111,14 +111,25 @@ def test_ddcm_k1_is_unconditional_with_codebook_noise():
     assert np.array_equal(got.x0, x)
 
 
-def test_degenerate_directions_fall_back_to_plain_ddpm():
-    # a zero direction at every step leaves only the DDPM dynamics: guidance
-    # lives purely in the noise term, so the fallback trajectory must equal
-    # unconditional sampling bit for bit
+class TinyAdjointOperator(ZeroOperator):
+    """Its adjoint is nonzero everywhere but so small that ||c||^2 underflows
+    to 0: a direction with no usable length, degenerate like a zero one."""
+
+    kind = "tiny"
+
+    def adjoint(self, y):
+        return np.full(self.d, 1e-170)
+
+
+@pytest.mark.parametrize("operator", [ZeroOperator, TinyAdjointOperator])
+def test_degenerate_directions_fall_back_to_plain_ddpm(operator):
+    # a degenerate direction at every step leaves only the DDPM dynamics:
+    # guidance lives purely in the noise term, so the fallback trajectory
+    # must equal unconditional sampling bit for bit
     d = 6
     prior = build_registered_prior(2, d)
     sch = build_schedule(15, 1e-4, 0.02)
-    obs = Observation(y=np.zeros(1), operator=ZeroOperator(d))
+    obs = Observation(y=np.zeros(1), operator=operator(d))
     uncond = unconditional_sample(prior, sch, 21)
     for solver in ("NCS-DPS", "NCS-MPGD", "NCS-DDCM", "DDCM"):
         res = solve(prior, sch, obs, SolverConfig(solver=solver, K=8, seed=21))
