@@ -21,6 +21,8 @@ import numpy as np
 
 from .codec import (
     MAX_C,
+    MAX_D,
+    MAX_DECODE_WORK,
     Bitstream,
     FormatError,
     PriorRegistryError,
@@ -130,10 +132,13 @@ def load_config(path: str) -> dict:
 
 
 def _registered_prior(prior_id, d) -> GaussianMixturePrior:
-    """The registry prior a config names; an unknown id is a config error."""
+    """The registry prior a config names; an unknown id or a d above ``MAX_D`` is a config error."""
     prior_id = _typed(int, prior_id, "prior id")
+    d = _typed(int, d, "d", 1)
+    if d > MAX_D:
+        raise ConfigError(f"d = {d} exceeds the dimension bound {MAX_D}")
     try:
-        return build_registered_prior(prior_id, _typed(int, d, "d", 1))
+        return build_registered_prior(prior_id, d)
     except PriorRegistryError as exc:
         raise ConfigError(exc.args[0]) from None
 
@@ -272,13 +277,17 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     if psnr_range <= 0:
         raise ConfigError(f"psnr_range: must be > 0, got {psnr_range}")
     m = cfg.get("m")
+    K = _resolve_k(cfg.get("K", 64))
+    work = max(t_values) * K * prior.d  # the codebook normals of the longest solve
+    if work > MAX_DECODE_WORK:
+        raise ConfigError(f"max(T)*K*d = {work} exceeds the work bound {MAX_DECODE_WORK}")
     try:
         op_spec = _object(_require(task, "operator", "task"), "task: operator")
         op = operator_from_config(op_spec, prior.d)
         configs = [
             SolverConfig(
                 solver=solver_name,
-                K=_resolve_k(cfg.get("K", 64)),
+                K=K,
                 m=None if m is None else _typed(int, m, "m"),
                 zeta=_typed(float, cfg.get("zeta", 1.0), "zeta"),
                 lam=_typed(float, cfg.get("lambda", 0.1), "lambda"),

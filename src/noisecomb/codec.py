@@ -367,7 +367,7 @@ def compress(
             indices = selection.indices.tolist()
             # quantizers are scale-invariant in b, so the normalized clamped
             # weights stand in for the restricted inner products
-            code = quantize(selection.weights, grid) if m > 1 else StickCode(codes=())
+            code = quantize(selection.weights, grid)
         except DegenerateDirectionError:
             degenerate += 1
             indices, code = _fallback_record(header)

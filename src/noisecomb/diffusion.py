@@ -14,13 +14,13 @@ simultaneously. Timesteps are 1-indexed (``t = 1 .. T``); the final ``t = 1``
 reverse step adds no noise.
 
 :func:`step_at` is the one place that scores a state: it returns the
-:class:`Step` of that state, with its mixture statistics and Tweedie estimate.
-The Jacobian-vector product :func:`tweedie_jacobian_apply` (and with it the DPS
-direction) takes a Step, so it reuses those statistics. Sampler, solvers and
-codec all run :func:`reverse_loop` with their own noise policy and optional
-mean hook. The loop advances a batch of such rows in lockstep: it calls
-``step_at`` once per timestep on the ``(B, d)`` state and hands each row's
-hooks that row's Step; the sampler and the codec are its one-row case.
+:class:`Step` of that state, with its mixture statistics, Tweedie estimate and
+time-t marginal. The Jacobian-vector product :func:`tweedie_jacobian_apply`
+(and with it the DPS direction) takes a Step, so it reuses all three. Sampler,
+solvers and codec all run :func:`reverse_loop` with their own noise policy and
+optional mean hook. The loop advances a batch of such rows in lockstep: it
+calls ``step_at`` once per timestep on the ``(B, d)`` state and hands each
+row's hooks that row's Step; the sampler and the codec are its one-row case.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class GaussianMixturePrior:
                     raise ValueError(f"covariance {k} is not symmetric")
                 try:
                     cho_factor(cov[k], lower=True)
-                except np.linalg.LinAlgError as exc:  # pragma: no cover
+                except np.linalg.LinAlgError as exc:
                     raise ValueError(f"covariance {k} is not positive-definite") from exc
             object.__setattr__(self, "covariances", cov)
 
@@ -247,11 +247,11 @@ def marginal_params(prior: GaussianMixturePrior, schedule: Schedule, t: int):
 
 
 def _component_stats(prior, schedule, x, t):
-    """Per-component log densities and score directions at x.
+    """Per-component log densities and score directions at x, and the time-t marginal.
 
-    Returns ``(log_w_pdf, g)`` where ``log_w_pdf[..., k]`` is
-    ``log(w_k) + log N(x; m_k, C_k)`` of the time-t marginal and
-    ``g[..., k, :]`` is ``-C_k^{-1} (x - m_k)``.
+    Returns ``(log_w_pdf, g, marginal)``: ``log_w_pdf[..., k]`` is ``log(w_k) +
+    log N(x; m_k, C_k)``, ``g[..., k, :]`` is ``-C_k^{-1} (x - m_k)`` and
+    ``marginal`` is the :class:`Step` field of that name.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -259,44 +259,35 @@ def _component_stats(prior, schedule, x, t):
     if x.shape[-1] != prior.d:
         raise ValueError(f"state dimension {x.shape[-1]} != prior dimension {prior.d}")
     w, means, covs = marginal_params(prior, schedule, t)
-    k = prior.n_components
     diff = x[..., None, :] - means  # (..., k, d)
     if prior.diagonal:
+        factors = None
         g = -diff / covs
         quad = (diff * diff / covs).sum(axis=-1)
         logdet = np.log(covs).sum(axis=-1)
     else:
+        factors = [cho_factor(c, lower=True) for c in covs]
         g = np.empty_like(diff)
         quad = np.empty(diff.shape[:-1])
-        logdet = np.empty(k)
-        for j in range(k):
+        logdet = np.array([2.0 * np.sum(np.log(np.diag(cf[0]))) for cf in factors])
+        for j, cf in enumerate(factors):
             dj = diff[..., j, :]
-            cf = cho_factor(covs[j], lower=True)
             sol = cho_solve(cf, dj.reshape(-1, prior.d).T).T.reshape(dj.shape)
             g[..., j, :] = -sol
             quad[..., j] = np.sum(dj * sol, axis=-1)
-            logdet[j] = 2.0 * np.sum(np.log(np.diag(cf[0])))
     log_w_pdf = np.log(w) - 0.5 * (quad + logdet + prior.d * _LOG_2PI)
-    return log_w_pdf, g
+    return log_w_pdf, g, (schedule.alpha_bar_at(t), covs, factors)
 
 
 def marginal_log_density(prior: GaussianMixturePrior, schedule: Schedule, x, t: int):
     """Log density of the time-t marginal mixture at x (batchable)."""
-    log_w_pdf, _ = _component_stats(prior, schedule, x, t)
+    log_w_pdf, _, _ = _component_stats(prior, schedule, x, t)
     return logsumexp(log_w_pdf, axis=-1)
-
-
-def _mixture_stats(prior, schedule, x, t):
-    """Responsibilities, per-component directions and the score at x."""
-    log_w_pdf, g = _component_stats(prior, schedule, x, t)
-    resp = np.exp(log_w_pdf - logsumexp(log_w_pdf, axis=-1, keepdims=True))
-    s = np.einsum("...k,...kd->...d", resp, g)
-    return resp, g, s
 
 
 def score(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> np.ndarray:
     """Gradient of the log marginal density at x (batchable over leading axes)."""
-    return _mixture_stats(prior, schedule, x, t)[2]
+    return step_at(prior, schedule, x, t).stats[2]
 
 
 def tweedie_estimate(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: int) -> np.ndarray:
@@ -314,7 +305,7 @@ def tweedie_jacobian(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: in
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.ndim != 1:
         raise ValueError("tweedie_jacobian expects a single state vector")
-    resp, g, s = _mixture_stats(prior, schedule, x_t, t)
+    resp, g, s = step_at(prior, schedule, x_t, t).stats
     ab = schedule.alpha_bar_at(t)
     _, _, covs = marginal_params(prior, schedule, t)
     H = np.einsum("k,kd,ke->de", resp, g, g) - np.outer(s, s)
@@ -326,27 +317,23 @@ def tweedie_jacobian(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: in
     return (np.eye(prior.d) + (1.0 - ab) * H) / np.sqrt(ab)
 
 
-def tweedie_jacobian_apply(
-    prior: GaussianMixturePrior, schedule: Schedule, step: Step, v: np.ndarray
-) -> np.ndarray:
+def tweedie_jacobian_apply(step: Step, v: np.ndarray) -> np.ndarray:
     """Product J @ v at ``step``'s state without materializing J (J^T v = J v).
 
-    Built from the mixture statistics the :class:`Step` already holds, so the
-    state is not scored again.
+    Built from the mixture statistics and the marginal the :class:`Step`
+    already holds, so neither the state nor the marginal is computed again.
     """
     v = np.asarray(v, dtype=np.float64)
     if step.x.ndim != 1 or v.shape != step.x.shape:
         raise ValueError("tweedie_jacobian_apply expects matching 1-d state and vector")
     resp, g, s = step.stats
-    ab = schedule.alpha_bar_at(step.t)
-    _, _, covs = marginal_params(prior, schedule, step.t)
+    ab, covs, factors = step.marginal
     Hv = (resp * (g @ v)) @ g - s * (s @ v)
-    if prior.diagonal:
+    if factors is None:
         Hv -= np.einsum("k,kd->d", resp, v / covs)
     else:
-        for j in range(prior.n_components):
-            cf = cho_factor(covs[j], lower=True)
-            Hv -= resp[j] * cho_solve(cf, v)
+        for r, cf in zip(resp, factors):
+            Hv -= r * cho_solve(cf, v)
     return (v + (1.0 - ab) * Hv) / np.sqrt(ab)
 
 
@@ -381,13 +368,16 @@ class Step:
     """A state ``x`` at timestep ``t``, scored once; built by :func:`step_at`.
 
     ``stats`` are the mixture statistics ``(resp, g, s)`` at ``x`` and
-    ``x0_hat`` their Tweedie estimate.
+    ``x0_hat`` their Tweedie estimate. ``marginal`` is ``(alpha_bar, C,
+    factors)`` at ``t``: the covariances of :func:`marginal_params` and, for a
+    full prior, their Cholesky factors (``None`` if diagonal).
     """
 
     t: int
     x: np.ndarray
     x0_hat: np.ndarray
     stats: tuple
+    marginal: tuple
 
 
 def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
@@ -397,9 +387,11 @@ def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
     the score ``s`` of those mixture statistics.
     """
     x = np.asarray(x, dtype=np.float64)
-    stats = _mixture_stats(prior, schedule, x, t)
-    ab = schedule.alpha_bar_at(t)
-    return Step(t, x, (x + (1.0 - ab) * stats[2]) / np.sqrt(ab), stats)
+    log_w_pdf, g, marginal = _component_stats(prior, schedule, x, t)
+    resp = np.exp(log_w_pdf - logsumexp(log_w_pdf, axis=-1, keepdims=True))
+    s = np.einsum("...k,...kd->...d", resp, g)
+    ab = marginal[0]
+    return Step(t, x, (x + (1.0 - ab) * s) / np.sqrt(ab), (resp, g, s), marginal)
 
 
 def reverse_loop(prior: GaussianMixturePrior, schedule: Schedule, rows) -> np.ndarray:
@@ -410,12 +402,13 @@ def reverse_loop(prior: GaussianMixturePrior, schedule: Schedule, rows) -> np.nd
     optional mean hook (``None`` for none). The rows share ``prior`` and
     ``schedule``. Per t = T..1: one ``step_at`` scores the ``(B, d)`` state;
     each row's hooks get that row's own :class:`Step`, with 1-d ``x`` and
-    ``x0_hat`` and that row's slice of the statistics; each row's noise fills
-    its row of one ``(B, d)`` array (the t = 1 step is noiseless); one
-    ``ddpm_step`` moves every row; then each row's mean hook returns the state
-    that row keeps. Returns the ``(B, d)`` states x_0. Every row is
-    bit-identical to a run of that row alone, and a single row (B = 1) is the
-    plain reverse loop.
+    ``x0_hat``, that row's slice of the statistics and the shared marginal;
+    each row's noise fills its row of one ``(B, d)`` array (the t = 1 step is
+    noiseless); one ``ddpm_step`` moves every row; then each row's mean hook
+    returns the state that row keeps. A hook's noise, the step's Steps and
+    their statistics are dropped before the next hook or scoring runs.
+    Returns the ``(B, d)`` states x_0. Every row is bit-identical to a run of
+    that row alone, and a single row (B = 1) is the plain reverse loop.
     """
     B, d = len(rows), prior.d
     x = np.empty((B, d))
@@ -424,18 +417,22 @@ def reverse_loop(prior: GaussianMixturePrior, schedule: Schedule, rows) -> np.nd
     eps = np.zeros((B, d))
     for t in range(schedule.T, 0, -1):
         step = step_at(prior, schedule, x, t)
-        resp, g, s = step.stats
-        views = [Step(t, x[r], step.x0_hat[r], (resp[r], g[r], s[r])) for r in range(B)]
+        views = [
+            Step(t, x[r], step.x0_hat[r], tuple(a[r] for a in step.stats), step.marginal)
+            for r in range(B)
+        ]
         if t >= 2:
             for r, (_, noise, _) in enumerate(rows):
                 row_noise = noise(views[r])
                 if np.shape(row_noise) != (d,):
                     raise ValueError(f"noise shape {np.shape(row_noise)} != state shape ({d},)")
                 eps[r] = row_noise
-        x = ddpm_step(schedule, x, t, eps, s)
+                del row_noise  # the next hook runs without the previous noise alive
+        x = ddpm_step(schedule, x, t, eps, step.stats[2])
         for r, (_, _, correct) in enumerate(rows):
             if correct is not None:
                 x[r] = correct(views[r], x[r])
+        del step, views  # free this step's statistics before the next is scored
     return x
 
 

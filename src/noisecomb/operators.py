@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import GaussianMixturePrior, Schedule, Step, tweedie_jacobian_apply
+from .diffusion import Schedule, Step, tweedie_jacobian_apply
 from .rng import NoiseStream
 
 __all__ = [
@@ -187,9 +187,7 @@ def make_observation(
     return Observation(y=y, operator=op)
 
 
-def dps_direction(
-    prior: GaussianMixturePrior, schedule: Schedule, obs: Observation, step: Step
-) -> np.ndarray:
+def dps_direction(schedule: Schedule, obs: Observation, step: Step) -> np.ndarray:
     """Likelihood-gradient direction: (1/sigma_t^2) J^T A^T (y - A x0_hat).
 
     Equals the ascent direction of the Gaussian log-likelihood of y given the
@@ -197,7 +195,7 @@ def dps_direction(
     schedule's sigma_t as the likelihood scale.
     """
     pulled = mpgd_direction(obs, step.x0_hat)
-    jv = tweedie_jacobian_apply(prior, schedule, step, pulled)
+    jv = tweedie_jacobian_apply(step, pulled)
     return jv / schedule.sigma_at(step.t) ** 2
 
 

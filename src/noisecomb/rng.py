@@ -197,9 +197,10 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None, buffers=None
     Column ``i`` is exactly the stream output for key ``StreamKey(seed,
     CODEBOOK, t, i)``, so the result does not depend on generation order and
     regeneration is bit-identical. Each atom re-keys the thread's Philox with
-    that key's words directly; the key fields are checked once, up front, with
-    :class:`StreamKey`'s ranges. The normal map is applied to all raw words in
-    one vectorized call; element-wise it is exactly the per-atom map.
+    that key's words directly; the key fields are checked once, before any
+    allocation, with :class:`StreamKey`'s ranges. The normal map is applied to
+    all raw words in one vectorized call; element-wise it is exactly the
+    per-atom map.
 
     With ``indices``, only the named atoms are drawn: the result is the
     ``(d, len(indices))`` array whose column ``j`` is exactly column
@@ -223,6 +224,8 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None, buffers=None
         if outside:
             raise ValueError(f"atom indices must lie in [0, {K}), got {outside}")
         top = max(atoms, default=0)
+    seed, t = operator.index(seed), operator.index(t)
+    _check_key_fields(seed, t, top)
     if buffers is None:
         raws, normals = np.empty((len(atoms), d), dtype=np.uint64), None
     else:
@@ -231,8 +234,6 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None, buffers=None
         if not (raws.dtype == np.uint64 and normals.dtype == np.float64
                 and raws.shape == normals.shape == shape):
             raise ValueError(f"buffers must be uint64 and float64 arrays of shape {shape}")
-    seed, t = operator.index(seed), operator.index(t)
-    _check_key_fields(seed, t, top)
     base = (int(Domain.CODEBOOK) << 48) | (t << 32)
     for j, i in enumerate(atoms):
         raws[j] = _rekey((seed, base | i)).random_raw(d)

@@ -17,7 +17,7 @@ that takes the measurement direction and the step codebook, and differ only
 in the weights (DDCM the argmax atom over all K, NCS-* the optimal or top-m
 combination). Each row reads what it needs from the loop's
 :class:`~noisecomb.diffusion.Step`: the Tweedie estimate for the measurement
-direction and, for DPS and NCS-DPS, the mixture statistics that
+direction and, for DPS and NCS-DPS, the statistics and marginal that
 ``tweedie_jacobian_apply`` takes. No solver scores a state itself.
 :func:`solve_rows` runs several configs as the rows of one lockstep loop, so
 the solvers of a ``(seed, T)`` share one scoring and one DDPM update per
@@ -142,7 +142,7 @@ def _row(prior, schedule, obs, config, codebooks, tally):
 
     def guided(step):
         if config.solver == "NCS-DPS":
-            c = dps_direction(prior, schedule, obs, step)
+            c = dps_direction(schedule, obs, step)
         else:
             c = mpgd_direction(obs, step.x0_hat)
         if np.linalg.norm(c) > 0:
@@ -162,7 +162,7 @@ def _row(prior, schedule, obs, config, codebooks, tally):
         rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(step.x0_hat)))
         if rnorm > 0 and config.zeta != 0.0:
             pulled = mpgd_direction(obs, step.x0_hat)
-            grad = -2.0 * tweedie_jacobian_apply(prior, schedule, step, pulled)
+            grad = -2.0 * tweedie_jacobian_apply(step, pulled)
             x_next = x_next - (config.zeta / rnorm) * grad
         return x_next
 

@@ -92,6 +92,20 @@ def test_cmd_sample_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cmd_sample_dump_holds_the_samples_in_csv_row_order(tmp_path):
+    from noisecomb.diffusion import build_schedule, unconditional_sample
+
+    prior = {"preset_id": 2, "d": 4}
+    cfg = {"prior": prior, "T": [6, 3], "seeds": [5, 0], "dump": str(tmp_path / "x.npy")}
+    rows = cmd_sample(cfg, str(tmp_path / "s.csv"))
+    dumped = np.load(tmp_path / "x.npy")
+    assert dumped.shape == (len(rows), 4)
+    assert [(r[0], r[1]) for r in rows] == [(0, 3), (5, 3), (0, 6), (5, 6)]
+    for (seed, T, *_), x in zip(rows, dumped):
+        alone = unconditional_sample(prior_from_config(prior), build_schedule(T), seed)
+        assert x.tobytes() == alone.tobytes()
+
+
 def test_cmd_sample_missing_prior_field(tmp_path):
     with pytest.raises(ConfigError, match="prior"):
         cmd_sample({"T": 5, "seeds": [1]}, str(tmp_path / "x.csv"))
@@ -458,6 +472,12 @@ def _tiny_solve(**fields):
         ("bench-quant", {"C_values": [2], "m_values": [2], "batch": 0}),
         ("sample", {"prior": {"preset_id": 1, "d": 4}, "T": 3, "seeds": [0],
                     "schedule": {"beta_min": 1e-17, "beta_max": 1e-17}}),  # alpha_bar = 1
+        ("sample", {"prior": {"weights": [1.0], "means": [[0.0, 0.0]],
+                              "covariances": [[[1.0, 0.5], [0.0, 1.0]]]}, "T": 3, "seeds": [0]}),
+        ("sample", {"prior": {"weights": [1.0], "means": [[0.0, 0.0]],
+                              "covariances": [[[1.0, 2.0], [2.0, 1.0]]]}, "T": 3, "seeds": [0]}),
+        ("sample", {"prior": {"weights": [1.0], "means": [[0.0, 0.0]], "variances": [[1.0]]},
+                    "T": 3, "seeds": [0]}),
     ],
     ids=[
         "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "psnr-range-zero",
@@ -465,12 +485,29 @@ def _tiny_solve(**fields):
         "unknown-key-lamda", "timing-not-bool", "unknown-task-key", "sample-unknown-key",
         "unknown-schedule-key", "bench-unknown-key", "bench-C-negative",
         "bench-m-zero", "bench-m-not-int", "bench-C-above-bound", "bench-m-above-255",
-        "bench-batch-zero", "schedule-alpha-bar-one",
+        "bench-batch-zero", "schedule-alpha-bar-one", "prior-covariance-not-symmetric",
+        "prior-covariance-not-positive-definite", "prior-variances-shape",
     ],
 )
 def test_cli_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command, cfg):
     assert _run_config(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,cfg,bound",
+    [
+        ("sample", {"prior": {"preset_id": 1, "d": 1 << 40}, "T": 3, "seeds": [0]}, "dimension bound"),
+        ("solve", _tiny_solve(K=1 << 33), "work bound"),
+    ],
+    ids=["sample-preset-d-above-MAX_D", "solve-K-above-work-bound"],
+)
+def test_cli_config_above_size_bound_is_a_config_error(tmp_path, capsys, command, cfg, bound):
+    # refused before any array of that size is allocated
+    assert _run_config(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and bound in err
     assert not (tmp_path / "out").exists()
 
 

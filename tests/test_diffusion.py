@@ -339,7 +339,7 @@ def test_jacobian_apply_matches_dense(prior_fn):
         x = RNG.normal(size=prior.d)
         v = RNG.normal(size=prior.d)
         J = tweedie_jacobian(prior, sch, x, t)
-        assert np.allclose(tweedie_jacobian_apply(prior, sch, step_at(prior, sch, x, t), v), J @ v, atol=1e-12)
+        assert np.allclose(tweedie_jacobian_apply(step_at(prior, sch, x, t), v), J @ v, atol=1e-12)
         # J is symmetric, so apply doubles as the transposed product
         assert np.allclose(J, J.T, atol=1e-12)
 
@@ -480,7 +480,7 @@ def test_full_covariance_path_at_d16():
     assert np.linalg.norm(fd - exact) <= 1e-5 * max(np.linalg.norm(exact), 1e-3)
     J = tweedie_jacobian(prior, sch, x, t)
     v = rng.normal(size=d)
-    assert np.allclose(tweedie_jacobian_apply(prior, sch, step_at(prior, sch, x, t), v), J @ v, atol=1e-11)
+    assert np.allclose(tweedie_jacobian_apply(step_at(prior, sch, x, t), v), J @ v, atol=1e-11)
 
 
 def test_unconditional_bimodal_recovers_weights():

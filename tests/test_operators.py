@@ -184,12 +184,12 @@ def test_dps_direction_zero_cases():
     step = step_at(prior, sch, x_t, t)
     op = Identity(4)
     obs = Observation(y=op.apply(step.x0_hat), operator=op)
-    assert np.allclose(dps_direction(prior, sch, obs, step), 0.0, atol=1e-12)
+    assert np.allclose(dps_direction(sch, obs, step), 0.0, atol=1e-12)
 
     point_mass = GaussianMixturePrior.single(np.array([1.0, 0.0, 0.0, 0.0]), 1e-12 * np.ones(4))
     obs2 = Observation(y=np.array([5.0, 5.0, 5.0, 5.0]), operator=op)
     step = step_at(point_mass, sch, x_t, t)
-    assert np.allclose(dps_direction(point_mass, sch, obs2, step), 0.0, atol=1e-6)
+    assert np.allclose(dps_direction(sch, obs2, step), 0.0, atol=1e-6)
 
 
 def test_dps_direction_matches_likelihood_gradient():
@@ -212,5 +212,5 @@ def test_dps_direction_matches_likelihood_gradient():
             e = np.zeros(4)
             e[j] = h
             fd[j] = (loss(x_t + e) - loss(x_t - e)) / (2 * h)
-        c = dps_direction(prior, sch, obs, step_at(prior, sch, x_t, t))
+        c = dps_direction(sch, obs, step_at(prior, sch, x_t, t))
         assert np.linalg.norm(c + fd) <= 1e-4 * max(np.linalg.norm(c), 1e-6)

@@ -277,6 +277,21 @@ def test_codebook_rejects_out_of_range_key_fields(monkeypatch):
     assert len(draws) == 1
 
 
+def test_codebook_checks_the_index_range_before_allocating():
+    import tracemalloc
+
+    # K = 2^33 atoms at d = 16 would be a 1 TiB array of raw words; the range
+    # error comes first, with nothing of that size allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="sub-stream index out of range"):
+            build_codebook(0, 1, 1 << 33, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_atom_norms_concentrate():
     d, K = 4096, 64
     cb = build_codebook(3, 1, K, d)

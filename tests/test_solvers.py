@@ -300,6 +300,34 @@ def test_solves_score_each_step_once(monkeypatch, prior_kind):
                 assert len(calls) == T, (solver, T, seed)
 
 
+@pytest.mark.parametrize(
+    "prior_kind,counted,expected", [("diagonal", "marginal_params", 12), ("full", "cho_factor", 36)]
+)
+def test_solve_rows_derive_the_marginal_once_per_step(monkeypatch, prior_kind, counted, expected):
+    # the rows of one step share its Step's marginal: one marginal_params call
+    # per step, and one cho_factor per step and component of a full prior;
+    # DPS and NCS-DPS rows that derived it again made 35 and 105 calls
+    import noisecomb.diffusion
+
+    if prior_kind == "diagonal":
+        prior = build_registered_prior(4, 8)
+    else:
+        gen = np.random.default_rng(7)
+        A = gen.normal(size=(3, 4, 4)) / 2.0
+        prior = GaussianMixturePrior(
+            weights=np.array([0.5, 0.3, 0.2]),
+            means=gen.normal(size=(3, 4)),
+            covariances=A @ A.transpose(0, 2, 1) + 0.5 * np.eye(4),
+        )
+    obs = Observation(y=np.ones(2), operator=Mask(prior.d, [0, 1]))
+    configs = [SolverConfig(solver=s, K=16, seed=3) for s in ("DPS", "NCS-DPS", "MPGD", "NCS-MPGD")]
+    calls = []
+    real = getattr(noisecomb.diffusion, counted)
+    monkeypatch.setattr(noisecomb.diffusion, counted, lambda *a, **k: calls.append(1) or real(*a, **k))
+    solve_rows(prior, build_schedule(12, 1e-4, 0.02), obs, configs)
+    assert len(calls) == expected
+
+
 @pytest.mark.parametrize("prior_kind", ["diagonal", "full"])
 def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
     # at every Step the loop hands its hooks, the products built from the Step's
@@ -318,7 +346,7 @@ def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
     assert [step.t for step in steps] == list(range(15, 1, -1))
     for step in steps:
         J = tweedie_jacobian(prior, sch, step.x, step.t)
-        assert np.allclose(tweedie_jacobian_apply(prior, sch, step, v), J @ v, atol=1e-12)
+        assert np.allclose(tweedie_jacobian_apply(step, v), J @ v, atol=1e-12)
         pulled = mpgd_direction(obs, step.x0_hat)
         expected = J @ pulled / sch.sigma_at(step.t) ** 2
-        assert np.allclose(dps_direction(prior, sch, obs, step), expected, atol=1e-12)
+        assert np.allclose(dps_direction(sch, obs, step), expected, atol=1e-12)
