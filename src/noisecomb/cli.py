@@ -31,7 +31,7 @@ from .codec import (
     decompress,
     report_bpp,
 )
-from .diffusion import GaussianMixturePrior, build_schedule, unconditional_sample
+from .diffusion import GaussianMixturePrior, build_schedule, fresh_noise, reverse_loop
 from .operators import make_observation, operator_from_config
 from .quantizer import QUANTIZERS, make_grid, quantize_greedy_exponential, stick_objective
 from .rng import Domain, StreamKey, derive_stream
@@ -221,7 +221,11 @@ def _t_values(cfg: dict) -> list:
 
 
 def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
-    """Unconditional samples per (seed, T): moment summary CSV plus a dump."""
+    """Unconditional samples per (seed, T): moment summary CSV plus a dump.
+
+    The whole (T, seed) grid is one lockstep ``reverse_loop`` with one
+    sampler row (fresh keyed noise, no mean hook) per sample.
+    """
     _known_keys(cfg, _SAMPLE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
     schedule_spec = cfg.get("schedule", {})
@@ -229,34 +233,36 @@ def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
     dump = cfg.get("dump")
     if dump is not None and not isinstance(dump, str):
         raise ConfigError(f"dump: expected a file name, got {dump!r}")
-    results = [
-        (T, seed, unconditional_sample(prior, _schedule_from_config(schedule_spec, T), seed))
-        for T in _t_values(cfg)
-        for seed in seeds
-    ]
-    results.sort(key=lambda r: (r[0], r[1]))
+    t_values = _t_values(cfg)
+    schedules = {T: _schedule_from_config(schedule_spec, T) for T in t_values}
+
+    def sampler_row(T, seed):
+        return schedules[T], seed, lambda step: fresh_noise(seed, step.t, prior.d), None
+
+    grid = [(T, seed) for T in t_values for seed in seeds]
+    samples = reverse_loop(prior, [sampler_row(T, seed) for T, seed in grid])
+    results = sorted(zip(grid, samples), key=lambda r: r[0])
     rows = [
         (seed, T, float(x.mean()), float(x.var()), float(x.min()), float(x.max()))
-        for T, seed, x in results
+        for (T, seed), x in results
     ]
     _write_csv(out, ["seed", "T", "mean", "var", "min", "max"], rows)
     if dump:
-        np.save(dump, np.stack([x for _, _, x in results]))
+        np.save(dump, np.stack([x for _, x in results]))
     return rows
 
 
 def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     """Run the (solver x T x seed) grid against one task; write metric rows.
 
-    The whole config is read, and checked, before the first solve runs. Jobs
-    run seed by seed: each seed's ground truth and observation are drawn once,
-    and its jobs share one codebook dict (see :mod:`noisecomb.solvers`), so a
-    ``(seed, t, K, d)`` codebook is built once per seed and dropped with the
-    seed's dict. Within a seed, each T is one lockstep ``solve_rows`` call
-    that runs every configured solver as one row. With ``"timing": true``,
-    each row's ``wall_ms`` is the wall time of its (seed, T) call, so the rows
-    of one call show the same value. Rows are sorted by
-    ``(solver, task, T, seed)``, so the CSV does not depend on the run order.
+    The whole config is read, and checked, before the first solve runs. Each
+    seed's ground truth and observation are drawn once. The grid is one
+    lockstep ``solve_rows`` call whose jobs are ordered seed-major, then by T,
+    then by solver, so each ``(seed, t, K, d)`` codebook is built once and at
+    most one is alive (see :mod:`noisecomb.solvers`). With ``"timing":
+    true``, every row's ``wall_ms`` is the wall time of that one call. Rows
+    are sorted by ``(solver, task, T, seed)``, so the CSV does not depend on
+    the run order.
     """
     _known_keys(cfg, _SOLVE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
@@ -297,22 +303,24 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     task_name = task.get("name", op.kind)
-    rows = []
+    grid, jobs = [], []
     for seed in seeds:
         x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
         noise = derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
         obs = make_observation(x0, op, sigma_obs, noise)
-        seed_configs = [replace(config, seed=seed) for config in configs]
-        codebooks = {}
         for T in t_values:
-            start = time.perf_counter() if timing else 0.0
-            results = solve_rows(prior, schedules[T], obs, seed_configs, codebooks)
-            wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-            for config, result in zip(configs, results):
-                err = mse(result.x0, x0)
-                m_used = config.m if config.m is not None else config.K
-                rows.append((seed, config.solver, task_name, T, config.K, m_used, err,
-                             psnr(err, psnr_range), wall_ms, result.degenerate_steps))
+            for config in configs:
+                grid.append((seed, T, x0))
+                jobs.append((schedules[T], obs, replace(config, seed=seed)))
+    start = time.perf_counter() if timing else 0.0
+    results = solve_rows(prior, jobs)
+    wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
+    rows = []
+    for (seed, T, x0), (_, _, config), result in zip(grid, jobs, results):
+        err = mse(result.x0, x0)
+        m_used = config.m if config.m is not None else config.K
+        rows.append((seed, config.solver, task_name, T, config.K, m_used, err,
+                     psnr(err, psnr_range), wall_ms, result.degenerate_steps))
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
     _write_csv(out, METRIC_COLUMNS, rows)
     return rows

@@ -89,7 +89,8 @@ def top_m_weights(c: np.ndarray, E, m: int) -> TopMSelection:
     Indices are stored in descending-b order. Weights are the normalized
     restriction of b with negative entries clamped to zero (the optimum over
     the nonnegative orthant on that support); m = 1 degenerates to argmax
-    selection with weight 1. All b_i <= 0 is a degenerate instance.
+    selection with weight 1. All b_i <= 0 is a degenerate instance, and so is
+    a top m whose norm underflows to 0 (inner products below about 1e-162).
     """
     b = inner_products(c, E)
     if not 1 <= m <= b.size:
@@ -99,7 +100,10 @@ def top_m_weights(c: np.ndarray, E, m: int) -> TopMSelection:
     # stable sort so equal inner products resolve to the smaller index
     order = np.argsort(-b, kind="stable")[:m]
     b_sel = np.maximum(b[order], 0.0)
-    return TopMSelection(indices=order, weights=b_sel / np.linalg.norm(b_sel))
+    norm = np.linalg.norm(b_sel)
+    if norm == 0:  # the kept inner products underflow in the norm
+        raise DegenerateDirectionError("the top-m inner products have zero norm")
+    return TopMSelection(indices=order, weights=b_sel / norm)
 
 
 def synthesize_noise(E, weights) -> np.ndarray:

@@ -18,9 +18,11 @@ reverse step adds no noise.
 time-t marginal. The Jacobian-vector product :func:`tweedie_jacobian_apply`
 (and with it the DPS direction) takes a Step, so it reuses all three. Sampler,
 solvers and codec all run :func:`reverse_loop` with their own noise policy and
-optional mean hook. The loop advances a batch of such rows in lockstep: it
-calls ``step_at`` once per timestep on the ``(B, d)`` state and hands each
-row's hooks that row's Step; the sampler and the codec are its one-row case.
+optional mean hook. The loop advances a batch of such rows in lockstep,
+aligned by t, each row on its own schedule: it calls ``step_at`` once per
+timestep and schedule on the ``(B_g, d)`` state of that schedule's rows and
+hands each row's hooks that row's Step; the sampler and the codec are its
+one-row case.
 """
 
 from __future__ import annotations
@@ -394,46 +396,61 @@ def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
     return Step(t, x, (x + (1.0 - ab) * s) / np.sqrt(ab), (resp, g, s), marginal)
 
 
-def reverse_loop(prior: GaussianMixturePrior, schedule: Schedule, rows) -> np.ndarray:
+def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
     """The reverse process of every row, in lockstep, from its keyed N(0, I) latent down to x_0.
 
-    ``rows`` lists ``(seed, noise, correct)``: the seed keys the row's latent,
-    ``noise(step)`` is its noise policy and ``correct(step, x_next)`` its
-    optional mean hook (``None`` for none). The rows share ``prior`` and
-    ``schedule``. Per t = T..1: one ``step_at`` scores the ``(B, d)`` state;
-    each row's hooks get that row's own :class:`Step`, with 1-d ``x`` and
-    ``x0_hat``, that row's slice of the statistics and the shared marginal;
-    each row's noise fills its row of one ``(B, d)`` array (the t = 1 step is
-    noiseless); one ``ddpm_step`` moves every row; then each row's mean hook
-    returns the state that row keeps. A hook's noise, the step's Steps and
-    their statistics are dropped before the next hook or scoring runs.
-    Returns the ``(B, d)`` states x_0. Every row is bit-identical to a run of
-    that row alone, and a single row (B = 1) is the plain reverse loop.
+    ``rows`` lists ``(schedule, seed, noise, correct)``: the row's schedule,
+    the seed that keys its latent, its noise policy ``noise(step)`` and its
+    optional mean hook ``correct(step, x_next)`` (``None`` for none). All rows
+    share ``prior``; rows that name the same schedule object form one group
+    with one ``(B_g, d)`` state. The loop runs t = max T..1, aligned by t: a
+    group joins at its own T. Per t, one ``step_at`` scores each group whose
+    T >= t, and each of its rows' hooks gets that row's own :class:`Step`,
+    with 1-d ``x`` and ``x0_hat``, that row's slice of the statistics and the
+    group's marginal. The noise hooks run in the order of ``rows`` and each
+    fills its row of its group's noise (the t = 1 step is noiseless); one
+    ``ddpm_step`` moves each group; then the mean hooks, in the order of
+    ``rows``, return the states the rows keep. A hook's noise, the step's
+    Steps and their statistics are dropped before the next hook or scoring
+    runs. Returns the ``(B, d)`` states x_0 in the order of ``rows``. Every
+    row is bit-identical to a run of that row alone, and a single row
+    (B = 1) is the plain reverse loop.
     """
-    B, d = len(rows), prior.d
-    x = np.empty((B, d))
-    for r, (seed, _, _) in enumerate(rows):
-        x[r] = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(d)
-    eps = np.zeros((B, d))
-    for t in range(schedule.T, 0, -1):
-        step = step_at(prior, schedule, x, t)
+    d = prior.d
+    schedules, latents = {}, {}  # per group, keyed by id(schedule)
+    place = []  # per row: its group and its row of the group's state
+    for schedule, seed, _, _ in rows:
+        g = id(schedule)
+        schedules[g] = schedule
+        place.append((g, len(latents.setdefault(g, []))))
+        key = StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)
+        latents[g].append(derive_stream(key).standard_normal(d))
+    x = {g: np.array(latents.pop(g)) for g in schedules}
+    eps = {g: np.zeros_like(xg) for g, xg in x.items()}
+    for t in range(max((schedule.T for schedule in schedules.values()), default=0), 0, -1):
+        steps = {g: step_at(prior, sch, x[g], t) for g, sch in schedules.items() if sch.T >= t}
         views = [
-            Step(t, x[r], step.x0_hat[r], tuple(a[r] for a in step.stats), step.marginal)
-            for r in range(B)
+            None if g not in steps else Step(
+                t, x[g][i], steps[g].x0_hat[i],
+                tuple(a[i] for a in steps[g].stats), steps[g].marginal,
+            )
+            for g, i in place
         ]
         if t >= 2:
-            for r, (_, noise, _) in enumerate(rows):
-                row_noise = noise(views[r])
-                if np.shape(row_noise) != (d,):
-                    raise ValueError(f"noise shape {np.shape(row_noise)} != state shape ({d},)")
-                eps[r] = row_noise
-                del row_noise  # the next hook runs without the previous noise alive
-        x = ddpm_step(schedule, x, t, eps, step.stats[2])
-        for r, (_, _, correct) in enumerate(rows):
-            if correct is not None:
-                x[r] = correct(views[r], x[r])
-        del step, views  # free this step's statistics before the next is scored
-    return x
+            for (g, i), view, (_, _, noise, _) in zip(place, views, rows):
+                if view is not None:
+                    row_noise = noise(view)
+                    if np.shape(row_noise) != (d,):
+                        raise ValueError(f"noise shape {np.shape(row_noise)} != state shape ({d},)")
+                    eps[g][i] = row_noise
+                    del row_noise  # the next hook runs without the previous noise alive
+        for g, step in steps.items():
+            x[g] = ddpm_step(schedules[g], x[g], t, eps[g], step.stats[2])
+        for (g, i), view, (_, _, _, correct) in zip(place, views, rows):
+            if view is not None and correct is not None:
+                x[g][i] = correct(view, x[g][i])
+        del steps, views, step, view  # free this step's statistics before the next is scored
+    return np.array([x[g][i] for g, i in place]).reshape(len(rows), d)
 
 
 def unconditional_sample(
@@ -444,4 +461,4 @@ def unconditional_sample(
     def noise(step):
         return fresh_noise(seed, step.t, prior.d)
 
-    return reverse_loop(prior, schedule, [(seed, noise, None)])[0]
+    return reverse_loop(prior, [(schedule, seed, noise, None)])[0]

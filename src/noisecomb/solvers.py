@@ -19,24 +19,24 @@ combination). Each row reads what it needs from the loop's
 :class:`~noisecomb.diffusion.Step`: the Tweedie estimate for the measurement
 direction and, for DPS and NCS-DPS, the statistics and marginal that
 ``tweedie_jacobian_apply`` takes. No solver scores a state itself.
-:func:`solve_rows` runs several configs as the rows of one lockstep loop, so
-the solvers of a ``(seed, T)`` share one scoring and one DDPM update per
-step; each row is bit-identical to its own :func:`solve`, which is the
-one-row case (as are :func:`ncs_solve` and :func:`baseline_solve`).
+:func:`solve_rows` runs several ``(schedule, obs, config)`` jobs as the rows
+of one lockstep loop: the jobs of one schedule share one scoring and one DDPM
+update per step, and every schedule's rows step together, aligned by t. Each
+row is bit-identical to its own :func:`solve`, which is the one-job case (as
+are :func:`ncs_solve` and :func:`baseline_solve`).
 
 A degenerate direction (zero, or with no usable codebook projection) makes
 its step draw the keyed fresh noise of a plain DDPM step, ``fresh_noise(seed,
 t, d)``. A zero direction (``||c|| == 0``) is degenerate for every codebook,
 so its step builds none.
 
-A codebook depends only on ``(seed, t, K, d)``, not on the solver or on T, so
-the solvers that use one (NCS-*, DDCM) take it from an optional ``codebooks``
-dict keyed by that full tuple: a build is stored there, read-only, and later
-solves that name the same key reuse it. Without a dict every step builds its
-own codebook. The caller owns the dict and its scope; ``cli.cmd_solve`` keeps
-one per seed, so it holds at most ``max(T) - 1`` codebooks of ``K*d`` floats
-at a time (about 0.8 MB for the shipped d=16 grid, 207 MB at d=4096, T=100,
-K=64). There is no process-wide cache.
+A codebook depends only on ``(seed, t, K, d)``, not on the solver or on T.
+Within one :func:`solve_rows` call the rows keep the last codebook built,
+read-only, and a row that names the same key reuses it; any other key drops
+it and builds its own, so at most one codebook of ``K*d`` floats is alive. The
+loop runs its noise hooks in job order, so jobs of one K ordered seed-major
+build each key once: ``cli.cmd_solve`` orders its grid that way (990 builds
+for the shipped d=16 grid). There is no process-wide cache.
 """
 
 from __future__ import annotations
@@ -114,19 +114,7 @@ class SolveResult:
     degenerate_steps: int
 
 
-def _codebook(config: SolverConfig, t: int, d: int, codebooks: dict | None) -> np.ndarray:
-    """The read-only step-``t`` codebook of ``config``, reused from ``codebooks`` when there."""
-    key = (config.seed, t, config.K, d)
-    codebook = None if codebooks is None else codebooks.get(key)
-    if codebook is None:
-        codebook = build_codebook(*key)
-        codebook.flags.writeable = False
-        if codebooks is not None:
-            codebooks[key] = codebook
-    return codebook
-
-
-def _row(prior, schedule, obs, config, codebooks, tally):
+def _row(prior, schedule, obs, config, codebook_at, tally):
     """The ``(noise, correct)`` pair of one loop row; it counts degenerate steps in ``tally[0]``.
 
     DPS and MPGD draw fresh noise and correct the mean at every step, t = 1
@@ -146,7 +134,7 @@ def _row(prior, schedule, obs, config, codebooks, tally):
         else:
             c = mpgd_direction(obs, step.x0_hat)
         if np.linalg.norm(c) > 0:
-            codebook = _codebook(config, step.t, prior.d, codebooks)
+            codebook = codebook_at(config.seed, step.t, config.K)
             try:
                 if config.solver == "DDCM":
                     return codebook[:, int(np.argmax(inner_products(c, codebook)))]
@@ -183,70 +171,67 @@ def _row(prior, schedule, obs, config, codebooks, tally):
     return guided, None
 
 
-def solve_rows(
-    prior: GaussianMixturePrior,
-    schedule: Schedule,
-    obs: Observation,
-    configs,
-    codebooks: dict | None = None,
-) -> list:
-    """One :class:`SolveResult` per config, all solved in one lockstep ``reverse_loop``.
+def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
+    """One :class:`SolveResult` per ``(schedule, obs, config)`` job, all in one ``reverse_loop``.
 
-    Each config is one row of the loop: its solver's noise policy and mean
-    hook, keyed by its own seed. Every result is bit-identical to
-    ``solve(prior, schedule, obs, config, codebooks)`` run alone; rows that
-    name the same ``(seed, t, K, d)`` share one codebook through
-    ``codebooks``, as consecutive solves would.
+    Each job is one row of the loop: its solver's noise policy and mean hook
+    against its own observation, keyed by its config's seed on its schedule;
+    jobs that share a schedule object are scored as one batch. Every result is
+    bit-identical to ``solve(prior, schedule, obs, config)`` run alone. The
+    rows keep the last codebook built, read-only, and build the next only when
+    a row asks for another ``(seed, t, K, d)``; the previous one is dropped
+    first, so at most one codebook is alive. Jobs ordered seed-major build
+    each ``(seed, t, K, d)`` once.
     """
-    tallies = [[0] for _ in configs]
+    last = (None, None)  # the key and read-only codebook of the latest build
+
+    def codebook_at(seed, t, K):
+        nonlocal last
+        key = (seed, t, K, prior.d)
+        if last[0] != key:
+            last = (None, None)  # drop the previous codebook before the next is built
+            codebook = build_codebook(*key)
+            codebook.flags.writeable = False
+            last = (key, codebook)
+        return last[1]
+
+    tallies = [[0] for _ in jobs]
     rows = [
-        (config.seed, *_row(prior, schedule, obs, config, codebooks, tally))
-        for config, tally in zip(configs, tallies)
+        (schedule, config.seed, *_row(prior, schedule, obs, config, codebook_at, tally))
+        for (schedule, obs, config), tally in zip(jobs, tallies)
     ]
-    x0 = reverse_loop(prior, schedule, rows)
+    x0 = reverse_loop(prior, rows)
     return [SolveResult(x0=x, degenerate_steps=tally[0]) for x, tally in zip(x0, tallies)]
 
 
 def ncs_solve(
-    prior: GaussianMixturePrior,
-    schedule: Schedule,
-    obs: Observation,
-    config: SolverConfig,
-    codebooks: dict | None = None,
+    prior: GaussianMixturePrior, schedule: Schedule, obs: Observation, config: SolverConfig
 ) -> SolveResult:
     """Combination solvers: plain DDPM steps with guided noise (see ``_row``).
 
-    The DDPM mean is left as it is. The one-row case of :func:`solve_rows`.
+    The DDPM mean is left as it is. The one-job case of :func:`solve_rows`.
     """
     if config.solver not in NCS_SOLVERS:
         raise ValueError(f"ncs_solve requires a combination solver, got {config.solver!r}")
-    return solve_rows(prior, schedule, obs, [config], codebooks)[0]
+    return solve_rows(prior, [(schedule, obs, config)])[0]
 
 
 def baseline_solve(
-    prior: GaussianMixturePrior,
-    schedule: Schedule,
-    obs: Observation,
-    config: SolverConfig,
-    codebooks: dict | None = None,
+    prior: GaussianMixturePrior, schedule: Schedule, obs: Observation, config: SolverConfig
 ) -> SolveResult:
     """Reference solvers, guided through the mean term or one atom (see ``_row``).
 
-    The one-row case of :func:`solve_rows`.
+    The one-job case of :func:`solve_rows`.
     """
     if config.solver not in BASELINE_SOLVERS:
         raise ValueError(f"baseline_solve requires a baseline solver, got {config.solver!r}")
-    return solve_rows(prior, schedule, obs, [config], codebooks)[0]
+    return solve_rows(prior, [(schedule, obs, config)])[0]
 
 
 def solve(
-    prior: GaussianMixturePrior,
-    schedule: Schedule,
-    obs: Observation,
-    config: SolverConfig,
-    codebooks: dict | None = None,
+    prior: GaussianMixturePrior, schedule: Schedule, obs: Observation, config: SolverConfig
 ) -> SolveResult:
-    """Dispatch on the solver family; ``codebooks`` is the optional codebook memo."""
+    """Dispatch on the solver family."""
     if config.solver in NCS_SOLVERS:
-        return ncs_solve(prior, schedule, obs, config, codebooks)
-    return baseline_solve(prior, schedule, obs, config, codebooks)
+        return ncs_solve(prior, schedule, obs, config)
+    return baseline_solve(prior, schedule, obs, config)

@@ -365,16 +365,21 @@ def test_shipped_solve_grid_builds_each_codebook_once_per_seed(tmp_path, monkeyp
     import hashlib
     import pathlib
     import sys
+    import weakref
 
+    import noisecomb.diffusion
     import noisecomb.rng
     import noisecomb.solvers
 
-    builds, handed = [], []
+    builds, built, live, writeable, scorings = [], [], [], [], []
     real_build = noisecomb.rng.build_codebook
 
     def counting_build(*args, **kwargs):
         builds.append(args)
-        return real_build(*args, **kwargs)
+        codebook = real_build(*args, **kwargs)
+        built.append(weakref.ref(codebook))
+        live.append(sum(ref() is not None for ref in built))
+        return codebook
 
     for name, module in list(sys.modules.items()):
         if (name == "noisecomb" or name.startswith("noisecomb.")) and vars(module).get("build_codebook") is real_build:
@@ -383,10 +388,14 @@ def test_shipped_solve_grid_builds_each_codebook_once_per_seed(tmp_path, monkeyp
         real = getattr(noisecomb.solvers, name)
 
         def recording(*args, _real=real, **kwargs):
-            handed.extend(a for a in args if isinstance(a, np.ndarray) and a.ndim == 2)
+            writeable.extend(a.flags.writeable for a in args if isinstance(a, np.ndarray) and a.ndim == 2)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(noisecomb.solvers, name, recording)
+    real_step_at = noisecomb.diffusion.step_at
+    monkeypatch.setattr(
+        noisecomb.diffusion, "step_at", lambda *a, **k: scorings.append(a[1].T) or real_step_at(*a, **k)
+    )
 
     config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "solve_inpaint.json"
     out = tmp_path / "grid.csv"
@@ -396,7 +405,11 @@ def test_shipped_solve_grid_builds_each_codebook_once_per_seed(tmp_path, monkeyp
     assert digest == "940da54d386c8c5c6f785ecd7b1ba33d7ac82735355988117bb6f939d6d546c2"
     # 990 distinct (seed, t, K, d) keys; without reuse the grid builds 2360
     assert len(builds) == len(set(builds)) == 990
-    assert handed and not any(codebook.flags.writeable for codebook in handed)
+    # one codebook alive at a time: each build finds the previous one dropped
+    assert live == [1] * 990
+    assert writeable and not any(writeable)
+    # one scoring per step of each schedule, T = 100 and T = 20, for all 80 jobs
+    assert sorted(scorings) == [20] * 20 + [100] * 100
 
 
 def test_k_presets_resolve(tmp_path):

@@ -118,6 +118,16 @@ def test_top_m_all_nonpositive_degenerate():
         top_m_weights(c, E, 2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [1, 2])
+def test_top_m_underflowing_norm_is_degenerate(m):
+    # all of b has norm 1, but the kept inner products (1e-170 and 0) square
+    # to 0 in their norm; normalizing them gave the weights [inf] and a
+    # divide-by-zero warning
+    with pytest.raises(DegenerateDirectionError):
+        top_m_weights(np.array([1.0, 0.0]), np.array([[-1.0, 1e-170], [0.0, 0.0]]), m)
+
+
 def test_top_m_rejects_bad_m():
     E = RNG.normal(size=(8, 4))
     c = RNG.normal(size=8)

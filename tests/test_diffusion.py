@@ -404,7 +404,7 @@ def test_reverse_loop_rejects_noise_of_the_wrong_shape():
     sch = build_schedule(3, 1e-4, 0.02)
     for bad in (0.5, np.zeros(1), np.zeros(5), np.zeros((1, 4))):
         with pytest.raises(ValueError, match="noise shape"):
-            reverse_loop(prior, sch, [(0, lambda step: bad, None)])
+            reverse_loop(prior, [(sch, 0, lambda step: bad, None)])
 
 
 def test_ddpm_step_rejects_dimension_mismatch():
@@ -422,9 +422,9 @@ def _batched_unconditional(prior, sch, seeds):
     """``unconditional_sample`` over a seed batch: one lockstep loop, one row per seed."""
 
     def row(seed):
-        return seed, lambda step: fresh_noise(seed, step.t, prior.d), None
+        return sch, seed, lambda step: fresh_noise(seed, step.t, prior.d), None
 
-    return reverse_loop(prior, sch, [row(seed) for seed in seeds])
+    return reverse_loop(prior, [row(seed) for seed in seeds])
 
 
 def test_unconditional_deterministic_per_seed():

@@ -158,31 +158,62 @@ def test_zero_direction_builds_no_codebook(monkeypatch, solver):
     assert len(builds) == 14  # one per noisy step when the direction is not zero
 
 
+_LOCKSTEP_SCHEDULES = (build_schedule(7, 1e-4, 0.02), build_schedule(12, 1e-4, 0.02))
+
+
+def _lockstep_jobs(operator):
+    """Jobs over two schedules (T = 7 and 12) and two seeds, each with its own
+    observation: all six solvers at m in {None, 1, 3}, seed-major, then by T."""
+    jobs = []
+    for seed in (5, 6):
+        prior, _, _, obs = _toy_problem(seed=seed)
+        if operator == "zero":
+            obs = Observation(y=np.zeros(1), operator=ZeroOperator(prior.d))
+        for sch in _LOCKSTEP_SCHEDULES:
+            for solver in BASELINE_SOLVERS + NCS_SOLVERS:
+                for m in (None, 1, 3):
+                    jobs.append((sch, obs, SolverConfig(solver=solver, K=8, m=m, seed=seed)))
+    return prior, jobs
+
+
 @pytest.mark.parametrize("operator", ["mask", "zero"])
 def test_lockstep_rows_match_one_row_solves(operator):
-    # each row of one lockstep call is its one-row solve, byte for byte: all six
-    # solvers, m in {None, 1, 3}, two seeds, one shared codebook dict
-    prior, sch, _, obs = _toy_problem(seed=5, T=12)
-    if operator == "zero":
-        obs = Observation(y=np.zeros(1), operator=ZeroOperator(prior.d))
-    configs = [
-        SolverConfig(solver=solver, K=8, m=m, seed=seed)
-        for seed in (5, 6)
-        for solver in BASELINE_SOLVERS + NCS_SOLVERS
-        for m in (None, 1, 3)
-    ]
-    rows = solve_rows(prior, sch, obs, configs, {})
-    assert len(rows) == len(configs)
-    for config, row in zip(configs, rows):
+    # each row of one lockstep call is its one-job solve, byte for byte
+    prior, jobs = _lockstep_jobs(operator)
+    rows = solve_rows(prior, jobs)
+    assert len(rows) == len(jobs)
+    for (sch, obs, config), row in zip(jobs, rows):
         alone = solve(prior, sch, obs, config)
-        assert row.x0.tobytes() == alone.x0.tobytes(), config
-        assert row.degenerate_steps == alone.degenerate_steps, config
-    # per seed, the mask gives 8 distinct trajectories (NCS-MPGD and NCS-DDCM
-    # coincide, and so do m = 1 and DDCM); the zero operator leaves every
-    # solver at plain DDPM, one trajectory
+        assert row.x0.tobytes() == alone.x0.tobytes(), (sch.T, config)
+        assert row.degenerate_steps == alone.degenerate_steps, (sch.T, config)
+    # per seed, the mask gives 8 distinct trajectories at T = 12 (NCS-MPGD and
+    # NCS-DDCM coincide, and so do m = 1 and DDCM) and 7 at T = 7 (where
+    # NCS-DPS at m = 1 also picks DDCM's atom at every step); the zero
+    # operator leaves every solver at plain DDPM, one trajectory per seed and T
     degenerate = {row.degenerate_steps for row in rows}
-    assert degenerate == ({0, 11} if operator == "zero" else {0})
-    assert len({row.x0.tobytes() for row in rows}) == (2 if operator == "zero" else 16)
+    assert degenerate == ({0, 6, 11} if operator == "zero" else {0})
+    assert len({row.x0.tobytes() for row in rows}) == (4 if operator == "zero" else 30)
+
+
+def test_lockstep_job_order_changes_builds_not_bytes(monkeypatch):
+    # jobs out of seed-major order rebuild codebooks the kept one does not
+    # match, and give the same bytes
+    import noisecomb.solvers
+
+    builds = []
+    real = noisecomb.solvers.build_codebook
+    monkeypatch.setattr(noisecomb.solvers, "build_codebook", lambda *a, **k: builds.append(a) or real(*a, **k))
+    prior, jobs = _lockstep_jobs("mask")
+    ordered = solve_rows(prior, jobs)
+    # one build per seed and noisy step of the longest schedule
+    assert len(builds) == len(set(builds)) == 2 * 11
+    builds.clear()
+    order = np.random.default_rng(3).permutation(len(jobs))
+    shuffled = solve_rows(prior, [jobs[j] for j in order])
+    assert len(builds) > 2 * 11 and len(set(builds)) == 2 * 11
+    for j, row in zip(order, shuffled):
+        assert row.x0.tobytes() == ordered[j].x0.tobytes()
+        assert row.degenerate_steps == ordered[j].degenerate_steps
 
 
 def test_self_consistent_first_step_degenerates():
@@ -324,7 +355,8 @@ def test_solve_rows_derive_the_marginal_once_per_step(monkeypatch, prior_kind, c
     calls = []
     real = getattr(noisecomb.diffusion, counted)
     monkeypatch.setattr(noisecomb.diffusion, counted, lambda *a, **k: calls.append(1) or real(*a, **k))
-    solve_rows(prior, build_schedule(12, 1e-4, 0.02), obs, configs)
+    sch = build_schedule(12, 1e-4, 0.02)
+    solve_rows(prior, [(sch, obs, config) for config in configs])
     assert len(calls) == expected
 
 
@@ -342,7 +374,7 @@ def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
         steps.append(step)
         return fresh_noise(3, step.t, prior.d)
 
-    reverse_loop(prior, sch, [(3, noise, None)])
+    reverse_loop(prior, [(sch, 3, noise, None)])
     assert [step.t for step in steps] == list(range(15, 1, -1))
     for step in steps:
         J = tweedie_jacobian(prior, sch, step.x, step.t)
