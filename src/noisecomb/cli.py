@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 import time
 from dataclasses import replace
@@ -73,7 +74,7 @@ _SOLVE_KEYS = {
     "psnr_range", "timing",
 }
 _TASK_KEYS = {"name", "operator", "sigma_obs"}
-_SCHEDULE_KEYS = {"kind", "beta_min", "beta_max"}
+_SCHEDULE_KEYS = {"beta_min", "beta_max"}
 _COMPRESS_KEYS = {"prior_id", "schedule", "T", "K", "m", "C", "seed", "n_side", "quantizer"}
 _BENCH_QUANT_KEYS = {"m_values", "C_values", "batch", "seed", "budget"}
 
@@ -102,9 +103,16 @@ def _object(value, where: str) -> dict:
 
 
 def _typed(kind, value, where: str, lo=None, hi=None):
-    """``kind(value)`` within ``[lo, hi]``, finite if a float; the one reader of config numbers."""
+    """``value`` read as ``kind`` within ``[lo, hi]``; the one reader of config numbers.
+
+    An int is read with ``operator.index``, so ``5.7`` and ``"5"`` are refused
+    rather than truncated or parsed; a float only from a finite number. A
+    bool is neither.
+    """
     try:
-        out = kind(value)
+        if isinstance(value, bool) or (kind is float and isinstance(value, str)):
+            raise TypeError
+        out = operator.index(value) if kind is int else kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}") from None
     if kind is float and not np.isfinite(out):
@@ -163,8 +171,6 @@ def prior_from_config(spec: dict) -> GaussianMixturePrior:
 
 def _schedule_from_config(spec: dict, T: int):
     _known_keys(_object(spec, "schedule"), _SCHEDULE_KEYS, "schedule")
-    if spec.get("kind", "linear") != "linear":
-        raise ConfigError(f"schedule: unknown kind {spec['kind']!r}; only 'linear' exists")
     beta_min = _typed(float, spec.get("beta_min", 1e-4), "schedule: beta_min")
     beta_max = _typed(float, spec.get("beta_max", 0.02), "schedule: beta_max")
     try:

@@ -84,24 +84,30 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Discrete VP/DDPM noise schedule given by ``beta``; arrays indexed by ``t - 1``.
+    """DDPM's linear beta ramp from ``beta_min`` at t=1 to ``beta_max`` at t=T.
 
-    ``alpha``, ``alpha_bar`` and ``sigma`` are derived from ``beta`` on
-    construction. Every ``alpha_bar`` must lie in (0, 1): at 1 (``1 - beta``
-    rounds to 1) or 0 (underflow) the reverse steps divide by zero.
+    The three numbers are the schedule: equality, hash and repr go by them.
+    ``beta``, ``alpha``, ``alpha_bar`` and ``sigma`` are derived on
+    construction, indexed by ``t - 1``. Every ``alpha_bar`` must lie in (0, 1):
+    at 1 (``1 - beta`` rounds to 1) or 0 (underflow) the reverse steps divide
+    by zero.
     """
 
-    beta: np.ndarray
-    alpha: np.ndarray = field(init=False)
-    alpha_bar: np.ndarray = field(init=False)
-    sigma: np.ndarray = field(init=False)
+    T: int
+    beta_min: float = 1e-4
+    beta_max: float = 0.02
+    beta: np.ndarray = field(init=False, compare=False, repr=False)
+    alpha: np.ndarray = field(init=False, compare=False, repr=False)
+    alpha_bar: np.ndarray = field(init=False, compare=False, repr=False)
+    sigma: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        beta = np.asarray(self.beta, dtype=np.float64)
-        if beta.ndim != 1 or len(beta) < 1:
-            raise ValueError("beta must be a nonempty 1-d array")
-        if np.any((beta <= 0) | (beta >= 1)):
-            raise ValueError("every beta must lie in (0, 1)")
+        T, beta_min, beta_max = self.T, self.beta_min, self.beta_max
+        if T < 1:
+            raise ValueError(f"T must be >= 1, got {T}")
+        if not (0.0 < beta_min <= beta_max < 1.0):
+            raise ValueError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
+        beta = np.linspace(beta_min, beta_max, T, dtype=np.float64)  # [beta_min] at T = 1
         alpha = 1.0 - beta
         alpha_bar = np.cumprod(alpha)
         if not (alpha_bar[0] < 1.0 and alpha_bar[-1] > 0.0):
@@ -110,10 +116,6 @@ class Schedule:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_bar", alpha_bar)
         object.__setattr__(self, "sigma", np.sqrt(beta))
-
-    @property
-    def T(self) -> int:
-        return len(self.beta)
 
     def _check(self, t: int) -> None:
         if not 1 <= t <= self.T:
@@ -140,13 +142,7 @@ class Schedule:
         return float(self.sigma[t - 1])
 
 
-def build_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> Schedule:
-    """Linear beta schedule from ``beta_min`` at t=1 to ``beta_max`` at t=T."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not (0.0 < beta_min <= beta_max < 1.0):
-        raise ValueError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    return Schedule(beta=np.linspace(beta_min, beta_max, T) if T > 1 else np.array([beta_min]))
+build_schedule = Schedule  # the constructor's older name, kept for its callers
 
 
 @dataclass(frozen=True)
@@ -169,16 +165,18 @@ class GaussianMixturePrior:
         object.__setattr__(self, "means", mu)
         if w.ndim != 1 or len(w) != len(mu):
             raise ValueError("weights and means must have matching component counts")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails both
             raise ValueError("component weights must be positive and sum to 1 within 1e-12")
+        if not np.isfinite(mu).all():
+            raise ValueError("component means must be finite")
         if (self.variances is None) == (self.covariances is None):
             raise ValueError("exactly one of variances / covariances must be given")
         if self.variances is not None:
             v = np.atleast_2d(np.asarray(self.variances, dtype=np.float64))
             if v.shape != mu.shape:
                 raise ValueError(f"variances shape {v.shape} != means shape {mu.shape}")
-            if np.any(v <= 0):
-                raise ValueError("diagonal variances must be positive")
+            if not np.all((v > 0) & np.isfinite(v)):
+                raise ValueError("diagonal variances must be positive and finite")
             object.__setattr__(self, "variances", v)
         else:
             cov = np.asarray(self.covariances, dtype=np.float64)
@@ -402,8 +400,8 @@ def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
     ``rows`` lists ``(schedule, seed, noise, correct)``: the row's schedule,
     the seed that keys its latent, its noise policy ``noise(step)`` and its
     optional mean hook ``correct(step, x_next)`` (``None`` for none). All rows
-    share ``prior``; rows that name the same schedule object form one group
-    with one ``(B_g, d)`` state. The loop runs t = max T..1, aligned by t: a
+    share ``prior``; rows on equal schedules form one group with one
+    ``(B_g, d)`` state. The loop runs t = max T..1, aligned by t: a
     group joins at its own T. Per t, one ``step_at`` scores each group whose
     T >= t, and each of its rows' hooks gets that row's own :class:`Step`,
     with 1-d ``x`` and ``x0_hat``, that row's slice of the statistics and the
@@ -418,8 +416,10 @@ def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
     """
     d = prior.d
     schedules, latents = {}, {}  # per group, keyed by id(schedule)
+    seen = {}  # each schedule value -> the one object its group is keyed by
     place = []  # per row: its group and its row of the group's state
     for schedule, seed, _, _ in rows:
+        schedule = seen.setdefault(schedule, schedule)
         g = id(schedule)
         schedules[g] = schedule
         place.append((g, len(latents.setdefault(g, []))))

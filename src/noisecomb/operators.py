@@ -10,6 +10,7 @@ the codebook-matching rule use the plain adjoint residual, which coincide).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,14 @@ class Mask(LinearOperator):
 
     def __init__(self, d: int, indices):
         self.d = int(d)
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = np.asarray(indices)
         if idx.ndim != 1 or len(idx) == 0:
             raise ValueError("mask needs a nonempty 1-d index set")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"mask indices must be integers, got {idx.dtype} entries")
         if len(np.unique(idx)) != len(idx) or idx.min() < 0 or idx.max() >= d:
             raise ValueError("mask indices must be distinct and in [0, d)")
-        self.indices = idx
+        self.indices = idx.astype(np.intp)
         self.n = len(idx)
 
     def apply(self, x):
@@ -96,6 +99,8 @@ class Downsample(LinearOperator):
     kind = "downsample"
 
     def __init__(self, d: int, factor: int):
+        if isinstance(factor, bool) or not isinstance(factor, numbers.Integral):
+            raise ValueError(f"downsample factor must be an integer, got {factor!r}")
         if factor < 1 or d % factor != 0:
             raise ValueError(f"factor {factor} must be >= 1 and divide d={d}")
         self.d = int(d)
@@ -120,7 +125,10 @@ class CircularBlur(LinearOperator):
         taps = np.asarray(taps, dtype=np.float64)
         if taps.ndim != 1 or len(taps) == 0 or len(taps) > d:
             raise ValueError("taps must be a nonempty 1-d kernel no longer than d")
-        s = taps.sum()
+        with np.errstate(over="ignore"):
+            s = taps.sum()
+        if not np.isfinite(s):  # a non-finite tap, or a sum that overflows
+            raise ValueError("kernel taps and their sum must be finite")
         if abs(s) < 1e-12:
             raise ValueError("kernel taps must not sum to zero")
         self.d = self.n = int(d)

@@ -20,10 +20,10 @@ combination). Each row reads what it needs from the loop's
 direction and, for DPS and NCS-DPS, the statistics and marginal that
 ``tweedie_jacobian_apply`` takes. No solver scores a state itself.
 :func:`solve_rows` runs several ``(schedule, obs, config)`` jobs as the rows
-of one lockstep loop: the jobs of one schedule share one scoring and one DDPM
-update per step, and every schedule's rows step together, aligned by t. Each
-row is bit-identical to its own :func:`solve`, which is the one-job case (as
-are :func:`ncs_solve` and :func:`baseline_solve`).
+of one lockstep loop: the jobs on equal schedules share one scoring and one
+DDPM update per step, and every schedule's rows step together, aligned by t.
+Each row is bit-identical to its own :func:`solve`, which is the one-job case
+(as are :func:`ncs_solve` and :func:`baseline_solve`).
 
 A degenerate direction (zero, or with no usable codebook projection) makes
 its step draw the keyed fresh noise of a plain DDPM step, ``fresh_noise(seed,
@@ -176,7 +176,7 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
 
     Each job is one row of the loop: its solver's noise policy and mean hook
     against its own observation, keyed by its config's seed on its schedule;
-    jobs that share a schedule object are scored as one batch. Every result is
+    jobs on equal schedules are scored as one batch. Every result is
     bit-identical to ``solve(prior, schedule, obs, config)`` run alone. The
     rows keep the last codebook built, read-only, and build the next only when
     a row asks for another ``(seed, t, K, d)``; the previous one is dropped

@@ -27,6 +27,8 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
+NAN, INF = float("nan"), float("inf")  # written to JSON as NaN and Infinity
+
 SOLVE_CONFIG = {
     "prior": {"preset_id": 4, "d": 8},
     "schedule": {"beta_min": 1e-4, "beta_max": 0.02},
@@ -491,6 +493,22 @@ def _tiny_solve(**fields):
                               "covariances": [[[1.0, 2.0], [2.0, 1.0]]]}, "T": 3, "seeds": [0]}),
         ("sample", {"prior": {"weights": [1.0], "means": [[0.0, 0.0]], "variances": [[1.0]]},
                     "T": 3, "seeds": [0]}),
+        ("solve", _tiny_solve(schedule={"kind": "linear"})),  # the key is gone
+        ("solve", _tiny_solve(T=[5.7])),
+        ("solve", _tiny_solve(T=["5"])),
+        ("solve", _tiny_solve(K=True)),
+        ("solve", _tiny_solve(seeds=[True])),
+        ("sample", {"prior": {"weights": [1.0], "means": [[NAN, 0.0]], "variances": [[1.0, 1.0]]},
+                    "T": 3, "seeds": [0]}),
+        ("sample", {"prior": {"weights": [1.0], "means": [[0.0, 0.0]], "variances": [[1.0, INF]]},
+                    "T": 3, "seeds": [0]}),
+        ("sample", {"prior": {"weights": [NAN], "means": [[0.0, 0.0]], "variances": [[1.0, 1.0]]},
+                    "T": 3, "seeds": [0]}),
+        ("solve", _tiny_solve(solvers=["NCS-DPS"], task={"operator": {"kind": "circular_blur", "taps": [NAN, 1.0]}})),
+        ("solve", _tiny_solve(task={"operator": {"kind": "circular_blur", "taps": [1e308, 1e308]}})),
+        ("solve", _tiny_solve(task={"operator": {"kind": "mask", "indices": [0.5]}})),
+        ("solve", _tiny_solve(task={"operator": {"kind": "downsample", "factor": 2.0}})),
+        ("solve", _tiny_solve(task={"operator": {"kind": "downsample", "factor": True}})),
     ],
     ids=[
         "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "psnr-range-zero",
@@ -500,6 +518,10 @@ def _tiny_solve(**fields):
         "bench-m-zero", "bench-m-not-int", "bench-C-above-bound", "bench-m-above-255",
         "bench-batch-zero", "schedule-alpha-bar-one", "prior-covariance-not-symmetric",
         "prior-covariance-not-positive-definite", "prior-variances-shape",
+        "schedule-kind-gone", "T-not-integral", "T-string", "K-bool", "seeds-bool",
+        "prior-mean-nan", "prior-variance-inf", "prior-weight-nan",
+        "blur-taps-nan", "blur-taps-sum-overflows", "mask-index-not-integer",
+        "downsample-factor-float", "downsample-factor-bool",
     ],
 )
 def test_cli_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command, cfg):

@@ -350,16 +350,6 @@ def test_compress_validates_inputs():
         compress(x0, prior, sch, seed=0, K=12, m=2, C=2, n_side=3, prior_id=1)  # K not 2^j
 
 
-def test_compress_rejects_undecodable_schedule():
-    from noisecomb.diffusion import Schedule
-
-    prior, x0 = _signal(seed=0, d=8, prior_id=1)
-    beta = np.array([0.001, 0.05, 0.002, 0.02])  # not a linear ramp
-    custom = Schedule(beta=beta)
-    with pytest.raises(ValueError, match="reproducible"):
-        compress(x0, prior, custom, seed=0, K=8, m=2, C=2, n_side=3, prior_id=1)
-
-
 def test_compress_rejects_prior_the_decoder_cannot_rebuild():
     # the decoder rebuilds the prior from prior_id alone, so any other prior
     # would give a stream whose decode differs from the reconstruction

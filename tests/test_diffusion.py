@@ -3,6 +3,7 @@ import pytest
 
 from noisecomb.diffusion import (
     GaussianMixturePrior,
+    Schedule,
     build_schedule,
     ddpm_mean,
     ddpm_step,
@@ -76,6 +77,15 @@ def test_schedule_monotone_and_consistent():
     assert np.all(sch.alpha_bar > 0) and np.all(sch.alpha_bar <= 1)
     assert np.allclose(sch.sigma**2, sch.beta, rtol=0, atol=1e-16)
     assert np.all((sch.beta > 0) & (sch.beta < 1))
+
+
+def test_schedule_is_its_three_numbers():
+    sch = Schedule(10)
+    assert sch == build_schedule(10, 1e-4, 0.02)
+    assert hash(sch) == hash(build_schedule(10, 1e-4, 0.02))
+    for other in (Schedule(11), Schedule(10, 2e-4), Schedule(10, 1e-4, 0.03)):
+        assert sch != other
+    assert repr(sch) == "Schedule(T=10, beta_min=0.0001, beta_max=0.02)"
 
 
 def test_schedule_rejects_bad_arguments():
@@ -443,6 +453,27 @@ def test_batched_replica_matches_sampler():
     batch = _batched_unconditional(prior, sch, [4, 5, 6])
     for row, seed in zip(batch, (4, 5, 6)):
         assert np.array_equal(row, unconditional_sample(prior, sch, seed))
+
+
+def test_rows_on_equal_schedules_share_one_scoring_per_step(monkeypatch):
+    import noisecomb.diffusion
+
+    prior = _mixture_2d_full()
+    T, seeds = 10, (4, 5, 6)
+    alone = [unconditional_sample(prior, build_schedule(T), seed) for seed in seeds]
+    calls = []
+    real_step_at = noisecomb.diffusion.step_at
+    monkeypatch.setattr(
+        noisecomb.diffusion, "step_at", lambda *a, **k: calls.append(a[3]) or real_step_at(*a, **k)
+    )
+    rows = [
+        (build_schedule(T), seed, lambda step, seed=seed: fresh_noise(seed, step.t, prior.d), None)
+        for seed in seeds
+    ]  # three separately built, equal schedules
+    batch = reverse_loop(prior, rows)
+    assert calls == list(range(T, 0, -1))
+    for row, expected in zip(batch, alone):
+        assert row.tobytes() == expected.tobytes()
 
 
 def test_unconditional_point_mass_converges():
