@@ -73,6 +73,8 @@ _SOLVE_KEYS = {
     "prior", "schedule", "task", "solvers", "T", "K", "m", "zeta", "lambda", "seeds",
     "psnr_range", "timing",
 }
+_PRESET_PRIOR_KEYS = {"preset_id", "d"}
+_INLINE_PRIOR_KEYS = {"weights", "means", "variances", "covariances"}
 _TASK_KEYS = {"name", "operator", "sigma_obs"}
 _SCHEDULE_KEYS = {"beta_min", "beta_max"}
 _COMPRESS_KEYS = {"prior_id", "schedule", "T", "K", "m", "C", "seed", "n_side", "quantizer"}
@@ -152,19 +154,21 @@ def _registered_prior(prior_id, d) -> GaussianMixturePrior:
 
 
 def prior_from_config(spec: dict) -> GaussianMixturePrior:
-    """Inline mixture parameters or a registered preset id."""
+    """A registered preset ``{preset_id, d}`` or ``{weights, means, variances | covariances}``."""
     _object(spec, "prior")
     if "preset_id" in spec:
+        _known_keys(spec, _PRESET_PRIOR_KEYS, "prior")
         return _registered_prior(spec["preset_id"], _require(spec, "d", "prior"))
+    _known_keys(spec, _INLINE_PRIOR_KEYS, "prior")
     weights = _require(spec, "weights", "prior")
     means = _require(spec, "means", "prior")
     try:
-        if "covariances" in spec:
-            return GaussianMixturePrior(
-                weights=weights, means=means, covariances=spec["covariances"]
-            )
-        variances = _require(spec, "variances", "prior")
-        return GaussianMixturePrior(weights=weights, means=means, variances=variances)
+        return GaussianMixturePrior(
+            weights=weights,
+            means=means,
+            variances=spec.get("variances"),
+            covariances=spec.get("covariances"),
+        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"prior: {exc}") from exc
 
@@ -230,7 +234,9 @@ def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
     """Unconditional samples per (seed, T): moment summary CSV plus a dump.
 
     The whole (T, seed) grid is one lockstep ``reverse_loop`` with one
-    sampler row (fresh keyed noise, no mean hook) per sample.
+    sampler row (fresh keyed noise, no mean hook) per sample, run in CSV row
+    order; a check that fails inside it, such as a non-finite state, is a
+    config error.
     """
     _known_keys(cfg, _SAMPLE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
@@ -241,20 +247,18 @@ def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
         raise ConfigError(f"dump: expected a file name, got {dump!r}")
     t_values = _t_values(cfg)
     schedules = {T: _schedule_from_config(schedule_spec, T) for T in t_values}
-
-    def sampler_row(T, seed):
-        return schedules[T], seed, lambda step: fresh_noise(seed, step.t, prior.d), None
-
-    grid = [(T, seed) for T in t_values for seed in seeds]
-    samples = reverse_loop(prior, [sampler_row(T, seed) for T, seed in grid])
-    results = sorted(zip(grid, samples), key=lambda r: r[0])
+    grid = [(T, seed) for T in sorted(t_values) for seed in sorted(seeds)]  # CSV row order
+    try:
+        samples = reverse_loop(prior, [(schedules[T], seed, fresh_noise, None) for T, seed in grid])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = [
         (seed, T, float(x.mean()), float(x.var()), float(x.min()), float(x.max()))
-        for (T, seed), x in results
+        for (T, seed), x in zip(grid, samples)
     ]
     _write_csv(out, ["seed", "T", "mean", "var", "min", "max"], rows)
     if dump:
-        np.save(dump, np.stack([x for _, x in results]))
+        np.save(dump, samples)
     return rows
 
 
@@ -263,12 +267,11 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
 
     The whole config is read, and checked, before the first solve runs. Each
     seed's ground truth and observation are drawn once. The grid is one
-    lockstep ``solve_rows`` call whose jobs are ordered seed-major, then by T,
-    then by solver, so each ``(seed, t, K, d)`` codebook is built once and at
-    most one is alive (see :mod:`noisecomb.solvers`). With ``"timing":
-    true``, every row's ``wall_ms`` is the wall time of that one call. Rows
-    are sorted by ``(solver, task, T, seed)``, so the CSV does not depend on
-    the run order.
+    lockstep ``solve_rows`` call (see :mod:`noisecomb.solvers`); a check
+    that fails inside it, such as a non-finite direction, is a config
+    error. With ``"timing": true``, every row's ``wall_ms`` is the wall time
+    of that one call. Rows are sorted by ``(solver, task, T, seed)``, so the
+    CSV does not depend on the run order.
     """
     _known_keys(cfg, _SOLVE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
@@ -319,7 +322,10 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
                 grid.append((seed, T, x0))
                 jobs.append((schedules[T], obs, replace(config, seed=seed)))
     start = time.perf_counter() if timing else 0.0
-    results = solve_rows(prior, jobs)
+    try:
+        results = solve_rows(prior, jobs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
     rows = []
     for (seed, T, x0), (_, _, config), result in zip(grid, jobs, results):

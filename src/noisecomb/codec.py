@@ -355,7 +355,7 @@ def compress(
 
     def encode(step):
         nonlocal degenerate
-        codebook = build_codebook(seed, step.t, K, prior.d, buffers=buffers)
+        codebook = build_codebook(step.seed, step.t, K, prior.d, buffers=buffers)
         try:
             selection = top_m_weights(x0 - step.x0_hat, codebook, m)
             indices = selection.indices.tolist()
@@ -389,7 +389,7 @@ def decompress(stream: Bitstream) -> np.ndarray:
         if len(set(indices)) != header.m:
             raise FormatError(f"step t={step.t} names an atom more than once: {indices}")
         code = StickCode(codes=tuple(reader.read(header.C) for _ in range(header.m - 1)))
-        atoms = build_codebook(header.seed, step.t, header.K, header.d, indices)
+        atoms = build_codebook(step.seed, step.t, header.K, header.d, indices)
         return _step_noise(atoms, code, grid)
 
     return reverse_loop(prior, [(schedule, header.seed, decode, None)])[0]

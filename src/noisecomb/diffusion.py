@@ -21,8 +21,8 @@ solvers and codec all run :func:`reverse_loop` with their own noise policy and
 optional mean hook. The loop advances a batch of such rows in lockstep,
 aligned by t, each row on its own schedule: it calls ``step_at`` once per
 timestep and schedule on the ``(B_g, d)`` state of that schedule's rows and
-hands each row's hooks that row's Step; the sampler and the codec are its
-one-row case.
+hands each row's hooks that row's Step, which also names the row's schedule
+and seed; the sampler and the codec are its one-row case.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def _component_stats(prior, schedule, x, t):
             g[..., j, :] = -sol
             quad[..., j] = np.sum(dj * sol, axis=-1)
     log_w_pdf = np.log(w) - 0.5 * (quad + logdet + prior.d * _LOG_2PI)
-    return log_w_pdf, g, (schedule.alpha_bar_at(t), covs, factors)
+    return log_w_pdf, g, (covs, factors)
 
 
 def marginal_log_density(prior: GaussianMixturePrior, schedule: Schedule, x, t: int):
@@ -327,7 +327,8 @@ def tweedie_jacobian_apply(step: Step, v: np.ndarray) -> np.ndarray:
     if step.x.ndim != 1 or v.shape != step.x.shape:
         raise ValueError("tweedie_jacobian_apply expects matching 1-d state and vector")
     resp, g, s = step.stats
-    ab, covs, factors = step.marginal
+    covs, factors = step.marginal
+    ab = step.schedule.alpha_bar_at(step.t)
     Hv = (resp * (g @ v)) @ g - s * (s @ v)
     if factors is None:
         Hv -= np.einsum("k,kd->d", resp, v / covs)
@@ -358,19 +359,21 @@ def ddpm_step(schedule: Schedule, x_t, t: int, noise, score_value) -> np.ndarray
     return mean + schedule.sigma_at(t) * noise
 
 
-def fresh_noise(seed: int, t: int, d: int) -> np.ndarray:
-    """The keyed fresh Gaussian draw of step ``t``: plain DDPM's noise term."""
-    return derive_stream(StreamKey(seed, Domain.FRESH_NOISE, t, 0)).standard_normal(d)
+def fresh_noise(step: Step) -> np.ndarray:
+    """The keyed fresh Gaussian draw of ``step``'s row at its t: plain DDPM's noise hook."""
+    key = StreamKey(step.seed, Domain.FRESH_NOISE, step.t, 0)
+    return derive_stream(key).standard_normal(step.x.shape[-1])
 
 
 @dataclass(frozen=True)
 class Step:
-    """A state ``x`` at timestep ``t``, scored once; built by :func:`step_at`.
+    """A state ``x`` at timestep ``t`` of ``schedule``, scored once; built by :func:`step_at`.
 
     ``stats`` are the mixture statistics ``(resp, g, s)`` at ``x`` and
-    ``x0_hat`` their Tweedie estimate. ``marginal`` is ``(alpha_bar, C,
-    factors)`` at ``t``: the covariances of :func:`marginal_params` and, for a
-    full prior, their Cholesky factors (``None`` if diagonal).
+    ``x0_hat`` their Tweedie estimate. ``marginal`` is ``(C, factors)`` at
+    ``t``: the covariances of :func:`marginal_params` and, for a full prior,
+    their Cholesky factors (``None`` if diagonal). ``seed`` keys the draws of
+    the loop row the Step was handed to; a batch Step has ``seed=None``.
     """
 
     t: int
@@ -378,6 +381,8 @@ class Step:
     x0_hat: np.ndarray
     stats: tuple
     marginal: tuple
+    schedule: Schedule
+    seed: int | None = None
 
 
 def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
@@ -390,8 +395,8 @@ def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
     log_w_pdf, g, marginal = _component_stats(prior, schedule, x, t)
     resp = np.exp(log_w_pdf - logsumexp(log_w_pdf, axis=-1, keepdims=True))
     s = np.einsum("...k,...kd->...d", resp, g)
-    ab = marginal[0]
-    return Step(t, x, (x + (1.0 - ab) * s) / np.sqrt(ab), (resp, g, s), marginal)
+    ab = schedule.alpha_bar_at(t)
+    return Step(t, x, (x + (1.0 - ab) * s) / np.sqrt(ab), (resp, g, s), marginal, schedule)
 
 
 def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
@@ -401,18 +406,18 @@ def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
     the seed that keys its latent, its noise policy ``noise(step)`` and its
     optional mean hook ``correct(step, x_next)`` (``None`` for none). All rows
     share ``prior``; rows on equal schedules form one group with one
-    ``(B_g, d)`` state. The loop runs t = max T..1, aligned by t: a
-    group joins at its own T. Per t, one ``step_at`` scores each group whose
-    T >= t, and each of its rows' hooks gets that row's own :class:`Step`,
-    with 1-d ``x`` and ``x0_hat``, that row's slice of the statistics and the
-    group's marginal. The noise hooks run in the order of ``rows`` and each
-    fills its row of its group's noise (the t = 1 step is noiseless); one
-    ``ddpm_step`` moves each group; then the mean hooks, in the order of
-    ``rows``, return the states the rows keep. A hook's noise, the step's
-    Steps and their statistics are dropped before the next hook or scoring
-    runs. Returns the ``(B, d)`` states x_0 in the order of ``rows``. Every
-    row is bit-identical to a run of that row alone, and a single row
-    (B = 1) is the plain reverse loop.
+    ``(B_g, d)`` state. The loop runs t = max T..1, aligned by t: a group
+    joins at its own T. Per t, one ``step_at`` scores each group whose T >= t,
+    and each of its rows' hooks gets that row's own :class:`Step`, with 1-d
+    ``x`` and ``x0_hat``, that row's slice of the statistics, the group's
+    marginal and schedule, and the row's seed. The noise hooks run in the
+    order of ``rows`` and each fills its row of its group's noise (the t = 1
+    step is noiseless); one ``ddpm_step`` moves each group; then the mean
+    hooks, in the order of ``rows``, return the states the rows keep. A
+    hook's noise, the step's Steps and their statistics are dropped before
+    the next hook or scoring runs. Returns the ``(B, d)`` states x_0 in the
+    order of ``rows``. Every row is bit-identical to a run of that row alone,
+    and a single row (B = 1) is the plain reverse loop.
     """
     d = prior.d
     schedules, latents = {}, {}  # per group, keyed by id(schedule)
@@ -431,10 +436,10 @@ def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
         steps = {g: step_at(prior, sch, x[g], t) for g, sch in schedules.items() if sch.T >= t}
         views = [
             None if g not in steps else Step(
-                t, x[g][i], steps[g].x0_hat[i],
-                tuple(a[i] for a in steps[g].stats), steps[g].marginal,
+                t, x[g][i], steps[g].x0_hat[i], tuple(a[i] for a in steps[g].stats),
+                steps[g].marginal, steps[g].schedule, seed,
             )
-            for g, i in place
+            for (g, i), (_, seed, _, _) in zip(place, rows)
         ]
         if t >= 2:
             for (g, i), view, (_, _, noise, _) in zip(place, views, rows):
@@ -457,8 +462,4 @@ def unconditional_sample(
     prior: GaussianMixturePrior, schedule: Schedule, seed: int
 ) -> np.ndarray:
     """Plain DDPM sampling: the reverse loop with fresh keyed noise."""
-
-    def noise(step):
-        return fresh_noise(seed, step.t, prior.d)
-
-    return reverse_loop(prior, [(schedule, seed, noise, None)])[0]
+    return reverse_loop(prior, [(schedule, seed, fresh_noise, None)])[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Schedule, Step, tweedie_jacobian_apply
+from .diffusion import Step, tweedie_jacobian_apply
 from .rng import NoiseStream
 
 __all__ = [
@@ -150,15 +150,22 @@ class CircularBlur(LinearOperator):
 
 
 def operator_from_config(spec: dict, d: int) -> LinearOperator:
-    """Build an operator from its JSON description (kind + parameters)."""
+    """Build an operator from its JSON description: ``kind`` and that kind's own field."""
     kind = spec.get("kind")
 
-    def required(name):
-        if name not in spec:
+    def required(name=None):
+        """``spec[name]``, where ``name`` is the only key ``spec`` may hold besides ``kind``."""
+        known = sorted({"kind", name} - {None})
+        unknown = ", ".join(repr(key) for key in sorted(set(spec) - set(known)))
+        if unknown:
+            known_keys = ", ".join(known)
+            raise ValueError(f"operator {kind!r}: unknown key {unknown}; known keys: {known_keys}")
+        if name is not None and name not in spec:
             raise ValueError(f"operator {kind!r}: missing required field {name!r}")
-        return spec[name]
+        return spec.get(name)
 
     if kind == "identity":
+        required()
         return Identity(d)
     if kind == "mask":
         return Mask(d, required("indices"))
@@ -195,16 +202,16 @@ def make_observation(
     return Observation(y=y, operator=op)
 
 
-def dps_direction(schedule: Schedule, obs: Observation, step: Step) -> np.ndarray:
+def dps_direction(obs: Observation, step: Step) -> np.ndarray:
     """Likelihood-gradient direction: (1/sigma_t^2) J^T A^T (y - A x0_hat).
 
     Equals the ascent direction of the Gaussian log-likelihood of y given the
-    Tweedie estimate ``x0_hat`` of the :class:`Step`'s state, with the
+    Tweedie estimate ``x0_hat`` of the :class:`Step`'s state, with the Step
     schedule's sigma_t as the likelihood scale.
     """
     pulled = mpgd_direction(obs, step.x0_hat)
     jv = tweedie_jacobian_apply(step, pulled)
-    return jv / schedule.sigma_at(step.t) ** 2
+    return jv / step.schedule.sigma_at(step.t) ** 2
 
 
 def mpgd_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:

@@ -16,9 +16,10 @@ and MPGD draw fresh keyed noise; DDCM and NCS-* share one guided noise rule
 that takes the measurement direction and the step codebook, and differ only
 in the weights (DDCM the argmax atom over all K, NCS-* the optimal or top-m
 combination). Each row reads what it needs from the loop's
-:class:`~noisecomb.diffusion.Step`: the Tweedie estimate for the measurement
-direction and, for DPS and NCS-DPS, the statistics and marginal that
-``tweedie_jacobian_apply`` takes. No solver scores a state itself.
+:class:`~noisecomb.diffusion.Step`: its seed and schedule, the Tweedie
+estimate for the measurement direction and, for DPS and NCS-DPS, the
+statistics and marginal that ``tweedie_jacobian_apply`` takes. No solver
+scores a state itself.
 :func:`solve_rows` runs several ``(schedule, obs, config)`` jobs as the rows
 of one lockstep loop: the jobs on equal schedules share one scoring and one
 DDPM update per step, and every schedule's rows step together, aligned by t.
@@ -26,17 +27,17 @@ Each row is bit-identical to its own :func:`solve`, which is the one-job case
 (as are :func:`ncs_solve` and :func:`baseline_solve`).
 
 A degenerate direction (zero, or with no usable codebook projection) makes
-its step draw the keyed fresh noise of a plain DDPM step, ``fresh_noise(seed,
-t, d)``. A zero direction (``||c|| == 0``) is degenerate for every codebook,
-so its step builds none.
+its step draw the keyed fresh noise of a plain DDPM step: ``fresh_noise(step)``,
+which is also the whole noise policy of DPS and MPGD. A zero direction
+(``||c|| == 0``) is degenerate for every codebook, so its step builds none.
 
 A codebook depends only on ``(seed, t, K, d)``, not on the solver or on T.
 Within one :func:`solve_rows` call the rows keep the last codebook built,
 read-only, and a row that names the same key reuses it; any other key drops
-it and builds its own, so at most one codebook of ``K*d`` floats is alive. The
-loop runs its noise hooks in job order, so jobs of one K ordered seed-major
-build each key once: ``cli.cmd_solve`` orders its grid that way (990 builds
-for the shipped d=16 grid). There is no process-wide cache.
+it and builds its own, so at most one codebook of ``K*d`` floats is alive.
+The call runs its rows in ``(seed, K)`` order, so each key is built once
+whatever the job order (990 builds for the shipped d=16 grid). There is no
+process-wide cache.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class SolveResult:
     degenerate_steps: int
 
 
-def _row(prior, schedule, obs, config, codebook_at, tally):
+def _row(obs, config, codebook_at, tally):
     """The ``(noise, correct)`` pair of one loop row; it counts degenerate steps in ``tally[0]``.
 
     DPS and MPGD draw fresh noise and correct the mean at every step, t = 1
@@ -125,16 +126,13 @@ def _row(prior, schedule, obs, config, codebook_at, tally):
     and NCS-* leave the mean alone and take the guided noise rule.
     """
 
-    def fresh(step):
-        return fresh_noise(config.seed, step.t, prior.d)
-
     def guided(step):
         if config.solver == "NCS-DPS":
-            c = dps_direction(schedule, obs, step)
+            c = dps_direction(obs, step)
         else:
             c = mpgd_direction(obs, step.x0_hat)
         if np.linalg.norm(c) > 0:
-            codebook = codebook_at(config.seed, step.t, config.K)
+            codebook = codebook_at(step.seed, step.t, config.K)
             try:
                 if config.solver == "DDCM":
                     return codebook[:, int(np.argmax(inner_products(c, codebook)))]
@@ -144,7 +142,7 @@ def _row(prior, schedule, obs, config, codebook_at, tally):
             except DegenerateDirectionError:
                 pass
         tally[0] += 1
-        return fresh(step)
+        return fresh_noise(step)
 
     def dps(step, x_next):
         rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(step.x0_hat)))
@@ -156,7 +154,7 @@ def _row(prior, schedule, obs, config, codebook_at, tally):
 
     def mpgd(step, x_next):
         if config.lam != 0.0:
-            t = step.t
+            t, schedule = step.t, step.schedule
             ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
             pulled = mpgd_direction(obs, step.x0_hat)
             shift = 2.0 * config.lam * np.sqrt(ab) * pulled
@@ -165,9 +163,9 @@ def _row(prior, schedule, obs, config, codebook_at, tally):
         return x_next
 
     if config.solver == "DPS":
-        return fresh, dps
+        return fresh_noise, dps
     if config.solver == "MPGD":
-        return fresh, mpgd
+        return fresh_noise, mpgd
     return guided, None
 
 
@@ -177,11 +175,12 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
     Each job is one row of the loop: its solver's noise policy and mean hook
     against its own observation, keyed by its config's seed on its schedule;
     jobs on equal schedules are scored as one batch. Every result is
-    bit-identical to ``solve(prior, schedule, obs, config)`` run alone. The
-    rows keep the last codebook built, read-only, and build the next only when
-    a row asks for another ``(seed, t, K, d)``; the previous one is dropped
-    first, so at most one codebook is alive. Jobs ordered seed-major build
-    each ``(seed, t, K, d)`` once.
+    bit-identical to ``solve(prior, schedule, obs, config)`` run alone, and
+    the results come back in job order. The rows run in a stable ``(seed, K)``
+    order and keep the last codebook built, read-only, building the next only
+    when a row asks for another ``(seed, t, K, d)``; the previous one is
+    dropped first, so at most one codebook is alive and, in any job order,
+    each key is built once.
     """
     last = (None, None)  # the key and read-only codebook of the latest build
 
@@ -195,13 +194,14 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
             last = (key, codebook)
         return last[1]
 
+    order = sorted(range(len(jobs)), key=lambda j: (jobs[j][2].seed, jobs[j][2].K))
     tallies = [[0] for _ in jobs]
-    rows = [
-        (schedule, config.seed, *_row(prior, schedule, obs, config, codebook_at, tally))
-        for (schedule, obs, config), tally in zip(jobs, tallies)
-    ]
-    x0 = reverse_loop(prior, rows)
-    return [SolveResult(x0=x, degenerate_steps=tally[0]) for x, tally in zip(x0, tallies)]
+    rows = []
+    for j in order:
+        schedule, obs, config = jobs[j]
+        rows.append((schedule, config.seed, *_row(obs, config, codebook_at, tallies[j])))
+    x0 = dict(zip(order, reverse_loop(prior, rows)))
+    return [SolveResult(x0=x0[j], degenerate_steps=tally[0]) for j, tally in enumerate(tallies)]
 
 
 def ncs_solve(

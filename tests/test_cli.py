@@ -509,6 +509,17 @@ def _tiny_solve(**fields):
         ("solve", _tiny_solve(task={"operator": {"kind": "mask", "indices": [0.5]}})),
         ("solve", _tiny_solve(task={"operator": {"kind": "downsample", "factor": 2.0}})),
         ("solve", _tiny_solve(task={"operator": {"kind": "downsample", "factor": True}})),
+        ("sample", {"prior": {"preset_id": 4, "d": 16, "variances": [[1.0]]}, "T": 3, "seeds": [0]}),
+        ("sample", {"prior": {"weights": [1.0], "means": [[0.0, 0.0]], "variances": [[1.0, 1.0]],
+                              "covariance": [[[1.0, 0.0], [0.0, 1.0]]]}, "T": 3, "seeds": [0]}),
+        ("sample", {"prior": {"weights": [1.0], "means": [[0.0, 0.0]], "variances": [[1.0, 1.0]],
+                              "covariances": [[[1.0, 0.0], [0.0, 1.0]]]}, "T": 3, "seeds": [0]}),
+        ("solve", _tiny_solve(task={"operator": {"kind": "mask", "indices": [0, 1], "factor": 2}})),
+        ("solve", _tiny_solve(task={"operator": {"kind": "identity", "indices": [0]}})),
+        ("solve", _tiny_solve(T=[5], K=8, solvers=["DPS", "NCS-DPS", "MPGD", "NCS-MPGD", "DDCM"],
+                              task={**SOLVE_CONFIG["task"], "sigma_obs": 1e300})),
+        ("sample", {"prior": {"weights": [1.0], "means": [[1e300, 0.0]], "variances": [[1.0, 1.0]]},
+                    "T": 3, "seeds": [0]}),
     ],
     ids=[
         "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "psnr-range-zero",
@@ -522,6 +533,9 @@ def _tiny_solve(**fields):
         "prior-mean-nan", "prior-variance-inf", "prior-weight-nan",
         "blur-taps-nan", "blur-taps-sum-overflows", "mask-index-not-integer",
         "downsample-factor-float", "downsample-factor-bool",
+        "preset-prior-unknown-key", "inline-prior-unknown-key", "prior-variances-and-covariances",
+        "mask-operator-unknown-key", "identity-operator-unknown-key",
+        "sigma-obs-huge", "prior-mean-huge",
     ],
 )
 def test_cli_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command, cfg):
@@ -552,6 +566,11 @@ def test_cli_unknown_config_key_is_named(tmp_path, capsys):
     assert "unknown key 'lamda'" in capsys.readouterr().err
     assert _run_config(tmp_path, "solve", _tiny_solve(task={**SOLVE_CONFIG["task"], "sigma": 0.1})) == 2
     assert "task: unknown key 'sigma'" in capsys.readouterr().err
+    assert _run_config(tmp_path, "solve", _tiny_solve(prior={"preset_id": 4, "d": 8, "means": [[0.0]]})) == 2
+    assert "prior: unknown key 'means'" in capsys.readouterr().err
+    task = {**SOLVE_CONFIG["task"], "operator": {"kind": "mask", "indices": [0], "taps": [1.0]}}
+    assert _run_config(tmp_path, "solve", _tiny_solve(task=task)) == 2
+    assert "operator 'mask': unknown key 'taps'" in capsys.readouterr().err
     signal = tmp_path / "x0.npy"
     np.save(signal, np.linspace(-1, 1, 8))
     cfg = {"prior_id": 2, "T": 5, "K": 8, "m": 2, "C": 2, "seed": 0, "quantiser": "nn"}

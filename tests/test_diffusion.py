@@ -431,10 +431,7 @@ def test_ddpm_step_rejects_dimension_mismatch():
 def _batched_unconditional(prior, sch, seeds):
     """``unconditional_sample`` over a seed batch: one lockstep loop, one row per seed."""
 
-    def row(seed):
-        return sch, seed, lambda step: fresh_noise(seed, step.t, prior.d), None
-
-    return reverse_loop(prior, [row(seed) for seed in seeds])
+    return reverse_loop(prior, [(sch, seed, fresh_noise, None) for seed in seeds])
 
 
 def test_unconditional_deterministic_per_seed():
@@ -455,6 +452,32 @@ def test_batched_replica_matches_sampler():
         assert np.array_equal(row, unconditional_sample(prior, sch, seed))
 
 
+def test_each_step_names_its_rows_seed_and_schedule():
+    prior = _mixture_2d_full()
+    rows, seen = [], []
+    for T in (6, 9):
+        for seed in (3, 4, 5):
+            sch = build_schedule(T)
+
+            def noise(step, row=len(rows)):
+                seen.append((row, "noise", step.t, step.seed, step.schedule))
+                return fresh_noise(step)
+
+            def correct(step, x_next, row=len(rows)):
+                seen.append((row, "correct", step.t, step.seed, step.schedule))
+                return x_next
+
+            rows.append((sch, seed, noise, correct))
+    reverse_loop(prior, rows)
+    for row, (sch, seed, _, _) in enumerate(rows):
+        mine = [r[1:] for r in seen if r[0] == row]
+        assert [t for hook, t, _, _ in mine if hook == "noise"] == list(range(sch.T, 1, -1))
+        assert [t for hook, t, _, _ in mine if hook == "correct"] == list(range(sch.T, 0, -1))
+        assert all(s == seed and step_sch == sch for _, _, s, step_sch in mine)
+    batch = step_at(prior, build_schedule(6), np.zeros((3, 2)), 6)
+    assert batch.seed is None and batch.schedule == build_schedule(6)
+
+
 def test_rows_on_equal_schedules_share_one_scoring_per_step(monkeypatch):
     import noisecomb.diffusion
 
@@ -467,7 +490,7 @@ def test_rows_on_equal_schedules_share_one_scoring_per_step(monkeypatch):
         noisecomb.diffusion, "step_at", lambda *a, **k: calls.append(a[3]) or real_step_at(*a, **k)
     )
     rows = [
-        (build_schedule(T), seed, lambda step, seed=seed: fresh_noise(seed, step.t, prior.d), None)
+        (build_schedule(T), seed, fresh_noise, None)
         for seed in seeds
     ]  # three separately built, equal schedules
     batch = reverse_loop(prior, rows)

@@ -18,6 +18,7 @@ To print the table for the current code: ``PYTHONPATH=src python tests/test_gold
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import pathlib
 import tempfile
 
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 from noisecomb.cli import cmd_sample, cmd_solve
-from noisecomb.codec import build_registered_prior, compress, decompress
+from noisecomb.codec import Bitstream, build_registered_prior, compress, decompress
 from noisecomb.diffusion import GaussianMixturePrior, build_schedule, unconditional_sample
 from noisecomb.operators import LinearOperator, Mask, make_observation
 from noisecomb.quantizer import QUANTIZERS
@@ -232,6 +233,23 @@ def test_solve_cases_cover_every_solver():
 def test_codec_cells_cover_every_codec_quantizer():
     # a quantizer added to the codec needs pinned digests here
     assert {q for q, *_ in CODEC_CELLS} == set(QUANTIZERS)
+
+
+@pytest.mark.parametrize("workload", ["codec-hd", "codec-patch"])
+def test_benchmark_codec_seed0_stream(workload, monkeypatch):
+    # the benchmark marks a run's outputs incorrect when op 0 at seed 0 misses
+    # the stream digest recorded in benchmarks/workloads.json; this re-encodes
+    # that op with the benchmark worker's own inputs
+    root = pathlib.Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # workload configs are named relative to the root
+    monkeypatch.syspath_prepend(str(root / "benchmarks"))
+    spec = importlib.util.spec_from_file_location("benchmark_worker", root / "benchmarks" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    workload_spec = worker.WORKLOADS[workload]
+    data, recon, _ = worker.CodecRole(workload_spec, 0, 1).encode(0)
+    assert hashlib.sha256(data).hexdigest() == workload_spec["seed0_sha256"]["stream"]
+    assert decompress(Bitstream.from_bytes(data)).tobytes() == recon.tobytes()
 
 
 if __name__ == "__main__":
