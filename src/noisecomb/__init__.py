@@ -19,7 +19,6 @@ from .codec import Bitstream, CompressResult, compress, decompress, report_bpp
 from .diffusion import (
     GaussianMixturePrior,
     Schedule,
-    build_schedule,
     ddpm_mean,
     ddpm_step,
     score,
@@ -42,7 +41,6 @@ from .quantizer import (
     Grid,
     StickCode,
     bpp,
-    make_grid,
     quantize_dp,
     quantize_greedy_exponential,
     quantize_nn,

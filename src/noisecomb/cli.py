@@ -23,7 +23,7 @@ import numpy as np
 from .codec import (
     MAX_C,
     MAX_D,
-    MAX_DECODE_WORK,
+    MAX_ENCODE_WORK,
     Bitstream,
     FormatError,
     PriorRegistryError,
@@ -32,11 +32,11 @@ from .codec import (
     decompress,
     report_bpp,
 )
-from .diffusion import GaussianMixturePrior, build_schedule, fresh_noise, reverse_loop
+from .diffusion import GaussianMixturePrior, Schedule, fresh_noise, reverse_loop
 from .operators import make_observation, operator_from_config
-from .quantizer import QUANTIZERS, make_grid, quantize_greedy_exponential, stick_objective
+from .quantizer import QUANTIZERS, Grid, quantize_greedy_exponential, stick_objective
 from .rng import Domain, StreamKey, derive_stream
-from .solvers import TASK_K_PRESETS, SolverConfig, solve_rows
+from .solvers import SolverConfig, solve_rows
 
 __all__ = [
     "ConfigError",
@@ -79,6 +79,9 @@ _TASK_KEYS = {"name", "operator", "sigma_obs"}
 _SCHEDULE_KEYS = {"beta_min", "beta_max"}
 _COMPRESS_KEYS = {"prior_id", "schedule", "T", "K", "m", "C", "seed", "n_side", "quantizer"}
 _BENCH_QUANT_KEYS = {"m_values", "C_values", "batch", "seed", "budget"}
+
+# Codebook sizes a config may name in place of a number for K.
+_K_PRESETS = {"inpaint_box": 64}
 
 
 class ConfigError(ValueError):
@@ -178,19 +181,19 @@ def _schedule_from_config(spec: dict, T: int):
     beta_min = _typed(float, spec.get("beta_min", 1e-4), "schedule: beta_min")
     beta_max = _typed(float, spec.get("beta_max", 0.02), "schedule: beta_max")
     try:
-        return build_schedule(T, beta_min, beta_max)
+        return Schedule(T, beta_min, beta_max)
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
 
 
 def _resolve_k(value) -> int:
-    """Codebook size: an integer, or a named task preset like 'inpaint_box'."""
+    """Codebook size: an integer, or the name of a preset in ``_K_PRESETS``."""
     if isinstance(value, str):
         try:
-            return TASK_K_PRESETS[value]
+            return _K_PRESETS[value]
         except KeyError:
             raise ConfigError(
-                f"K: unknown preset {value!r}; choose from {sorted(TASK_K_PRESETS)}"
+                f"K: unknown preset {value!r}; choose from {sorted(_K_PRESETS)}"
             ) from None
     return _typed(int, value, "K")
 
@@ -294,8 +297,8 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     m = cfg.get("m")
     K = _resolve_k(cfg.get("K", 64))
     work = max(t_values) * K * prior.d  # the codebook normals of the longest solve
-    if work > MAX_DECODE_WORK:
-        raise ConfigError(f"max(T)*K*d = {work} exceeds the work bound {MAX_DECODE_WORK}")
+    if work > MAX_ENCODE_WORK:
+        raise ConfigError(f"max(T)*K*d = {work} exceeds the work bound {MAX_ENCODE_WORK}")
     try:
         op_spec = _object(_require(task, "operator", "task"), "task: operator")
         op = operator_from_config(op_spec, prior.d)
@@ -426,7 +429,7 @@ def cmd_bench_quant(cfg: dict, out: str) -> list:
     budget = _typed(int, cfg.get("budget", 1_000_000), "budget")
     rows = []
     for C in c_values:
-        grid = make_grid(C)
+        grid = Grid(C)
         for m in m_values:
             scores = _bench_scores(seed, m, batch)
             methods = dict(QUANTIZERS)

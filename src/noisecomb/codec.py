@@ -16,7 +16,8 @@ Container layout (all big-endian):
   MSB-first, final byte zero-padded (non-zero padding is rejected). Total
   payload bits are exactly ``(T - 1) * (m * log2(K) + C * (m - 1))``. The m
   indices of a step are distinct; a step naming an atom twice is rejected.
-  Headers with ``C > MAX_C``, ``T * K * d > MAX_DECODE_WORK`` or ``d > MAX_D``
+  Headers with ``C > MAX_C``, ``T * K * d > MAX_ENCODE_WORK``, ``d > MAX_D``
+  or ``T * d * (k + m) > MAX_DECODE_WORK`` (k: the prior's component count)
   are rejected before decoding.
 
 Encoder and decoder are two noise policies of one ``reverse_loop`` that share
@@ -37,13 +38,14 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .combination import DegenerateDirectionError, TopMSelection, synthesize_noise, top_m_weights
-from .diffusion import GaussianMixturePrior, Schedule, build_schedule, reverse_loop
-from .quantizer import QUANTIZERS, StickCode, bpp, decode_weights, make_grid, payload_bits
+from .diffusion import GaussianMixturePrior, Schedule, reverse_loop
+from .quantizer import QUANTIZERS, Grid, StickCode, bpp, decode_weights, payload_bits
 from .rng import RNG_VERSION, Domain, StreamKey, build_codebook, derive_stream
 
 __all__ = [
     "FORMAT_VERSION",
     "MAX_C",
+    "MAX_ENCODE_WORK",
     "MAX_DECODE_WORK",
     "MAX_D",
     "FormatError",
@@ -63,11 +65,16 @@ FORMAT_VERSION = 1
 # 2^C fractions (512 KiB at C = 16). No shipped config or benchmark uses C > 8.
 MAX_C = 16
 
-# Largest T * K * d a header may declare: encoding draws (T - 1) * K * d codebook
-# normals, K * d per step (decoding draws only the (T - 1) * m * d it names), and a
-# v1 decoder rejects what the encoder would refuse. Admits T=1000, K=128, d=4096
-# (524,288,000).
-MAX_DECODE_WORK = 1 << 29
+# Largest T * K * d a header may declare, the encoder's work bound: encoding draws
+# (T - 1) * K * d codebook normals, and a v1 decoder rejects what the encoder would
+# refuse. Admits T=1000, K=128, d=4096 (524,288,000).
+MAX_ENCODE_WORK = 1 << 29
+
+# Largest T * d * (k + m) a header may declare, the decoder's work bound: each step
+# scores the state against the prior's k components and draws the m named atoms,
+# 25-35 ns per unit on a 2-core x86_64 host, so about a second. Admits T=1000,
+# d=4096, k=2, m=4.
+MAX_DECODE_WORK = 1 << 25
 
 # Largest signal dimension d a header may declare: the decoder builds a prior of
 # d-vectors (prior 4 holds 16 of them) before any work bound applies. The shipped
@@ -112,14 +119,20 @@ class CodecHeader:
             raise ValueError(f"T must fit in [1, 65535], got {self.T}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.T * self.K * self.d > MAX_DECODE_WORK:
+        if self.T * self.K * self.d > MAX_ENCODE_WORK:
             work = self.T * self.K * self.d
-            raise ValueError(f"T*K*d = {work} exceeds the decode work bound {MAX_DECODE_WORK}")
+            raise ValueError(f"T*K*d = {work} exceeds the encode work bound {MAX_ENCODE_WORK}")
         if self.d > MAX_D:
             raise ValueError(f"d = {self.d} exceeds the dimension bound {MAX_D}")
         if not 1 <= self.n_side <= 65535:
             raise ValueError(f"n_side must fit in [1, 65535], got {self.n_side}")
-        build_schedule(self.T, self.beta_min, self.beta_max)  # checks the betas and alpha_bar
+        Schedule(self.T, self.beta_min, self.beta_max)  # checks the betas and alpha_bar
+        if self.prior_id in _PRIORS:  # an unregistered id is refused where the prior is built
+            k = _PRIORS[self.prior_id](1).n_components
+            work = self.T * self.d * (k + self.m)
+            if work > MAX_DECODE_WORK:
+                bound = MAX_DECODE_WORK
+                raise ValueError(f"T*d*(k+m) = {work} exceeds the decode work bound {bound}")
 
     @property
     def index_bits(self) -> int:
@@ -346,7 +359,7 @@ def compress(
             "the decoder could not rebuild it from the header"
         )
     quantize = QUANTIZERS[quantizer]
-    grid = make_grid(C)
+    grid = Grid(C)
     writer = _BitWriter()
     degenerate = 0
     # Every step draws its codebook into one pair of (K, d) buffers allocated
@@ -380,8 +393,8 @@ def decompress(stream: Bitstream) -> np.ndarray:
     """Replay the encoder's synthesis path; bit-identical to its reconstruction."""
     header = stream.header
     prior = build_registered_prior(header.prior_id, header.d)
-    schedule = build_schedule(header.T, header.beta_min, header.beta_max)
-    grid = make_grid(header.C)
+    schedule = Schedule(header.T, header.beta_min, header.beta_max)
+    grid = Grid(header.C)
     reader = _BitReader(stream.payload, header.payload_bits)
 
     def decode(step):

@@ -20,7 +20,7 @@ time-t marginal. The Jacobian-vector product :func:`tweedie_jacobian_apply`
 solvers and codec all run :func:`reverse_loop` with their own noise policy and
 optional mean hook. The loop advances a batch of such rows in lockstep,
 aligned by t, each row on its own schedule: it calls ``step_at`` once per
-timestep and schedule on the ``(B_g, d)`` state of that schedule's rows and
+timestep and schedule on the rows of that schedule in its ``(B, d)`` state and
 hands each row's hooks that row's Step, which also names the row's schedule
 and seed; the sampler and the codec are its one-row case.
 """
@@ -37,7 +37,6 @@ from .rng import Domain, NoiseStream, StreamKey, derive_stream
 __all__ = [
     "Schedule",
     "GaussianMixturePrior",
-    "build_schedule",
     "marginal_params",
     "marginal_log_density",
     "logsumexp",
@@ -142,7 +141,7 @@ class Schedule:
         return float(self.sigma[t - 1])
 
 
-build_schedule = Schedule  # the constructor's older name, kept for its callers
+build_schedule = Schedule  # benchmarks/worker.py imports this older name; src uses Schedule
 
 
 @dataclass(frozen=True)
@@ -389,11 +388,17 @@ def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
     """The :class:`Step` of state ``x`` at timestep ``t``: ``x`` scored once.
 
     The Tweedie estimate is ``(x + (1 - alpha_bar) s) / sqrt(alpha_bar)`` on
-    the score ``s`` of those mixture statistics.
+    the score ``s`` of those mixture statistics. A state whose marginal log
+    density is not finite, such as one whose distance to every component
+    overflows, has no score and raises ``ValueError``.
     """
     x = np.asarray(x, dtype=np.float64)
-    log_w_pdf, g, marginal = _component_stats(prior, schedule, x, t)
-    resp = np.exp(log_w_pdf - logsumexp(log_w_pdf, axis=-1, keepdims=True))
+    with np.errstate(over="ignore"):  # a distance that overflows gives density 0
+        log_w_pdf, g, marginal = _component_stats(prior, schedule, x, t)
+    log_density = logsumexp(log_w_pdf, axis=-1, keepdims=True)
+    if not np.isfinite(log_density).all():
+        raise ValueError("the marginal log density at the state is not finite")
+    resp = np.exp(log_w_pdf - log_density)
     s = np.einsum("...k,...kd->...d", resp, g)
     ab = schedule.alpha_bar_at(t)
     return Step(t, x, (x + (1.0 - ab) * s) / np.sqrt(ab), (resp, g, s), marginal, schedule)
@@ -405,57 +410,48 @@ def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
     ``rows`` lists ``(schedule, seed, noise, correct)``: the row's schedule,
     the seed that keys its latent, its noise policy ``noise(step)`` and its
     optional mean hook ``correct(step, x_next)`` (``None`` for none). All rows
-    share ``prior``; rows on equal schedules form one group with one
-    ``(B_g, d)`` state. The loop runs t = max T..1, aligned by t: a group
-    joins at its own T. Per t, one ``step_at`` scores each group whose T >= t,
-    and each of its rows' hooks gets that row's own :class:`Step`, with 1-d
-    ``x`` and ``x0_hat``, that row's slice of the statistics, the group's
-    marginal and schedule, and the row's seed. The noise hooks run in the
-    order of ``rows`` and each fills its row of its group's noise (the t = 1
-    step is noiseless); one ``ddpm_step`` moves each group; then the mean
-    hooks, in the order of ``rows``, return the states the rows keep. A
-    hook's noise, the step's Steps and their statistics are dropped before
-    the next hook or scoring runs. Returns the ``(B, d)`` states x_0 in the
-    order of ``rows``. Every row is bit-identical to a run of that row alone,
-    and a single row (B = 1) is the plain reverse loop.
+    share ``prior`` and one ``(B, d)`` state, row i in row i; the rows on
+    one schedule value form its group. The loop runs t = max T..1, aligned
+    by t: a group joins at its own T. Per t, one ``step_at`` scores the rows
+    of each group whose T >= t, and each of its rows' hooks gets that row's
+    own :class:`Step`, with 1-d ``x`` and ``x0_hat``, that row's slice of the
+    statistics, the group's marginal and schedule, and the row's seed. The
+    noise hooks run in the order of ``rows`` and each fills its row of the
+    noise (the t = 1 step is noiseless); one ``ddpm_step`` moves each group's
+    rows; then the mean hooks, in the order of ``rows``, return the states
+    the rows keep. A hook's noise, the step's Steps and their statistics are
+    dropped before the next hook or scoring runs. Returns the state x_0, row
+    i in row i. Every row is bit-identical to a run of that row alone, and a
+    single row (B = 1) is the plain reverse loop.
     """
     d = prior.d
-    schedules, latents = {}, {}  # per group, keyed by id(schedule)
-    seen = {}  # each schedule value -> the one object its group is keyed by
-    place = []  # per row: its group and its row of the group's state
-    for schedule, seed, _, _ in rows:
-        schedule = seen.setdefault(schedule, schedule)
-        g = id(schedule)
-        schedules[g] = schedule
-        place.append((g, len(latents.setdefault(g, []))))
-        key = StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)
-        latents[g].append(derive_stream(key).standard_normal(d))
-    x = {g: np.array(latents.pop(g)) for g in schedules}
-    eps = {g: np.zeros_like(xg) for g, xg in x.items()}
-    for t in range(max((schedule.T for schedule in schedules.values()), default=0), 0, -1):
-        steps = {g: step_at(prior, sch, x[g], t) for g, sch in schedules.items() if sch.T >= t}
-        views = [
-            None if g not in steps else Step(
-                t, x[g][i], steps[g].x0_hat[i], tuple(a[i] for a in steps[g].stats),
-                steps[g].marginal, steps[g].schedule, seed,
-            )
-            for (g, i), (_, seed, _, _) in zip(place, rows)
-        ]
+    groups, x = {}, np.zeros((len(rows), d))  # each schedule -> its row indices, in order
+    for i, (schedule, seed, _, _) in enumerate(rows):
+        groups.setdefault(schedule, []).append(i)
+        x[i] = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(d)
+    eps = np.zeros_like(x)
+    for t in range(max((schedule.T for schedule in groups), default=0), 0, -1):
+        steps = [(idx, step_at(prior, sch, x[idx], t)) for sch, idx in groups.items() if sch.T >= t]
+        views = [None] * len(rows)
+        for idx, step in steps:
+            for j, i in enumerate(idx):
+                views[i] = Step(t, step.x[j], step.x0_hat[j], tuple(a[j] for a in step.stats),
+                                step.marginal, step.schedule, rows[i][1])
         if t >= 2:
-            for (g, i), view, (_, _, noise, _) in zip(place, views, rows):
+            for i, view in enumerate(views):
                 if view is not None:
-                    row_noise = noise(view)
+                    row_noise = rows[i][2](view)  # the row's noise hook
                     if np.shape(row_noise) != (d,):
                         raise ValueError(f"noise shape {np.shape(row_noise)} != state shape ({d},)")
-                    eps[g][i] = row_noise
+                    eps[i] = row_noise
                     del row_noise  # the next hook runs without the previous noise alive
-        for g, step in steps.items():
-            x[g] = ddpm_step(schedules[g], x[g], t, eps[g], step.stats[2])
-        for (g, i), view, (_, _, _, correct) in zip(place, views, rows):
-            if view is not None and correct is not None:
-                x[g][i] = correct(view, x[g][i])
+        for idx, step in steps:
+            x[idx] = ddpm_step(step.schedule, step.x, t, eps[idx], step.stats[2])
+        for i, view in enumerate(views):
+            if view is not None and rows[i][3] is not None:
+                x[i] = rows[i][3](view, x[i])  # the row's mean hook
         del steps, views, step, view  # free this step's statistics before the next is scored
-    return np.array([x[g][i] for g, i in place]).reshape(len(rows), d)
+    return x
 
 
 def unconditional_sample(

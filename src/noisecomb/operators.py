@@ -10,6 +10,7 @@ the codebook-matching rule use the plain adjoint residual, which coincide).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -218,13 +219,16 @@ def mpgd_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:
     """Adjoint-residual direction A^T (y - A x0_hat) on the denoised estimate.
 
     Scalar step-size prefactors are dropped: only the direction feeds the
-    unit-norm combination.
+    unit-norm combination. Every solver row computes it, so a residual or
+    direction whose norm is not finite (a sum of squares that overflows, as
+    with a ``sigma_obs`` of 1e300, or a non-finite entry) is refused here.
     """
     x_tilde0 = np.asarray(x_tilde0, dtype=np.float64)
-    residual = obs.y - obs.operator.apply(x_tilde0)
-    c = obs.operator.adjoint(residual)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("direction contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = obs.y - obs.operator.apply(x_tilde0)
+        c = obs.operator.adjoint(residual)
+        if not (math.isfinite(residual @ residual) and math.isfinite(c @ c)):
+            raise ValueError("the norm of the residual or the direction is not finite")
     return c
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "Grid",
     "StickCode",
     "BudgetExceededError",
-    "make_grid",
     "stick_forward",
     "stick_inverse",
     "fractions_from_scores",
@@ -76,11 +75,6 @@ class Grid:
         if self.C == 0:
             return np.array([])
         return np.concatenate(([0.0], self.values))
-
-
-def make_grid(C: int) -> Grid:
-    """Uniform grid {j / (2^C - 1)} with code 0 reserved for u = 0."""
-    return Grid(C=C)
 
 
 @dataclass(frozen=True)

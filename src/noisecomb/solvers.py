@@ -77,20 +77,6 @@ __all__ = [
 BASELINE_SOLVERS = ("DPS", "MPGD", "DDCM")
 NCS_SOLVERS = ("NCS-DPS", "NCS-MPGD", "NCS-DDCM")
 
-# Recommended codebook sizes per task family. Guidance strength shrinks the
-# usable noise subspace, so weakly constrained tasks get larger codebooks.
-# Advisory defaults, not hard requirements; configs may name these instead of
-# a number.
-TASK_K_PRESETS = {
-    "sr4": 512,
-    "sr8": 64,
-    "inpaint_box": 64,
-    "inpaint_random": 512,
-    "gaussian_deblur": 256,
-    "motion_deblur": 512,
-}
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     solver: str
@@ -145,9 +131,9 @@ def _row(obs, config, codebook_at, tally):
         return fresh_noise(step)
 
     def dps(step, x_next):
+        pulled = mpgd_direction(obs, step.x0_hat)  # first: it refuses a norm that overflows
         rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(step.x0_hat)))
         if rnorm > 0 and config.zeta != 0.0:
-            pulled = mpgd_direction(obs, step.x0_hat)
             grad = -2.0 * tweedie_jacobian_apply(step, pulled)
             x_next = x_next - (config.zeta / rnorm) * grad
         return x_next

@@ -15,7 +15,7 @@ from noisecomb.combination import inner_products, optimal_weights, top_m_weights
 from noisecomb.combination import DegenerateDirectionError
 from noisecomb.diffusion import (
     GaussianMixturePrior,
-    build_schedule,
+    Schedule,
     marginal_log_density,
     marginal_params,
     score,
@@ -24,10 +24,10 @@ from noisecomb.diffusion import (
 )
 from noisecomb.operators import Downsample, Mask, Observation, ddcm_direction, make_observation, mpgd_direction
 from noisecomb.quantizer import (
+    Grid,
     bpp,
     decode_weights,
     fractions_from_scores,
-    make_grid,
     payload_bits,
     quantize_dp,
     quantize_greedy_exponential,
@@ -161,7 +161,7 @@ def test_criterion_05_stick_breaking():
         worst_rt = max(worst_rt, float(np.max(np.abs(back - gamma))))
     assert worst_norm <= 1e-12
     assert worst_rt <= 1e-12
-    grid = make_grid(2)
+    grid = Grid(2)
     assert np.array_equal(grid.values, np.array([1, 2, 3]) / 3.0)
     return f"max |norm-1|={worst_norm:.2e}, max round-trip={worst_rt:.2e}, C=2 grid exact"
 
@@ -173,7 +173,7 @@ def test_criterion_06_dp_exactness():
         m = int(rng.integers(2, 5))
         C = int(rng.integers(1, 4))
         b = np.sort(np.abs(rng.normal(size=m)))[::-1]
-        grid = make_grid(C)
+        grid = Grid(C)
         code_dp, val_dp = quantize_dp(b, grid)
         code_ex, _ = quantize_greedy_exponential(b, grid)
         # exact equality of the achieved objective under one shared evaluator
@@ -187,7 +187,7 @@ def test_criterion_06_dp_exactness():
         b = np.sort(np.abs(rng.normal(size=m)))[::-1]
         if rng.random() < 0.15:
             b[-1] = 0.0
-        grid = make_grid(C)
+        grid = Grid(C)
         _, val_dp = quantize_dp(b, grid)
         val_sw = stick_objective(b, quantize_stagewise(b, grid), grid)
         val_nn = stick_objective(b, quantize_nn(fractions_from_scores(b), grid), grid)
@@ -200,7 +200,7 @@ def test_criterion_06_dp_exactness():
 def test_criterion_07_complexity():
     start = time.perf_counter()
     rng = np.random.default_rng(707)
-    grid4 = make_grid(4)
+    grid4 = Grid(4)
     m_values = [2, 4, 8, 16, 32]
     batches = {
         m: [np.sort(np.abs(rng.normal(size=m)))[::-1] for _ in range(60)] for m in m_values
@@ -223,7 +223,7 @@ def test_criterion_07_complexity():
     slope, _ = np.polyfit(np.log(m_values), np.log(times), 1)
     assert slope <= 1.3
 
-    grid3 = make_grid(3)
+    grid3 = Grid(3)
     greedy_times = []
     greedy_ms = [3, 4, 5, 6]
     for m in greedy_ms:
@@ -247,7 +247,7 @@ def test_criterion_08_bpp_law():
     ][:20]
     assert len(matrix) == 20
     for T, K, m, C in matrix:
-        sch = build_schedule(T, 1e-4, 0.02)
+        sch = Schedule(T, 1e-4, 0.02)
         res = compress(x0, prior, sch, seed=8, K=K, m=m, C=C, n_side=4, prior_id=2)
         expected_bits = (T - 1) * (m * (K.bit_length() - 1) + C * (m - 1))
         assert res.stream.header.payload_bits == expected_bits
@@ -277,13 +277,13 @@ def test_criterion_09_codec_round_trip():
     prior = build_registered_prior(2, 24)
     x0 = prior.sample(1, derive_stream(StreamKey(9, Domain.PRIOR_SAMPLE, 0, 0)))[0]
     for T, K, m, C in cells:
-        sch = build_schedule(T, 1e-4, 0.02)
+        sch = Schedule(T, 1e-4, 0.02)
         res = compress(x0, prior, sch, seed=9, K=K, m=m, C=C, n_side=5, prior_id=2)
         assert np.array_equal(decompress(res.stream), res.reconstruction)
     # tiny codebook forces the deterministic fallback path on some steps
     p1 = build_registered_prior(1, 8)
     z0 = p1.sample(1, derive_stream(StreamKey(19, Domain.PRIOR_SAMPLE, 0, 0)))[0]
-    sch = build_schedule(40, 1e-4, 0.02)
+    sch = Schedule(40, 1e-4, 0.02)
     res = compress(z0, p1, sch, seed=19, K=2, m=2, C=2, n_side=3, prior_id=1)
     assert res.degenerate_steps >= 1
     assert np.array_equal(decompress(res.stream), res.reconstruction)
@@ -298,7 +298,7 @@ def test_criterion_10_diffusion():
         means=np.array([[1.0, 0.0, -1.0, 2.0], [-1.5, 0.5, 0.0, -0.5], [0.0, -2.0, 1.0, 0.0]]),
         variances=np.array([[0.5, 1.0, 0.3, 0.8], [1.2, 0.4, 0.9, 0.6], [0.7, 0.7, 1.1, 0.2]]),
     )
-    sch = build_schedule(100, 1e-4, 0.02)
+    sch = Schedule(100, 1e-4, 0.02)
     # score vs central finite differences
     for _ in range(100):
         t = int(rng.integers(1, 101))
@@ -349,7 +349,7 @@ def test_criterion_11_solver_trend():
     start = time.perf_counter()
     d, T, n_seeds = 16, 20, 200
     prior = build_registered_prior(4, d)
-    sch = build_schedule(T, 1e-4, 0.02)
+    sch = Schedule(T, 1e-4, 0.02)
     op = Mask(d, list(range(d // 2)))
     errs = {"DPS": [], "NCS-DPS": []}
     wins = 0
@@ -385,7 +385,7 @@ def test_criterion_12_compression_speed():
 
     def run(T, m, C):
         # CPU time of this process: another process sharing the cores does not count
-        sch = build_schedule(T, 1e-4, 0.02)
+        sch = Schedule(T, 1e-4, 0.02)
         t0 = time.process_time()
         res = compress(x0, prior, sch, seed=0, K=K, m=m, C=C, n_side=64, prior_id=2)
         return time.process_time() - t0, float(np.mean((res.reconstruction - x0) ** 2))

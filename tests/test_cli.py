@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from noisecomb.cli import (
     prior_from_config,
     psnr,
 )
+from noisecomb.codec import Bitstream, FormatError
 
 
 def _write_json(path, payload):
@@ -95,7 +97,7 @@ def test_cmd_sample_deterministic_bytes(tmp_path):
 
 
 def test_cmd_sample_dump_holds_the_samples_in_csv_row_order(tmp_path):
-    from noisecomb.diffusion import build_schedule, unconditional_sample
+    from noisecomb.diffusion import Schedule, unconditional_sample
 
     prior = {"preset_id": 2, "d": 4}
     cfg = {"prior": prior, "T": [6, 3], "seeds": [5, 0], "dump": str(tmp_path / "x.npy")}
@@ -104,7 +106,7 @@ def test_cmd_sample_dump_holds_the_samples_in_csv_row_order(tmp_path):
     assert dumped.shape == (len(rows), 4)
     assert [(r[0], r[1]) for r in rows] == [(0, 3), (5, 3), (0, 6), (5, 6)]
     for (seed, T, *_), x in zip(rows, dumped):
-        alone = unconditional_sample(prior_from_config(prior), build_schedule(T), seed)
+        alone = unconditional_sample(prior_from_config(prior), Schedule(T), seed)
         assert x.tobytes() == alone.tobytes()
 
 
@@ -232,11 +234,11 @@ def test_cli_nan_beta_header_is_a_format_error(tmp_path, capsys):
     import struct
 
     from noisecomb.codec import compress
-    from noisecomb.diffusion import build_schedule
+    from noisecomb.diffusion import Schedule
 
     prior = prior_from_config({"preset_id": 1, "d": 8})
     res = compress(
-        np.linspace(-1, 1, 8), prior, build_schedule(6, 1e-4, 0.02),
+        np.linspace(-1, 1, 8), prior, Schedule(6, 1e-4, 0.02),
         seed=0, K=8, m=2, C=2, n_side=3, prior_id=1,
     )
     blob = bytearray(res.stream.to_bytes())
@@ -250,11 +252,11 @@ def test_cli_nan_beta_header_is_a_format_error(tmp_path, capsys):
 
 def _k16_m2_stream():
     from noisecomb.codec import compress
-    from noisecomb.diffusion import build_schedule
+    from noisecomb.diffusion import Schedule
 
     prior = prior_from_config({"preset_id": 2, "d": 8})
     res = compress(
-        np.linspace(-1, 1, 8), prior, build_schedule(17, 1e-4, 0.02),
+        np.linspace(-1, 1, 8), prior, Schedule(17, 1e-4, 0.02),
         seed=0, K=16, m=2, C=2, n_side=3, prior_id=2,
     )
     return bytearray(res.stream.to_bytes()), len(res.stream.payload)
@@ -520,6 +522,11 @@ def _tiny_solve(**fields):
                               task={**SOLVE_CONFIG["task"], "sigma_obs": 1e300})),
         ("sample", {"prior": {"weights": [1.0], "means": [[1e300, 0.0]], "variances": [[1.0, 1.0]]},
                     "T": 3, "seeds": [0]}),
+        *[
+            ("solve", _tiny_solve(T=[5], K=8, solvers=[solver],
+                                  task={**SOLVE_CONFIG["task"], "sigma_obs": 1e300}))
+            for solver in ("DPS", "NCS-DPS", "MPGD", "NCS-MPGD", "DDCM", "NCS-DDCM")
+        ],
     ],
     ids=[
         "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "psnr-range-zero",
@@ -536,11 +543,15 @@ def _tiny_solve(**fields):
         "preset-prior-unknown-key", "inline-prior-unknown-key", "prior-variances-and-covariances",
         "mask-operator-unknown-key", "identity-operator-unknown-key",
         "sigma-obs-huge", "prior-mean-huge",
+        "sigma-obs-huge-DPS", "sigma-obs-huge-NCS-DPS", "sigma-obs-huge-MPGD",
+        "sigma-obs-huge-NCS-MPGD", "sigma-obs-huge-DDCM", "sigma-obs-huge-NCS-DDCM",
     ],
 )
+@pytest.mark.filterwarnings("error")  # a NumPy RuntimeWarning would print beside the message
 def test_cli_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command, cfg):
     assert _run_config(tmp_path, command, cfg) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -654,6 +665,25 @@ def test_cli_dimension_bound_header_is_a_format_error(tmp_path, capsys):
     rc = main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")])
     assert rc == 4
     assert "dimension bound" in capsys.readouterr().err
+    assert not (tmp_path / "r.npy").exists()
+
+
+def test_cli_decode_work_bound_header_is_a_format_error(tmp_path, capsys):
+    import struct
+
+    # T=65535, K=1, m=1, C=0, d=8192, prior 4 (k=8): T*K*d is within the encode work bound and
+    # the payload is empty, but T*d*(k+m) is about 4.8e9, some 120 s of decoding
+    header = struct.pack(">4sBBQHIBBIHddI", b"NCSB", 1, 1, 0, 65535, 1, 1, 0, 8192, 1, 1e-4, 0.02, 4)
+    assert len(header) == 48
+    start = time.process_time()
+    with pytest.raises(FormatError, match="decode work bound"):
+        Bitstream.from_bytes(header)
+    stream_path = tmp_path / "long.ncsb"
+    stream_path.write_bytes(header)
+    rc = main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")])
+    assert rc == 4
+    assert "decode work bound" in capsys.readouterr().err
+    assert time.process_time() - start < 0.5  # refused before any step runs
     assert not (tmp_path / "r.npy").exists()
 
 

@@ -15,7 +15,7 @@ from noisecomb.codec import (
     decompress,
     report_bpp,
 )
-from noisecomb.diffusion import GaussianMixturePrior, build_schedule
+from noisecomb.diffusion import GaussianMixturePrior, Schedule
 from noisecomb.quantizer import bpp, payload_bits
 from noisecomb.rng import Domain, StreamKey, derive_stream
 
@@ -42,7 +42,7 @@ def _signal(seed, d, prior_id=2):
 def test_round_trip_bit_exact(T, K, m, C):
     d = 24
     prior, x0 = _signal(seed=3, d=d)
-    sch = build_schedule(T, 1e-4, 0.02)
+    sch = Schedule(T, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=3, K=K, m=m, C=C, n_side=5, prior_id=2)
     assert res.stream.header.payload_bits == payload_bits(T, K, m, C)
     assert len(res.stream.payload) == -(-payload_bits(T, K, m, C) // 8)
@@ -53,7 +53,7 @@ def test_round_trip_bit_exact(T, K, m, C):
 @pytest.mark.parametrize("T,K,m,C", PARAM_MATRIX)
 def test_container_bytes_round_trip(T, K, m, C):
     prior, x0 = _signal(seed=11, d=16)
-    sch = build_schedule(T, 1e-4, 0.02)
+    sch = Schedule(T, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=11, K=K, m=m, C=C, n_side=4, prior_id=2)
     blob = res.stream.to_bytes()
     parsed = Bitstream.from_bytes(blob)
@@ -65,7 +65,7 @@ def test_degenerate_fallback_steps_round_trip():
     # K=2 leaves ~25% probability per step that no atom aligns positively,
     # so the deterministic fallback path gets exercised and must still decode
     prior, x0 = _signal(seed=1, d=8, prior_id=1)
-    sch = build_schedule(40, 1e-4, 0.02)
+    sch = Schedule(40, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=1, K=2, m=2, C=2, n_side=3, prior_id=1)
     assert res.degenerate_steps >= 1
     assert np.array_equal(decompress(res.stream), res.reconstruction)
@@ -73,7 +73,7 @@ def test_degenerate_fallback_steps_round_trip():
 
 def test_corrupting_one_bit_changes_output():
     prior, x0 = _signal(seed=7, d=16)
-    sch = build_schedule(12, 1e-4, 0.02)
+    sch = Schedule(12, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=7, K=16, m=2, C=3, n_side=4, prior_id=2)
     payload = bytearray(res.stream.payload)
     payload[0] ^= 0x80  # flip the very first index bit
@@ -83,7 +83,7 @@ def test_corrupting_one_bit_changes_output():
 
 def test_encoder_quantizer_choice_changes_stream_not_format():
     prior, x0 = _signal(seed=6, d=16)
-    sch = build_schedule(10, 1e-4, 0.02)
+    sch = Schedule(10, 1e-4, 0.02)
     kw = dict(seed=6, K=16, m=4, C=3, n_side=4, prior_id=2)
     dp = compress(x0, prior, sch, quantizer="dp", **kw)
     nn = compress(x0, prior, sch, quantizer="nn", **kw)
@@ -95,7 +95,7 @@ def test_encoder_quantizer_choice_changes_stream_not_format():
 def test_mse_decreases_with_m():
     d = 64
     prior = build_registered_prior(4, d)
-    sch = build_schedule(25, 1e-4, 0.02)
+    sch = Schedule(25, 1e-4, 0.02)
     medians = []
     for m in (1, 2, 4, 8):
         errs = []
@@ -109,7 +109,7 @@ def test_mse_decreases_with_m():
 
 def test_report_bpp_matches_formula():
     prior, x0 = _signal(seed=2, d=16)
-    sch = build_schedule(10, 1e-4, 0.02)
+    sch = Schedule(10, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=2, K=16, m=2, C=3, n_side=4, prior_id=2)
     assert report_bpp(res.stream) == bpp(10, 16, 2, 3, 4)
     assert report_bpp(res.stream) == res.stream.header.payload_bits / 16.0
@@ -126,7 +126,7 @@ def test_header_validation():
 
 def test_format_errors():
     prior, x0 = _signal(seed=4, d=8, prior_id=1)
-    sch = build_schedule(6, 1e-4, 0.02)
+    sch = Schedule(6, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=4, K=8, m=2, C=2, n_side=3, prior_id=1)
     blob = res.stream.to_bytes()
 
@@ -162,7 +162,7 @@ def test_header_rejects_bad_betas(beta_min, beta_max):
             beta_min=beta_min, beta_max=beta_max, prior_id=1,
         )
     prior, x0 = _signal(seed=4, d=8, prior_id=1)
-    res = compress(x0, prior, build_schedule(6, 1e-4, 0.02), seed=4, K=8, m=2, C=2, n_side=3, prior_id=1)
+    res = compress(x0, prior, Schedule(6, 1e-4, 0.02), seed=4, K=8, m=2, C=2, n_side=3, prior_id=1)
     blob = res.stream.to_bytes()
     assert Bitstream.from_bytes(_with_betas(blob, 1e-4, 0.02)) == res.stream
     with pytest.raises(FormatError):
@@ -172,7 +172,7 @@ def test_header_rejects_bad_betas(beta_min, beta_max):
 def test_nonzero_padding_bits_rejected():
     cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "codec.json").read_text())
     prior, x0 = _signal(seed=0, d=64, prior_id=cfg["prior_id"])
-    sch = build_schedule(cfg["T"], cfg["schedule"]["beta_min"], cfg["schedule"]["beta_max"])
+    sch = Schedule(cfg["T"], cfg["schedule"]["beta_min"], cfg["schedule"]["beta_max"])
     res = compress(
         x0, prior, sch, seed=cfg["seed"], K=cfg["K"], m=cfg["m"], C=cfg["C"],
         n_side=cfg["n_side"], prior_id=cfg["prior_id"],
@@ -192,7 +192,7 @@ def test_nonzero_padding_bits_rejected():
 def _k16_m2_stream():
     """A valid K=16, m=2 stream whose first payload byte holds step T's two indices."""
     prior, x0 = _signal(seed=2, d=8)
-    res = compress(x0, prior, build_schedule(17, 1e-4, 0.02), seed=2, K=16, m=2, C=0, n_side=3, prior_id=2)
+    res = compress(x0, prior, Schedule(17, 1e-4, 0.02), seed=2, K=16, m=2, C=0, n_side=3, prior_id=2)
     assert len(res.stream.payload) == 16
     return res.stream.to_bytes()
 
@@ -207,13 +207,13 @@ def test_duplicate_atom_in_a_step_is_a_format_error():
 
 
 def test_decode_work_bound_rejects_huge_dimension_before_decoding():
-    from noisecomb.codec import MAX_DECODE_WORK
+    from noisecomb.codec import MAX_ENCODE_WORK
 
     # the shipped d=4096 codec config fits under the bound
     CodecHeader(seed=0, T=100, K=64, m=4, C=4, d=4096, n_side=64, beta_min=1e-4, beta_max=0.02, prior_id=2)
-    assert 100 * 64 * 4096 <= MAX_DECODE_WORK
+    assert 100 * 64 * 4096 <= MAX_ENCODE_WORK
     with pytest.raises(ValueError, match="work bound"):
-        CodecHeader(seed=0, T=2, K=64, m=1, C=0, d=MAX_DECODE_WORK // 64, n_side=1,
+        CodecHeader(seed=0, T=2, K=64, m=1, C=0, d=MAX_ENCODE_WORK // 64, n_side=1,
                     beta_min=1e-4, beta_max=0.02, prior_id=1)
     blob = bytearray(_k16_m2_stream())
     struct.pack_into(">I", blob, struct.calcsize(">4sBBQHIBB"), 2**32 - 1)  # d
@@ -239,7 +239,7 @@ def test_code_width_bound_rejects_huge_grid_before_decoding():
     with pytest.raises(FormatError, match="C must be"):
         Bitstream.from_bytes(blob)
     prior, x0 = _signal(seed=1, d=8)
-    sch = build_schedule(3, 1e-4, 0.02)
+    sch = Schedule(3, 1e-4, 0.02)
     with pytest.raises(ValueError, match="C must be"):
         compress(x0, prior, sch, seed=1, K=2, m=2, C=40, n_side=3, prior_id=2)
     # the bound itself still encodes and decodes
@@ -275,7 +275,7 @@ def test_bit_reader_is_linear_and_matches_unpackbits():
 
 def test_unknown_prior_id():
     prior, x0 = _signal(seed=4, d=8, prior_id=1)
-    sch = build_schedule(6, 1e-4, 0.02)
+    sch = Schedule(6, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=4, K=8, m=2, C=2, n_side=3, prior_id=1)
     header = res.stream.header
     rogue = CodecHeader(
@@ -293,7 +293,7 @@ def test_decompress_identical_across_processes(tmp_path):
     import sys
 
     prior, x0 = _signal(seed=12, d=16)
-    sch = build_schedule(15, 1e-4, 0.02)
+    sch = Schedule(15, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=12, K=16, m=3, C=3, n_side=4, prior_id=2)
     blob_path = tmp_path / "stream.bin"
     blob_path.write_bytes(res.stream.to_bytes())
@@ -341,7 +341,7 @@ def test_bit_packing_round_trip_property():
 
 def test_compress_validates_inputs():
     prior, x0 = _signal(seed=0, d=8, prior_id=1)
-    sch = build_schedule(5, 1e-4, 0.02)
+    sch = Schedule(5, 1e-4, 0.02)
     with pytest.raises(ValueError):
         compress(x0[:4], prior, sch, seed=0, K=8, m=2, C=2, n_side=3, prior_id=1)
     with pytest.raises(ValueError):
@@ -354,7 +354,7 @@ def test_compress_rejects_prior_the_decoder_cannot_rebuild():
     # the decoder rebuilds the prior from prior_id alone, so any other prior
     # would give a stream whose decode differs from the reconstruction
     prior, x0 = _signal(seed=0, d=16, prior_id=2)
-    sch = build_schedule(10, 1e-4, 0.02)
+    sch = Schedule(10, 1e-4, 0.02)
     kw = dict(seed=0, K=16, m=2, C=2, n_side=4)
     with pytest.raises(ValueError, match="registered prior 1"):
         compress(x0, prior, sch, prior_id=1, **kw)
@@ -387,7 +387,7 @@ def test_dimension_bound_rejects_huge_prior_before_decoding():
                     beta_min=1e-4, beta_max=0.02, prior_id=1)
     # the bound itself still encodes and decodes
     prior, x0 = _signal(seed=3, d=MAX_D, prior_id=1)
-    res = compress(x0, prior, build_schedule(2, 1e-4, 0.02), seed=3, K=2, m=1, C=0, n_side=256, prior_id=1)
+    res = compress(x0, prior, Schedule(2, 1e-4, 0.02), seed=3, K=2, m=1, C=0, n_side=256, prior_id=1)
     assert np.array_equal(decompress(Bitstream.from_bytes(res.stream.to_bytes())), res.reconstruction)
 
 
@@ -403,7 +403,7 @@ def test_header_rejects_schedules_whose_alpha_bar_leaves_the_open_interval(T, be
         Bitstream.from_bytes(blob)
     prior, x0 = _signal(seed=0, d=4)
     with pytest.raises(ValueError, match="alpha_bar"):
-        compress(x0, prior, build_schedule(T, beta_min, beta_max), seed=0, K=1, m=1, C=0,
+        compress(x0, prior, Schedule(T, beta_min, beta_max), seed=0, K=1, m=1, C=0,
                  n_side=2, prior_id=2)
 
 
@@ -413,7 +413,7 @@ def _fuzz_base_streams() -> list:
     out = []
     for T, K, m, C, d, prior_id in cells:
         prior, x0 = _signal(seed=T, d=d, prior_id=prior_id)
-        res = compress(x0, prior, build_schedule(T, 1e-4, 0.02), seed=T, K=K, m=m, C=C,
+        res = compress(x0, prior, Schedule(T, 1e-4, 0.02), seed=T, K=K, m=m, C=C,
                        n_side=3, prior_id=prior_id)
         out.append(res.stream.to_bytes())
     return out
@@ -486,7 +486,7 @@ def _count_derive_stream(monkeypatch) -> list:
 @pytest.mark.parametrize("T,K,m,C", PARAM_MATRIX)
 def test_decoder_draws_only_the_named_atoms(monkeypatch, T, K, m, C):
     prior, x0 = _signal(seed=5, d=12)
-    res = compress(x0, prior, build_schedule(T, 1e-4, 0.02), seed=5, K=K, m=m, C=C, n_side=4, prior_id=2)
+    res = compress(x0, prior, Schedule(T, 1e-4, 0.02), seed=5, K=K, m=m, C=C, n_side=4, prior_id=2)
     keys = _count_derive_stream(monkeypatch)
     assert np.array_equal(decompress(res.stream), res.reconstruction)
     atoms = [k for k in keys if k.domain == Domain.CODEBOOK]
@@ -533,7 +533,7 @@ def test_encoder_draws_every_codebook_into_one_pair_of_buffers():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        compress(x0, prior, build_schedule(6, 1e-4, 0.02), seed=0, K=K, m=2, C=2, n_side=1, prior_id=1)
+        compress(x0, prior, Schedule(6, 1e-4, 0.02), seed=0, K=K, m=2, C=2, n_side=1, prior_id=1)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -560,5 +560,5 @@ def test_compress_rejects_a_non_finite_signal(monkeypatch, bad):
     x0[3] = bad
     keys = _count_derive_stream(monkeypatch)
     with pytest.raises(ValueError, match="signal must be finite"):
-        compress(x0, prior, build_schedule(5, 1e-4, 0.02), seed=0, K=8, m=2, C=2, n_side=3, prior_id=2)
+        compress(x0, prior, Schedule(5, 1e-4, 0.02), seed=0, K=8, m=2, C=2, n_side=3, prior_id=2)
     assert keys == []  # refused before the first step

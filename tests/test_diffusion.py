@@ -4,7 +4,6 @@ import pytest
 from noisecomb.diffusion import (
     GaussianMixturePrior,
     Schedule,
-    build_schedule,
     ddpm_mean,
     ddpm_step,
     fresh_noise,
@@ -58,13 +57,13 @@ def _mixture_4d_diag():
 
 
 def test_schedule_single_step():
-    sch = build_schedule(1, 0.02, 0.02)
+    sch = Schedule(1, 0.02, 0.02)
     assert sch.alpha_bar.tolist() == [0.98]
     assert sch.sigma_at(1) == pytest.approx(np.sqrt(0.02), abs=0)
 
 
 def test_schedule_golden_alpha_bar():
-    sch = build_schedule(1000, 1e-4, 0.02)
+    sch = Schedule(1000, 1e-4, 0.02)
     # cross-check cumprod against an independent log-domain evaluation
     log_prod = np.sum(np.log1p(-np.linspace(1e-4, 0.02, 1000)))
     assert sch.alpha_bar_at(1000) == pytest.approx(np.exp(log_prod), rel=1e-12)
@@ -72,7 +71,7 @@ def test_schedule_golden_alpha_bar():
 
 
 def test_schedule_monotone_and_consistent():
-    sch = build_schedule(500, 1e-4, 0.02)
+    sch = Schedule(500, 1e-4, 0.02)
     assert np.all(np.diff(sch.alpha_bar) < 0)
     assert np.all(sch.alpha_bar > 0) and np.all(sch.alpha_bar <= 1)
     assert np.allclose(sch.sigma**2, sch.beta, rtol=0, atol=1e-16)
@@ -81,8 +80,8 @@ def test_schedule_monotone_and_consistent():
 
 def test_schedule_is_its_three_numbers():
     sch = Schedule(10)
-    assert sch == build_schedule(10, 1e-4, 0.02)
-    assert hash(sch) == hash(build_schedule(10, 1e-4, 0.02))
+    assert sch == Schedule(10, 1e-4, 0.02)
+    assert hash(sch) == hash(Schedule(10, 1e-4, 0.02))
     for other in (Schedule(11), Schedule(10, 2e-4), Schedule(10, 1e-4, 0.03)):
         assert sch != other
     assert repr(sch) == "Schedule(T=10, beta_min=0.0001, beta_max=0.02)"
@@ -90,13 +89,13 @@ def test_schedule_is_its_three_numbers():
 
 def test_schedule_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        build_schedule(0, 1e-4, 0.02)
+        Schedule(0, 1e-4, 0.02)
     with pytest.raises(ValueError):
-        build_schedule(10, 0.0, 0.02)
+        Schedule(10, 0.0, 0.02)
     with pytest.raises(ValueError):
-        build_schedule(10, 0.03, 0.02)
+        Schedule(10, 0.03, 0.02)
     with pytest.raises(ValueError):
-        build_schedule(10, 1e-4, 1.0)
+        Schedule(10, 1e-4, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,7 @@ def test_schedule_rejects_bad_arguments():
 
 
 def test_marginal_near_t0_limit():
-    sch = build_schedule(5, 1e-6, 1e-6)
+    sch = Schedule(5, 1e-6, 1e-6)
     prior = _mixture_4d_diag()
     w, means, variances = marginal_params(prior, sch, 1)
     assert np.allclose(means, prior.means, rtol=0, atol=1e-5)
@@ -114,7 +113,7 @@ def test_marginal_near_t0_limit():
 
 
 def test_marginal_unit_gaussian_variance_preserved_every_t():
-    sch = build_schedule(200, 1e-4, 0.05)
+    sch = Schedule(200, 1e-4, 0.05)
     prior = GaussianMixturePrior.single(np.zeros(3), np.ones(3))
     for t in range(1, 201):
         _, _, variances = marginal_params(prior, sch, t)
@@ -123,7 +122,7 @@ def test_marginal_unit_gaussian_variance_preserved_every_t():
 
 def test_marginal_two_component_hand_example():
     # one step with beta = 0.75 makes alpha_bar exactly 0.25
-    sch = build_schedule(1, 0.75, 0.75)
+    sch = Schedule(1, 0.75, 0.75)
     prior = GaussianMixturePrior(
         weights=np.array([0.6, 0.4]),
         means=np.array([[2.0], [-4.0]]),
@@ -135,7 +134,7 @@ def test_marginal_two_component_hand_example():
 
 
 def test_marginal_rejects_out_of_range_t():
-    sch = build_schedule(10, 1e-4, 0.02)
+    sch = Schedule(10, 1e-4, 0.02)
     prior = _mixture_4d_diag()
     with pytest.raises(ValueError):
         marginal_params(prior, sch, 0)
@@ -158,7 +157,7 @@ def _fd_gradient(f, x, h=1e-5):
 
 
 def test_score_unit_gaussian_is_minus_x():
-    sch = build_schedule(100, 1e-4, 0.02)
+    sch = Schedule(100, 1e-4, 0.02)
     prior = GaussianMixturePrior.single(np.zeros(5), np.ones(5))
     x = RNG.normal(size=5)
     for t in (1, 37, 100):
@@ -166,7 +165,7 @@ def test_score_unit_gaussian_is_minus_x():
 
 
 def test_score_near_point_mass():
-    sch = build_schedule(50, 1e-4, 0.02)
+    sch = Schedule(50, 1e-4, 0.02)
     eps = 1e-6
     mu = np.array([0.5, -1.0])
     prior = GaussianMixturePrior.single(mu, eps * np.ones(2))
@@ -180,7 +179,7 @@ def test_score_near_point_mass():
 @pytest.mark.parametrize("prior_fn", [_mixture_2d_full, _mixture_4d_diag])
 def test_score_matches_finite_differences(prior_fn):
     prior = prior_fn()
-    sch = build_schedule(100, 1e-4, 0.02)
+    sch = Schedule(100, 1e-4, 0.02)
     for _ in range(100):
         t = int(RNG.integers(1, 101))
         x = RNG.normal(size=prior.d) * 2.0
@@ -190,7 +189,7 @@ def test_score_matches_finite_differences(prior_fn):
 
 
 def test_score_rejects_nonfinite_input():
-    sch = build_schedule(10, 1e-4, 0.02)
+    sch = Schedule(10, 1e-4, 0.02)
     prior = _mixture_4d_diag()
     with pytest.raises(ValueError):
         score(prior, sch, np.array([1.0, np.nan, 0.0, 0.0]), 5)
@@ -243,7 +242,7 @@ def test_step_at_rows_match_single_states(prior_kind):
     from noisecomb.codec import build_registered_prior
 
     prior = build_registered_prior(4, 16) if prior_kind == "diagonal" else _mixture_16d_full()
-    sch = build_schedule(40, 1e-4, 0.02)
+    sch = Schedule(40, 1e-4, 0.02)
     for B in (1, 2, 4, 7):
         xs = RNG.normal(size=(B, prior.d))
         for t in (1, 17, 40):
@@ -257,7 +256,7 @@ def test_step_at_rows_match_single_states(prior_kind):
 
 def test_score_batched_matches_pointwise():
     prior = _mixture_4d_diag()
-    sch = build_schedule(60, 1e-4, 0.02)
+    sch = Schedule(60, 1e-4, 0.02)
     xs = RNG.normal(size=(7, 4))
     batched = score(prior, sch, xs, 30)
     for r in range(7):
@@ -276,7 +275,7 @@ def _conjugate_posterior_mean(mu0, sigma0, sch, t, x):
 
 
 def test_tweedie_point_mass_collapses():
-    sch = build_schedule(40, 1e-4, 0.02)
+    sch = Schedule(40, 1e-4, 0.02)
     mu = np.array([1.0, -2.0, 0.5])
     prior = GaussianMixturePrior.single(mu, 1e-10 * np.ones(3))
     for t in (1, 20, 40):
@@ -285,7 +284,7 @@ def test_tweedie_point_mass_collapses():
 
 
 def test_tweedie_matches_conjugate_gaussian():
-    sch = build_schedule(80, 1e-4, 0.03)
+    sch = Schedule(80, 1e-4, 0.03)
     sigma0 = np.array([[0.9, 0.2, 0.0], [0.2, 0.7, -0.1], [0.0, -0.1, 1.3]])
     mu0 = np.array([0.5, -0.5, 1.0])
     prior = GaussianMixturePrior.single(mu0, sigma0)
@@ -297,14 +296,14 @@ def test_tweedie_matches_conjugate_gaussian():
 
 
 def test_tweedie_no_noise_limit():
-    sch = build_schedule(100, 1e-8, 1e-8)
+    sch = Schedule(100, 1e-8, 1e-8)
     prior = _mixture_4d_diag()
     x = RNG.normal(size=4)
     assert np.allclose(tweedie_estimate(prior, sch, x, 1), x, atol=1e-4)
 
 
 def test_jacobian_single_gaussian_closed_form():
-    sch = build_schedule(60, 1e-4, 0.03)
+    sch = Schedule(60, 1e-4, 0.03)
     sigma0 = np.array([[0.9, 0.2], [0.2, 0.7]])
     prior = GaussianMixturePrior.single(np.array([0.3, -0.2]), sigma0)
     t = 25
@@ -316,7 +315,7 @@ def test_jacobian_single_gaussian_closed_form():
 
 
 def test_jacobian_point_mass_is_zero():
-    sch = build_schedule(30, 1e-4, 0.02)
+    sch = Schedule(30, 1e-4, 0.02)
     prior = GaussianMixturePrior.single(np.array([1.0, 2.0]), 1e-12 * np.ones(2))
     J = tweedie_jacobian(prior, sch, RNG.normal(size=2), 15)
     assert np.allclose(J, 0.0, atol=1e-9)
@@ -325,7 +324,7 @@ def test_jacobian_point_mass_is_zero():
 @pytest.mark.parametrize("prior_fn", [_mixture_2d_full, _mixture_4d_diag])
 def test_jacobian_matches_finite_differences(prior_fn):
     prior = prior_fn()
-    sch = build_schedule(100, 1e-4, 0.02)
+    sch = Schedule(100, 1e-4, 0.02)
     for _ in range(10):
         t = int(RNG.integers(1, 101))
         x = RNG.normal(size=prior.d) * 1.5
@@ -344,7 +343,7 @@ def test_jacobian_matches_finite_differences(prior_fn):
 @pytest.mark.parametrize("prior_fn", [_mixture_2d_full, _mixture_4d_diag])
 def test_jacobian_apply_matches_dense(prior_fn):
     prior = prior_fn()
-    sch = build_schedule(50, 1e-4, 0.02)
+    sch = Schedule(50, 1e-4, 0.02)
     for t in (3, 27, 50):
         x = RNG.normal(size=prior.d)
         v = RNG.normal(size=prior.d)
@@ -360,14 +359,14 @@ def test_jacobian_apply_matches_dense(prior_fn):
 
 
 def test_ddpm_mean_zero_score():
-    sch = build_schedule(10, 0.01, 0.02)
+    sch = Schedule(10, 0.01, 0.02)
     x = np.array([1.0, -2.0])
     got = ddpm_mean(sch, x, 5, np.zeros(2))
     assert np.allclose(got, x / np.sqrt(sch.alpha_at(5)), rtol=0, atol=1e-16)
 
 
 def test_ddpm_mean_hand_value_1d():
-    sch = build_schedule(1, 0.02, 0.02)
+    sch = Schedule(1, 0.02, 0.02)
     ab = sch.alpha_bar_at(1)
     # score chosen so the noise-prediction form equals 1
     s = np.array([-1.0 / np.sqrt(1 - ab)])
@@ -378,7 +377,7 @@ def test_ddpm_mean_hand_value_1d():
 
 def test_ddpm_mean_posterior_identity():
     prior = _mixture_4d_diag()
-    sch = build_schedule(100, 1e-4, 0.02)
+    sch = Schedule(100, 1e-4, 0.02)
     for t in (2, 41, 100):
         x = RNG.normal(size=4)
         s = score(prior, sch, x, t)
@@ -393,7 +392,7 @@ def test_ddpm_mean_posterior_identity():
 
 
 def test_ddpm_step_final_ignores_noise():
-    sch = build_schedule(5, 1e-4, 0.02)
+    sch = Schedule(5, 1e-4, 0.02)
     prior = _mixture_4d_diag()
     x = RNG.normal(size=4)
     s = score(prior, sch, x, 1)
@@ -403,7 +402,7 @@ def test_ddpm_step_final_ignores_noise():
 
 
 def test_ddpm_step_zero_noise_is_mean():
-    sch = build_schedule(5, 1e-4, 0.02)
+    sch = Schedule(5, 1e-4, 0.02)
     x = RNG.normal(size=3)
     s = RNG.normal(size=3)
     assert np.array_equal(ddpm_step(sch, x, 3, np.zeros(3), s), ddpm_mean(sch, x, 3, s))
@@ -411,14 +410,14 @@ def test_ddpm_step_zero_noise_is_mean():
 
 def test_reverse_loop_rejects_noise_of_the_wrong_shape():
     prior = _mixture_4d_diag()
-    sch = build_schedule(3, 1e-4, 0.02)
+    sch = Schedule(3, 1e-4, 0.02)
     for bad in (0.5, np.zeros(1), np.zeros(5), np.zeros((1, 4))):
         with pytest.raises(ValueError, match="noise shape"):
             reverse_loop(prior, [(sch, 0, lambda step: bad, None)])
 
 
 def test_ddpm_step_rejects_dimension_mismatch():
-    sch = build_schedule(5, 1e-4, 0.02)
+    sch = Schedule(5, 1e-4, 0.02)
     with pytest.raises(ValueError):
         ddpm_step(sch, np.zeros(3), 3, np.zeros(4), np.zeros(3))
 
@@ -436,7 +435,7 @@ def _batched_unconditional(prior, sch, seeds):
 
 def test_unconditional_deterministic_per_seed():
     prior = _mixture_2d_full()
-    sch = build_schedule(25, 1e-4, 0.1)
+    sch = Schedule(25, 1e-4, 0.1)
     a = unconditional_sample(prior, sch, 11)
     b = unconditional_sample(prior, sch, 11)
     c = unconditional_sample(prior, sch, 12)
@@ -446,7 +445,7 @@ def test_unconditional_deterministic_per_seed():
 
 def test_batched_replica_matches_sampler():
     prior = _mixture_2d_full()
-    sch = build_schedule(25, 1e-4, 0.1)
+    sch = Schedule(25, 1e-4, 0.1)
     batch = _batched_unconditional(prior, sch, [4, 5, 6])
     for row, seed in zip(batch, (4, 5, 6)):
         assert np.array_equal(row, unconditional_sample(prior, sch, seed))
@@ -457,7 +456,7 @@ def test_each_step_names_its_rows_seed_and_schedule():
     rows, seen = [], []
     for T in (6, 9):
         for seed in (3, 4, 5):
-            sch = build_schedule(T)
+            sch = Schedule(T)
 
             def noise(step, row=len(rows)):
                 seen.append((row, "noise", step.t, step.seed, step.schedule))
@@ -474,8 +473,8 @@ def test_each_step_names_its_rows_seed_and_schedule():
         assert [t for hook, t, _, _ in mine if hook == "noise"] == list(range(sch.T, 1, -1))
         assert [t for hook, t, _, _ in mine if hook == "correct"] == list(range(sch.T, 0, -1))
         assert all(s == seed and step_sch == sch for _, _, s, step_sch in mine)
-    batch = step_at(prior, build_schedule(6), np.zeros((3, 2)), 6)
-    assert batch.seed is None and batch.schedule == build_schedule(6)
+    batch = step_at(prior, Schedule(6), np.zeros((3, 2)), 6)
+    assert batch.seed is None and batch.schedule == Schedule(6)
 
 
 def test_rows_on_equal_schedules_share_one_scoring_per_step(monkeypatch):
@@ -483,14 +482,14 @@ def test_rows_on_equal_schedules_share_one_scoring_per_step(monkeypatch):
 
     prior = _mixture_2d_full()
     T, seeds = 10, (4, 5, 6)
-    alone = [unconditional_sample(prior, build_schedule(T), seed) for seed in seeds]
+    alone = [unconditional_sample(prior, Schedule(T), seed) for seed in seeds]
     calls = []
     real_step_at = noisecomb.diffusion.step_at
     monkeypatch.setattr(
         noisecomb.diffusion, "step_at", lambda *a, **k: calls.append(a[3]) or real_step_at(*a, **k)
     )
     rows = [
-        (build_schedule(T), seed, fresh_noise, None)
+        (Schedule(T), seed, fresh_noise, None)
         for seed in seeds
     ]  # three separately built, equal schedules
     batch = reverse_loop(prior, rows)
@@ -502,7 +501,7 @@ def test_rows_on_equal_schedules_share_one_scoring_per_step(monkeypatch):
 def test_unconditional_point_mass_converges():
     mu = np.array([1.5, -0.75])
     prior = GaussianMixturePrior.single(mu, 1e-10 * np.ones(2))
-    sch = build_schedule(1000, 1e-4, 0.02)
+    sch = Schedule(1000, 1e-4, 0.02)
     batch = _batched_unconditional(prior, sch, list(range(200)))
     tol = 0.05 * np.linalg.norm(mu) + 0.1
     assert np.all(np.abs(batch.mean(axis=0) - mu) <= tol)
@@ -510,7 +509,7 @@ def test_unconditional_point_mass_converges():
 
 def test_unconditional_unit_gaussian_variance():
     prior = GaussianMixturePrior.single(np.zeros(1), np.ones(1))
-    sch = build_schedule(50, 1e-4, 0.25)
+    sch = Schedule(50, 1e-4, 0.25)
     batch = _batched_unconditional(prior, sch, list(range(5000)))
     assert 0.9 <= float(batch.var()) <= 1.1
 
@@ -526,7 +525,7 @@ def test_full_covariance_path_at_d16():
     prior = GaussianMixturePrior(
         weights=np.array([0.6, 0.4]), means=rng.normal(size=(k, d)), covariances=covs
     )
-    sch = build_schedule(40, 1e-4, 0.02)
+    sch = Schedule(40, 1e-4, 0.02)
     x = rng.normal(size=d)
     t = 17
     exact = score(prior, sch, x, t)
@@ -543,7 +542,7 @@ def test_unconditional_bimodal_recovers_weights():
         means=np.array([[3.0], [-3.0]]),
         variances=np.array([[1.0], [1.0]]),
     )
-    sch = build_schedule(50, 1e-4, 0.25)
+    sch = Schedule(50, 1e-4, 0.25)
     batch = _batched_unconditional(prior, sch, list(range(5000)))
     frac_positive = float(np.mean(batch > 0))
     assert abs(frac_positive - 0.5) <= 0.05

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -27,7 +28,7 @@ import pytest
 
 from noisecomb.cli import cmd_sample, cmd_solve
 from noisecomb.codec import Bitstream, build_registered_prior, compress, decompress
-from noisecomb.diffusion import GaussianMixturePrior, build_schedule, unconditional_sample
+from noisecomb.diffusion import GaussianMixturePrior, Schedule, unconditional_sample
 from noisecomb.operators import LinearOperator, Mask, make_observation
 from noisecomb.quantizer import QUANTIZERS
 from noisecomb.rng import Domain, StreamKey, derive_stream
@@ -68,7 +69,7 @@ def _full_cov_prior() -> GaussianMixturePrior:
 
 def _sample_case(kind: str, T: int) -> str:
     prior = build_registered_prior(4, 6) if kind == "diag" else _full_cov_prior()
-    x = unconditional_sample(prior, build_schedule(T, 1e-4, 0.02), 7)
+    x = unconditional_sample(prior, Schedule(T, 1e-4, 0.02), 7)
     return _digest(x.tobytes())
 
 
@@ -79,7 +80,7 @@ def _solve_case(operator: str, solver: str, m) -> str:
     op = Mask(d, [0, 1, 2, 3]) if operator == "mask" else ZeroOperator(d)
     obs = make_observation(x0, op, 0.05, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0)))
     cfg = SolverConfig(solver=solver, K=4, m=m, seed=seed)
-    res = solve(prior, build_schedule(T, 1e-4, 0.02), obs, cfg)
+    res = solve(prior, Schedule(T, 1e-4, 0.02), obs, cfg)
     return _digest(res.x0.tobytes(), res.degenerate_steps)
 
 
@@ -88,7 +89,7 @@ def _codec_case(quantizer: str, K: int, m: int, C: int) -> str:
     prior = build_registered_prior(2, d)
     x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
     res = compress(
-        x0, prior, build_schedule(T, 1e-4, 0.02),
+        x0, prior, Schedule(T, 1e-4, 0.02),
         seed=seed, K=K, m=m, C=C, n_side=3, prior_id=2, quantizer=quantizer,
     )
     decoded = decompress(res.stream)
@@ -250,6 +251,27 @@ def test_benchmark_codec_seed0_stream(workload, monkeypatch):
     data, recon, _ = worker.CodecRole(workload_spec, 0, 1).encode(0)
     assert hashlib.sha256(data).hexdigest() == workload_spec["seed0_sha256"]["stream"]
     assert decompress(Bitstream.from_bytes(data)).tobytes() == recon.tobytes()
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # only a traced benchmark run (--trace 1) installs the tracer; this resolves
+    # and wraps every target it names, so a rename in src fails here, and runs nothing
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", root / "benchmarks" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)  # its dataclasses look it up
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    functions = {t: getattr(sys.modules[t.owner], t.attr) for t in tracer.targets if "." not in t.attr}
+    for target in set(tracer.targets) - set(functions):
+        assert tracer_module._class_slots(sys.modules[target.owner], target.attr), target.name
+    tracer.install()
+    try:
+        assert all(getattr(sys.modules[t.owner], t.attr) is not fn for t, fn in functions.items())
+    finally:
+        tracer.uninstall()
+    assert all(getattr(sys.modules[t.owner], t.attr) is fn for t, fn in functions.items())
+    assert not any(stat.calls for stat in tracer.stats.values())
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisecomb.diffusion import GaussianMixturePrior, build_schedule, step_at, tweedie_estimate
+from noisecomb.diffusion import GaussianMixturePrior, Schedule, step_at, tweedie_estimate
 from noisecomb.operators import (
     CircularBlur,
     Downsample,
@@ -178,7 +178,7 @@ def test_ddcm_pure_compression_residual():
 
 def test_dps_direction_zero_cases():
     prior = _mixture_prior()
-    sch = build_schedule(30, 1e-4, 0.02)
+    sch = Schedule(30, 1e-4, 0.02)
     t = 15
     x_t = RNG.normal(size=4)
     step = step_at(prior, sch, x_t, t)
@@ -195,7 +195,7 @@ def test_dps_direction_zero_cases():
 def test_dps_direction_matches_likelihood_gradient():
     # c must equal the downhill direction of L = ||y - A x0_hat||^2 / (2 sigma_t^2)
     prior = _mixture_prior()
-    sch = build_schedule(30, 1e-4, 0.02)
+    sch = Schedule(30, 1e-4, 0.02)
     op = Mask(4, [0, 2])
     for trial in range(10):
         t = int(RNG.integers(1, 31))

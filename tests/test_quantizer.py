@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from noisecomb.quantizer import (
     BudgetExceededError,
+    Grid,
     StickCode,
     bpp,
     decode_weights,
     fractions_from_scores,
-    make_grid,
     payload_bits,
     quantize_dp,
     quantize_greedy_exponential,
@@ -36,19 +36,19 @@ def _random_scores(m, zero_tail=0):
 
 
 def test_grid_two_bits_worked_example():
-    grid = make_grid(2)
+    grid = Grid(2)
     assert np.allclose(grid.values, [1 / 3, 2 / 3, 1.0], atol=1e-15)
     assert grid.all_fractions()[0] == 0.0
     assert grid.levels == 4
 
 
 def test_grid_one_bit():
-    grid = make_grid(1)
+    grid = Grid(1)
     assert grid.values.tolist() == [1.0]
 
 
 def test_grid_zero_bits_equal_split():
-    grid = make_grid(0)
+    grid = Grid(0)
     assert grid.values.size == 0
     code = StickCode(codes=(0, 0))
     gamma = decode_weights(code, grid)
@@ -57,7 +57,7 @@ def test_grid_zero_bits_equal_split():
 
 def test_grid_rejects_negative_bits():
     with pytest.raises(ValueError):
-        make_grid(-1)
+        Grid(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +139,14 @@ def test_round_trip_exact_exhaustion():
 
 
 def test_nn_examples():
-    grid = make_grid(2)
+    grid = Grid(2)
     assert quantize_nn(np.array([0.30]), grid).codes == (1,)  # 1/3 beats 0
     assert quantize_nn(np.array([2 / 3]), grid).codes == (2,)  # exact grid point
     assert quantize_nn(np.array([0.001]), grid).codes == (0,)  # reserved zero wins
 
 
 def test_nn_tie_breaks_to_smaller_code():
-    grid = make_grid(2)
+    grid = Grid(2)
     # 1/6 is equidistant between 0 and 1/3
     assert quantize_nn(np.array([1 / 6]), grid).codes == (0,)
 
@@ -158,7 +158,7 @@ def test_nn_tie_breaks_to_smaller_code():
 
 def test_stagewise_two_atom_closed_form():
     b = np.array([4.0, 3.0])
-    grid = make_grid(16)  # fine grid: discretization ~ continuous optimum
+    grid = Grid(16)  # fine grid: discretization ~ continuous optimum
     code = quantize_stagewise(b, grid)
     gamma = decode_weights(code, grid)
     assert np.allclose(gamma, [0.8, 0.6], atol=1e-4)
@@ -172,24 +172,24 @@ def decodes_to_fraction(code, grid):
 
 def test_stagewise_rejects_unsorted():
     with pytest.raises(ValueError):
-        quantize_stagewise(np.array([3.0, 4.0]), make_grid(2))
+        quantize_stagewise(np.array([3.0, 4.0]), Grid(2))
 
 
 def test_stagewise_m1_empty():
-    code = quantize_stagewise(np.array([2.0]), make_grid(3))
+    code = quantize_stagewise(np.array([2.0]), Grid(3))
     assert code.codes == ()
-    assert np.array_equal(decode_weights(code, make_grid(3)), [1.0])
+    assert np.array_equal(decode_weights(code, Grid(3)), [1.0])
 
 
 def test_stagewise_zero_last_atom_gets_zero_weight():
-    grid = make_grid(4)
+    grid = Grid(4)
     code = quantize_stagewise(np.array([2.0, 1.0, 0.0]), grid)
     gamma = decode_weights(code, grid)
     assert gamma[-1] == 0.0
 
 
 def test_all_zero_scores_emit_equal_split():
-    grid = make_grid(3)
+    grid = Grid(3)
     code = quantize_stagewise(np.zeros(4), grid)
     code2 = quantize_stagewise(np.zeros(4), grid)
     assert code == code2
@@ -208,7 +208,7 @@ def test_dp_matches_exhaustive_exactly():
         m = int(RNG.integers(2, 5))
         C = int(RNG.integers(1, 4))
         b = _random_scores(m, zero_tail=int(RNG.random() < 0.2))
-        grid = make_grid(C)
+        grid = Grid(C)
         code_dp, val_dp = quantize_dp(b, grid)
         code_gr, val_gr = quantize_greedy_exponential(b, grid)
         assert val_dp == pytest.approx(val_gr, abs=1e-12)
@@ -219,7 +219,7 @@ def test_dp_value_equals_decoded_objective():
     for _ in range(100):
         m = int(RNG.integers(2, 10))
         b = _random_scores(m)
-        grid = make_grid(int(RNG.integers(0, 7)))
+        grid = Grid(int(RNG.integers(0, 7)))
         code, value = quantize_dp(b, grid)
         assert stick_objective(b, code, grid) == pytest.approx(value, rel=1e-12)
 
@@ -230,7 +230,7 @@ def test_dominance_chain():
         m = int(RNG.integers(2, 9))
         C = int(RNG.integers(1, 6))
         b = _random_scores(m, zero_tail=int(RNG.random() < 0.15))
-        grid = make_grid(C)
+        grid = Grid(C)
         _, val_dp = quantize_dp(b, grid)
         val_sw = stick_objective(b, quantize_stagewise(b, grid), grid)
         val_nn = stick_objective(b, quantize_nn(fractions_from_scores(b), grid), grid)
@@ -247,7 +247,7 @@ def test_stagewise_consistent_with_continuous_projection():
         m = int(RNG.integers(2, 10))
         C = int(RNG.integers(1, 7))
         b = _random_scores(m, zero_tail=int(RNG.random() < 0.2))
-        grid = make_grid(C)
+        grid = Grid(C)
         sw = quantize_stagewise(b, grid)
         nn = quantize_nn(fractions_from_scores(b), grid)
         assert sw == nn
@@ -256,7 +256,7 @@ def test_stagewise_consistent_with_continuous_projection():
 def test_dp_fine_grid_approaches_continuous_optimum():
     # components bounded below: sqrt(u) granularity near u = 0 would otherwise
     # allow coordinate errors above the tolerance at negligible objective cost
-    grid = make_grid(16)
+    grid = Grid(16)
     for _ in range(50):
         m = int(RNG.integers(2, 9))
         b = np.sort(np.abs(RNG.normal(size=m)) + 0.1)[::-1]
@@ -271,7 +271,7 @@ def test_dp_fine_grid_approaches_continuous_optimum():
 
 
 def test_greedy_budget_refusal_reports_cost():
-    grid = make_grid(4)
+    grid = Grid(4)
     b = _random_scores(8)
     with pytest.raises(BudgetExceededError) as exc:
         quantize_greedy_exponential(b, grid)
@@ -280,7 +280,7 @@ def test_greedy_budget_refusal_reports_cost():
 
 
 def test_greedy_m2_cost_is_level_count():
-    grid = make_grid(3)
+    grid = Grid(3)
     b = _random_scores(2)
     # 2^C assignments: runs under any budget >= 8, refuses below
     code, _ = quantize_greedy_exponential(b, grid, budget=8)

@@ -4,7 +4,7 @@ import pytest
 from noisecomb.codec import build_registered_prior
 from noisecomb.diffusion import (
     GaussianMixturePrior,
-    build_schedule,
+    Schedule,
     ddpm_step,
     fresh_noise,
     reverse_loop,
@@ -53,7 +53,7 @@ class ZeroOperator(LinearOperator):
 
 def _toy_problem(seed=0, d=8, T=25, sigma=0.05, keep=None):
     prior = build_registered_prior(4, d)
-    sch = build_schedule(T, 1e-4, 0.02)
+    sch = Schedule(T, 1e-4, 0.02)
     x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
     op = Mask(d, keep if keep is not None else list(range(d // 2)))
     obs = make_observation(
@@ -128,7 +128,7 @@ def test_degenerate_directions_fall_back_to_plain_ddpm(operator):
     # must equal unconditional sampling bit for bit
     d = 6
     prior = build_registered_prior(2, d)
-    sch = build_schedule(15, 1e-4, 0.02)
+    sch = Schedule(15, 1e-4, 0.02)
     obs = Observation(y=np.zeros(1), operator=operator(d))
     uncond = unconditional_sample(prior, sch, 21)
     for solver in ("NCS-DPS", "NCS-MPGD", "NCS-DDCM", "DDCM"):
@@ -148,7 +148,7 @@ def test_zero_direction_builds_no_codebook(monkeypatch, solver):
     monkeypatch.setattr(noisecomb.solvers, "build_codebook", lambda *a, **k: builds.append(a) or real(*a, **k))
     d = 6
     prior = build_registered_prior(2, d)
-    sch = build_schedule(15, 1e-4, 0.02)
+    sch = Schedule(15, 1e-4, 0.02)
     zero = Observation(y=np.zeros(1), operator=ZeroOperator(d))
     res = solve(prior, sch, zero, SolverConfig(solver=solver, K=8, seed=21))
     assert res.degenerate_steps == 14
@@ -158,7 +158,7 @@ def test_zero_direction_builds_no_codebook(monkeypatch, solver):
     assert len(builds) == 14  # one per noisy step when the direction is not zero
 
 
-_LOCKSTEP_SCHEDULES = (build_schedule(7, 1e-4, 0.02), build_schedule(12, 1e-4, 0.02))
+_LOCKSTEP_SCHEDULES = (Schedule(7, 1e-4, 0.02), Schedule(12, 1e-4, 0.02))
 
 
 def _lockstep_jobs(operator):
@@ -222,7 +222,7 @@ def test_self_consistent_first_step_degenerates():
     d = 8
     prior = build_registered_prior(4, d)
     T = 12
-    sch = build_schedule(T, 1e-4, 0.02)
+    sch = Schedule(T, 1e-4, 0.02)
     from noisecomb.diffusion import tweedie_estimate
 
     x_T = derive_stream(StreamKey(6, Domain.INIT_LATENT, T, 0)).standard_normal(d)
@@ -250,7 +250,7 @@ def test_restricted_support_interpolates():
     # m = K with all-positive scores equals the full combination
     d = 8
     prior = build_registered_prior(1, d)
-    sch = build_schedule(20, 1e-4, 0.02)
+    sch = Schedule(20, 1e-4, 0.02)
     x0 = prior.sample(1, derive_stream(StreamKey(8, Domain.PRIOR_SAMPLE, 0, 0)))[0]
     obs = make_observation(
         x0, Identity(d), 0.0, derive_stream(StreamKey(8, Domain.OBSERVATION_NOISE, 0, 0))
@@ -266,7 +266,7 @@ def test_solution_quality_mask_posterior():
     # reconstructions must concentrate near the analytic posterior mean
     prior = GaussianMixturePrior.single(np.zeros(2), np.ones(2))
     T = 50
-    sch = build_schedule(T, 1e-4, 0.05)
+    sch = Schedule(T, 1e-4, 0.05)
     obs = Observation(y=np.array([3.0]), operator=Mask(2, [0]))
     post_var = 1.0 / (1.0 + 1.0 / 0.05**2)
     post_mean = post_var * 3.0 / 0.05**2
@@ -287,7 +287,7 @@ def test_paired_trend_ncs_dps_beats_dps_small():
     # sign test is in the acceptance suite)
     d = 16
     prior = build_registered_prior(4, d)
-    sch = build_schedule(20, 1e-4, 0.02)
+    sch = Schedule(20, 1e-4, 0.02)
     op = Mask(d, list(range(8)))
     errs = {"DPS": [], "NCS-DPS": []}
     for seed in range(40):
@@ -327,7 +327,7 @@ def test_solves_score_each_step_once(monkeypatch, prior_kind):
         for T in (5, 12):
             for solver in ("DPS", "NCS-DPS"):
                 calls.clear()
-                solve(prior, build_schedule(T, 1e-4, 0.02), obs, SolverConfig(solver=solver, K=16, seed=seed))
+                solve(prior, Schedule(T, 1e-4, 0.02), obs, SolverConfig(solver=solver, K=16, seed=seed))
                 assert len(calls) == T, (solver, T, seed)
 
 
@@ -355,7 +355,7 @@ def test_solve_rows_derive_the_marginal_once_per_step(monkeypatch, prior_kind, c
     calls = []
     real = getattr(noisecomb.diffusion, counted)
     monkeypatch.setattr(noisecomb.diffusion, counted, lambda *a, **k: calls.append(1) or real(*a, **k))
-    sch = build_schedule(12, 1e-4, 0.02)
+    sch = Schedule(12, 1e-4, 0.02)
     solve_rows(prior, [(sch, obs, config) for config in configs])
     assert len(calls) == expected
 
@@ -365,7 +365,7 @@ def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
     # at every Step the loop hands its hooks, the products built from the Step's
     # mixture statistics match the dense Jacobian at the Step's state
     prior = build_registered_prior(4, 8) if prior_kind == "diagonal" else _full_covariance_prior()
-    sch = build_schedule(15, 1e-4, 0.02)
+    sch = Schedule(15, 1e-4, 0.02)
     obs = Observation(y=np.ones(2), operator=Mask(prior.d, [0, 1]))
     v = np.random.default_rng(9).normal(size=prior.d)
     steps = []
