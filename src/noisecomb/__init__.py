@@ -33,7 +33,6 @@ from .operators import (
     Mask,
     Observation,
     ddcm_direction,
-    dps_direction,
     make_observation,
     mpgd_direction,
 )
@@ -49,6 +48,6 @@ from .quantizer import (
     stick_inverse,
 )
 from .rng import Domain, NoiseStream, StreamKey, build_codebook, derive_stream
-from .solvers import SolveResult, SolverConfig, baseline_solve, ncs_solve, solve
+from .solvers import SolveResult, SolverConfig, baseline_solve, dps_direction, ncs_solve, solve
 
 __version__ = "0.1.0"

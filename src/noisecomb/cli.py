@@ -237,7 +237,7 @@ def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
     """Unconditional samples per (seed, T): moment summary CSV plus a dump.
 
     The whole (T, seed) grid is one lockstep ``reverse_loop`` with one
-    sampler row (fresh keyed noise, no mean hook) per sample, run in CSV row
+    sampler row (fresh keyed noise, no mean shift) per sample, run in CSV row
     order; a check that fails inside it, such as a non-finite state, is a
     config error.
     """

@@ -18,7 +18,7 @@ reverse step adds no noise.
 time-t marginal. The Jacobian-vector product :func:`tweedie_jacobian_apply`
 (and with it the DPS direction) takes a Step, so it reuses all three. Sampler,
 solvers and codec all run :func:`reverse_loop` with their own noise policy and
-optional mean hook. The loop advances a batch of such rows in lockstep,
+optional mean shift. The loop advances a batch of such rows in lockstep,
 aligned by t, each row on its own schedule: it calls ``step_at`` once per
 timestep and schedule on the rows of that schedule in its ``(B, d)`` state and
 hands each row's hooks that row's Step, which also names the row's schedule
@@ -27,6 +27,7 @@ and seed; the sampler and the codec are its one-row case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,9 +305,10 @@ def tweedie_jacobian(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: in
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.ndim != 1:
         raise ValueError("tweedie_jacobian expects a single state vector")
-    resp, g, s = step_at(prior, schedule, x_t, t).stats
+    step = step_at(prior, schedule, x_t, t)
+    resp, g, s = step.stats
+    covs, _ = step.marginal
     ab = schedule.alpha_bar_at(t)
-    _, _, covs = marginal_params(prior, schedule, t)
     H = np.einsum("k,kd,ke->de", resp, g, g) - np.outer(s, s)
     if prior.diagonal:
         H -= np.diag(resp @ (1.0 / covs))
@@ -407,9 +409,9 @@ def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
 def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
     """The reverse process of every row, in lockstep, from its keyed N(0, I) latent down to x_0.
 
-    ``rows`` lists ``(schedule, seed, noise, correct)``: the row's schedule,
+    ``rows`` lists ``(schedule, seed, noise, shift)``: the row's schedule,
     the seed that keys its latent, its noise policy ``noise(step)`` and its
-    optional mean hook ``correct(step, x_next)`` (``None`` for none). All rows
+    optional mean shift ``shift(step)`` (``None`` for none). All rows
     share ``prior`` and one ``(B, d)`` state, row i in row i; the rows on
     one schedule value form its group. The loop runs t = max T..1, aligned
     by t: a group joins at its own T. Per t, one ``step_at`` scores the rows
@@ -418,11 +420,14 @@ def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
     statistics, the group's marginal and schedule, and the row's seed. The
     noise hooks run in the order of ``rows`` and each fills its row of the
     noise (the t = 1 step is noiseless); one ``ddpm_step`` moves each group's
-    rows; then the mean hooks, in the order of ``rows``, return the states
-    the rows keep. A hook's noise, the step's Steps and their statistics are
-    dropped before the next hook or scoring runs. Returns the state x_0, row
-    i in row i. Every row is bit-identical to a run of that row alone, and a
-    single row (B = 1) is the plain reverse loop.
+    rows; then the shift hooks, in the order of ``rows``, each return a
+    ``(d,)`` shift (or ``None``) that the loop adds to its row, refusing one
+    whose sum of squares is not finite with ``ValueError``. Hooks only read
+    their Step: only the latent draw, ``ddpm_step`` and the shifts write the
+    state. A hook's noise, the step's Steps and their statistics are dropped
+    before the next hook or scoring runs. Returns the state x_0, row i in row
+    i. Every row is bit-identical to a run of that row alone, and a single row
+    (B = 1) is the plain reverse loop.
     """
     d = prior.d
     groups, x = {}, np.zeros((len(rows), d))  # each schedule -> its row indices, in order
@@ -449,7 +454,12 @@ def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
             x[idx] = ddpm_step(step.schedule, step.x, t, eps[idx], step.stats[2])
         for i, view in enumerate(views):
             if view is not None and rows[i][3] is not None:
-                x[i] = rows[i][3](view, x[i])  # the row's mean hook
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
+                    delta = rows[i][3](view)  # the row's mean shift
+                    if delta is not None:
+                        if not math.isfinite(delta @ delta):
+                            raise ValueError("the norm of a row's mean shift is not finite")
+                        x[i] += delta
         del steps, views, step, view  # free this step's statistics before the next is scored
     return x
 

@@ -2,10 +2,11 @@
 
 Operators map a flat signal in R^d to measurements in R^n and expose their
 exact adjoint; `apply`/`adjoint` always satisfy <A x, y> = <x, A^T y>.
-The three direction constructors turn an observation and a current denoised
-estimate into the d-dimensional guidance vector consumed by the combination
-weights (DPS pulls the residual back through the Tweedie Jacobian; MPGD and
-the codebook-matching rule use the plain adjoint residual, which coincide).
+:func:`adjoint_residual` forms the residual ``r = y - A x0_hat`` of an
+observation at a denoised estimate once and returns ``(A^T r, ||r||)``; the
+MPGD and codebook-matching directions are its first value. The DPS direction,
+which pulls ``A^T r`` back through the Tweedie Jacobian, lives with the DPS
+solver in :mod:`noisecomb.solvers`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Step, tweedie_jacobian_apply
 from .rng import NoiseStream
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "Observation",
     "operator_from_config",
     "make_observation",
-    "dps_direction",
+    "adjoint_residual",
     "mpgd_direction",
     "ddcm_direction",
 ]
@@ -203,23 +203,10 @@ def make_observation(
     return Observation(y=y, operator=op)
 
 
-def dps_direction(obs: Observation, step: Step) -> np.ndarray:
-    """Likelihood-gradient direction: (1/sigma_t^2) J^T A^T (y - A x0_hat).
+def adjoint_residual(obs: Observation, x_tilde0: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(A^T r, ||r||)`` for the residual ``r = y - A x0_hat``, formed once.
 
-    Equals the ascent direction of the Gaussian log-likelihood of y given the
-    Tweedie estimate ``x0_hat`` of the :class:`Step`'s state, with the Step
-    schedule's sigma_t as the likelihood scale.
-    """
-    pulled = mpgd_direction(obs, step.x0_hat)
-    jv = tweedie_jacobian_apply(step, pulled)
-    return jv / step.schedule.sigma_at(step.t) ** 2
-
-
-def mpgd_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:
-    """Adjoint-residual direction A^T (y - A x0_hat) on the denoised estimate.
-
-    Scalar step-size prefactors are dropped: only the direction feeds the
-    unit-norm combination. Every solver row computes it, so a residual or
+    Every solver row reads the residual through here, so a residual or
     direction whose norm is not finite (a sum of squares that overflows, as
     with a ``sigma_obs`` of 1e300, or a non-finite entry) is refused here.
     """
@@ -227,9 +214,19 @@ def mpgd_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         residual = obs.y - obs.operator.apply(x_tilde0)
         c = obs.operator.adjoint(residual)
-        if not (math.isfinite(residual @ residual) and math.isfinite(c @ c)):
+        rr = residual @ residual
+        if not (math.isfinite(rr) and math.isfinite(c @ c)):
             raise ValueError("the norm of the residual or the direction is not finite")
-    return c
+    return c, math.sqrt(rr)
+
+
+def mpgd_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:
+    """Adjoint-residual direction A^T (y - A x0_hat) on the denoised estimate.
+
+    Scalar step-size prefactors are dropped: only the direction feeds the
+    unit-norm combination. The first value of :func:`adjoint_residual`.
+    """
+    return adjoint_residual(obs, x_tilde0)[0]
 
 
 def ddcm_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ Two families share one stream layout so runs with equal seeds are paired:
   structural: the combination path has no code that modifies the mean.
 
 Every solver is one row of :func:`~noisecomb.diffusion.reverse_loop`, built
-per config by ``_row``: a noise policy, plus a mean hook for DPS and MPGD. DPS
+per config by ``_row``: a noise policy, plus a mean shift for DPS and MPGD. DPS
 and MPGD draw fresh keyed noise; DDCM and NCS-* share one guided noise rule
 that takes the measurement direction and the step codebook, and differ only
 in the weights (DDCM the argmax atom over all K, NCS-* the optimal or top-m
@@ -56,11 +56,12 @@ from .combination import (
 from .diffusion import (
     GaussianMixturePrior,
     Schedule,
+    Step,
     fresh_noise,
     reverse_loop,
     tweedie_jacobian_apply,
 )
-from .operators import Observation, dps_direction, mpgd_direction
+from .operators import Observation, adjoint_residual, mpgd_direction
 from .rng import build_codebook
 
 __all__ = [
@@ -68,6 +69,7 @@ __all__ = [
     "NCS_SOLVERS",
     "SolverConfig",
     "SolveResult",
+    "dps_direction",
     "ncs_solve",
     "baseline_solve",
     "solve",
@@ -93,6 +95,8 @@ class SolverConfig:
             raise ValueError("K must be >= 1")
         if self.m is not None and not 1 <= self.m <= self.K:
             raise ValueError(f"m must be in [1, {self.K}], got {self.m}")
+        if not (self.zeta >= 0 and self.lam >= 0):
+            raise ValueError(f"zeta and lambda must be >= 0, got {self.zeta} and {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -101,15 +105,28 @@ class SolveResult:
     degenerate_steps: int
 
 
-def _row(obs, config, codebook_at, tally):
-    """The ``(noise, correct)`` pair of one loop row; it counts degenerate steps in ``tally[0]``.
+def dps_direction(obs: Observation, step: Step) -> np.ndarray:
+    """Likelihood-gradient direction: (1/sigma_t^2) J^T A^T (y - A x0_hat).
 
-    DPS and MPGD draw fresh noise and correct the mean at every step, t = 1
-    included. DPS subtracts ``zeta_t * grad ||y - A x0_hat||^2`` from the DDPM
-    update with the residual-normalized step ``zeta_t = zeta / ||y - A
-    x0_hat||``; MPGD moves the Tweedie estimate by ``2 lam sqrt(alpha_bar) A^T
-    r`` and folds the shift back through the posterior-mean coefficient. DDCM
-    and NCS-* leave the mean alone and take the guided noise rule.
+    Equals the ascent direction of the Gaussian log-likelihood of y given the
+    Tweedie estimate ``x0_hat`` of the :class:`~noisecomb.diffusion.Step`'s
+    state, with the Step schedule's sigma_t as the likelihood scale.
+    """
+    jv = tweedie_jacobian_apply(step, mpgd_direction(obs, step.x0_hat))
+    return jv / step.schedule.sigma_at(step.t) ** 2
+
+
+def _row(obs, config, codebook_at, tally):
+    """The ``(noise, shift)`` pair of one loop row; it counts degenerate steps in ``tally[0]``.
+
+    DPS and MPGD draw fresh noise and shift the mean at every step, t = 1
+    included; the loop adds the shift to the DDPM update. DPS's shift is
+    ``-zeta_t * grad ||y - A x0_hat||^2`` with the residual-normalized step
+    ``zeta_t = zeta / ||y - A x0_hat||``, both from one residual; MPGD moves
+    the Tweedie estimate by ``2 lam sqrt(alpha_bar) A^T r`` and folds that
+    move through the posterior-mean coefficient. A zero ``zeta`` or ``lam``
+    leaves the row without a shift. DDCM and NCS-* leave the mean alone and
+    take the guided noise rule.
     """
 
     def guided(step):
@@ -130,35 +147,30 @@ def _row(obs, config, codebook_at, tally):
         tally[0] += 1
         return fresh_noise(step)
 
-    def dps(step, x_next):
-        pulled = mpgd_direction(obs, step.x0_hat)  # first: it refuses a norm that overflows
-        rnorm = float(np.linalg.norm(obs.y - obs.operator.apply(step.x0_hat)))
-        if rnorm > 0 and config.zeta != 0.0:
-            grad = -2.0 * tweedie_jacobian_apply(step, pulled)
-            x_next = x_next - (config.zeta / rnorm) * grad
-        return x_next
+    def dps(step):
+        pulled, rnorm = adjoint_residual(obs, step.x0_hat)
+        if rnorm > 0:
+            return (config.zeta / rnorm) * (2.0 * tweedie_jacobian_apply(step, pulled))
+        return None
 
-    def mpgd(step, x_next):
-        if config.lam != 0.0:
-            t, schedule = step.t, step.schedule
-            ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
-            pulled = mpgd_direction(obs, step.x0_hat)
-            shift = 2.0 * config.lam * np.sqrt(ab) * pulled
-            coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
-            x_next = x_next + coef0 * shift
-        return x_next
+    def mpgd(step):
+        t, schedule = step.t, step.schedule
+        ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
+        shift = 2.0 * config.lam * np.sqrt(ab) * mpgd_direction(obs, step.x0_hat)
+        coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
+        return coef0 * shift
 
     if config.solver == "DPS":
-        return fresh_noise, dps
+        return fresh_noise, dps if config.zeta else None
     if config.solver == "MPGD":
-        return fresh_noise, mpgd
+        return fresh_noise, mpgd if config.lam else None
     return guided, None
 
 
 def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
     """One :class:`SolveResult` per ``(schedule, obs, config)`` job, all in one ``reverse_loop``.
 
-    Each job is one row of the loop: its solver's noise policy and mean hook
+    Each job is one row of the loop: its solver's noise policy and mean shift
     against its own observation, keyed by its config's seed on its schedule;
     jobs on equal schedules are scored as one batch. Every result is
     bit-identical to ``solve(prior, schedule, obs, config)`` run alone, and

@@ -527,6 +527,13 @@ def _tiny_solve(**fields):
                                   task={**SOLVE_CONFIG["task"], "sigma_obs": 1e300}))
             for solver in ("DPS", "NCS-DPS", "MPGD", "NCS-MPGD", "DDCM", "NCS-DDCM")
         ],
+        ("solve", _tiny_solve(T=[5], K=8, solvers=["DPS"], zeta=-1.0)),
+        ("solve", _tiny_solve(T=[5], K=8, solvers=["MPGD"], **{"lambda": -5.0})),
+        *[
+            ("solve", _tiny_solve(T=[T], K=8, solvers=["MPGD"], **{"lambda": 1e308}))
+            for T in (1, 5)
+        ],
+        ("solve", _tiny_solve(T=[1], K=8, solvers=["DPS"], zeta=1e308)),
     ],
     ids=[
         "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "psnr-range-zero",
@@ -545,6 +552,8 @@ def _tiny_solve(**fields):
         "sigma-obs-huge", "prior-mean-huge",
         "sigma-obs-huge-DPS", "sigma-obs-huge-NCS-DPS", "sigma-obs-huge-MPGD",
         "sigma-obs-huge-NCS-MPGD", "sigma-obs-huge-DDCM", "sigma-obs-huge-NCS-DDCM",
+        "zeta-negative", "lambda-negative", "lambda-huge-MPGD-T1", "lambda-huge-MPGD-T5",
+        "zeta-huge-DPS-T1",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a NumPy RuntimeWarning would print beside the message

@@ -462,16 +462,15 @@ def test_each_step_names_its_rows_seed_and_schedule():
                 seen.append((row, "noise", step.t, step.seed, step.schedule))
                 return fresh_noise(step)
 
-            def correct(step, x_next, row=len(rows)):
-                seen.append((row, "correct", step.t, step.seed, step.schedule))
-                return x_next
+            def shift(step, row=len(rows)):
+                seen.append((row, "shift", step.t, step.seed, step.schedule))
 
-            rows.append((sch, seed, noise, correct))
+            rows.append((sch, seed, noise, shift))
     reverse_loop(prior, rows)
     for row, (sch, seed, _, _) in enumerate(rows):
         mine = [r[1:] for r in seen if r[0] == row]
         assert [t for hook, t, _, _ in mine if hook == "noise"] == list(range(sch.T, 1, -1))
-        assert [t for hook, t, _, _ in mine if hook == "correct"] == list(range(sch.T, 0, -1))
+        assert [t for hook, t, _, _ in mine if hook == "shift"] == list(range(sch.T, 0, -1))
         assert all(s == seed and step_sch == sch for _, _, s, step_sch in mine)
     batch = step_at(prior, Schedule(6), np.zeros((3, 2)), 6)
     assert batch.seed is None and batch.schedule == Schedule(6)

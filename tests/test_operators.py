@@ -9,12 +9,12 @@ from noisecomb.operators import (
     Mask,
     Observation,
     ddcm_direction,
-    dps_direction,
     make_observation,
     mpgd_direction,
     operator_from_config,
 )
 from noisecomb.rng import Domain, StreamKey, derive_stream
+from noisecomb.solvers import dps_direction
 
 RNG = np.random.default_rng(777)
 

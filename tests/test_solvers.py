@@ -18,7 +18,6 @@ from noisecomb.operators import (
     LinearOperator,
     Mask,
     Observation,
-    dps_direction,
     make_observation,
     mpgd_direction,
 )
@@ -28,6 +27,7 @@ from noisecomb.solvers import (
     NCS_SOLVERS,
     SolverConfig,
     baseline_solve,
+    dps_direction,
     ncs_solve,
     solve,
     solve_rows,
@@ -329,6 +329,20 @@ def test_solves_score_each_step_once(monkeypatch, prior_kind):
                 calls.clear()
                 solve(prior, Schedule(T, 1e-4, 0.02), obs, SolverConfig(solver=solver, K=16, seed=seed))
                 assert len(calls) == T, (solver, T, seed)
+
+
+def test_dps_step_forms_one_residual(monkeypatch):
+    # DPS's shift takes A^T r and ||r|| from one residual: one Mask.apply per
+    # step, t = 1 included; NCS-DPS forms one per noised step
+    prior = build_registered_prior(4, 8)
+    obs = Observation(y=np.ones(4), operator=Mask(prior.d, [0, 1, 2, 3]))
+    calls = []
+    real = Mask.apply
+    monkeypatch.setattr(Mask, "apply", lambda self, x: calls.append(1) or real(self, x))
+    for solver, expected in (("DPS", 5), ("NCS-DPS", 4)):
+        calls.clear()
+        solve(prior, Schedule(5, 1e-4, 0.02), obs, SolverConfig(solver=solver, K=8, seed=0))
+        assert len(calls) == expected, solver
 
 
 @pytest.mark.parametrize(
