@@ -366,11 +366,12 @@ def compress(
     # here, so the encoder's heap does not grow and shrink by a codebook a step.
     buffers = (np.empty((K, prior.d), dtype=np.uint64), np.empty((K, prior.d)))
 
-    def encode(step):
+    def encode(steps):
         nonlocal degenerate
-        codebook = build_codebook(step.seed, step.t, K, prior.d, buffers=buffers)
+        (step,) = steps
+        codebook = build_codebook(seed, step.t, K, prior.d, buffers=buffers)
         try:
-            selection = top_m_weights(x0 - step.x0_hat, codebook, m)
+            selection = top_m_weights(x0 - step.x0_hat[0], codebook, m)
             indices = selection.indices.tolist()
             # quantizers are scale-invariant in b, so the normalized clamped
             # weights stand in for the restricted inner products
@@ -382,7 +383,7 @@ def compress(
             writer.write(idx, header.index_bits)
         for value in code.codes:
             writer.write(value, C)
-        return _step_noise(codebook[:, indices], code, grid)
+        return [_step_noise(codebook[:, indices], code, grid)[None]]
 
     x = reverse_loop(prior, [(schedule, seed, encode, None)])[0]
     stream = Bitstream(header=header, payload=writer.getvalue())
@@ -397,13 +398,14 @@ def decompress(stream: Bitstream) -> np.ndarray:
     grid = Grid(header.C)
     reader = _BitReader(stream.payload, header.payload_bits)
 
-    def decode(step):
+    def decode(steps):
+        (step,) = steps
         indices = [reader.read(header.index_bits) for _ in range(header.m)]
         if len(set(indices)) != header.m:
             raise FormatError(f"step t={step.t} names an atom more than once: {indices}")
         code = StickCode(codes=tuple(reader.read(header.C) for _ in range(header.m - 1)))
-        atoms = build_codebook(step.seed, step.t, header.K, header.d, indices)
-        return _step_noise(atoms, code, grid)
+        atoms = build_codebook(header.seed, step.t, header.K, header.d, indices)
+        return [_step_noise(atoms, code, grid)[None]]
 
     return reverse_loop(prior, [(schedule, header.seed, decode, None)])[0]
 

@@ -7,6 +7,13 @@ with the largest signed inner products and renormalizes on that support,
 clamping negative entries to zero so the weights stay in the nonnegative
 orthant required by the stick-breaking quantizer; with m = 1 it reduces to
 plain argmax selection of a single atom.
+
+Every function also takes a ``(B, d)`` batch of directions, one per row, and
+gives each row exactly the bytes that row gives alone: the products and norms
+are stacked ``matmul`` calls (one BLAS call per row), never one gemm over the
+batch or an ``einsum`` row dot, which round differently. A single direction
+with no usable projection raises :class:`DegenerateDirectionError`; in a
+batch, that row's weights are all zero instead, so it combines no atom.
 """
 
 from __future__ import annotations
@@ -35,7 +42,10 @@ class DegenerateDirectionError(ValueError):
 
 @dataclass(frozen=True)
 class TopMSelection:
-    """m distinct atom indices (by descending inner product) and their weights."""
+    """m distinct atom indices (by descending inner product) and their weights.
+
+    A batch selection holds ``(B, m)`` arrays, one selection per row.
+    """
 
     indices: np.ndarray  # (m,) intp
     weights: np.ndarray  # (m,) nonnegative, unit L2 norm
@@ -43,8 +53,8 @@ class TopMSelection:
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=np.intp)
         w = np.asarray(self.weights, dtype=np.float64)
-        if idx.shape != w.shape or idx.ndim != 1:
-            raise ValueError("indices and weights must be matching 1-d arrays")
+        if idx.shape != w.shape or idx.ndim not in (1, 2):
+            raise ValueError("indices and weights must be matching 1-d or 2-d arrays")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "weights", w)
 
@@ -57,17 +67,31 @@ def atom_matrix(E) -> np.ndarray:
     return E
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``a``; each rounds like ``np.linalg.norm`` of its row."""
+    if a.ndim == 1:
+        return np.sqrt(a @ a)
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
+def _unit_rows(a: np.ndarray, norm: np.ndarray, degenerate) -> np.ndarray:
+    """``a / norm`` row by row, with zero rows where ``degenerate`` (a single row has raised there)."""
+    if a.ndim == 1:
+        return a / norm
+    return np.divide(a, norm[:, None], out=np.zeros_like(a), where=~degenerate[:, None])
+
+
 def inner_products(c: np.ndarray, E) -> np.ndarray:
-    """b_i = <c, atom_i> for every atom."""
+    """b_i = <c, atom_i> for every atom, per row of a batch of directions."""
     atoms = atom_matrix(E)
     c = np.asarray(c, dtype=np.float64)
-    if c.shape != (atoms.shape[0],):
+    if c.ndim not in (1, 2) or c.shape[-1] != atoms.shape[0]:
         raise ValueError(f"direction shape {c.shape} != atom dimension ({atoms.shape[0]},)")
-    return atoms.T @ c
+    return (atoms.T @ c[..., None])[..., 0]
 
 
-def _degenerate_floor(c: np.ndarray, E) -> float:
-    return DEGENERATE_RTOL * np.sqrt(np.size(E)) * float(np.linalg.norm(c))
+def _degenerate_floor(c: np.ndarray, E) -> np.ndarray:
+    return DEGENERATE_RTOL * np.sqrt(np.size(E)) * _norms(np.asarray(c, dtype=np.float64))
 
 
 def optimal_weights(c: np.ndarray, E) -> np.ndarray:
@@ -75,12 +99,14 @@ def optimal_weights(c: np.ndarray, E) -> np.ndarray:
 
     Raises :class:`DegenerateDirectionError` when the projection is
     numerically zero; solvers then draw fresh noise, the codec a fixed record.
+    A batch gives that row zero weights.
     """
     b = inner_products(c, E)
-    norm = float(np.linalg.norm(b))
-    if norm <= _degenerate_floor(c, E):
+    norm = _norms(b)
+    degenerate = norm <= _degenerate_floor(c, E)
+    if b.ndim == 1 and degenerate:
         raise DegenerateDirectionError("direction has negligible codebook projection")
-    return b / norm
+    return _unit_rows(b, norm, degenerate)
 
 
 def top_m_weights(c: np.ndarray, E, m: int) -> TopMSelection:
@@ -91,23 +117,25 @@ def top_m_weights(c: np.ndarray, E, m: int) -> TopMSelection:
     the nonnegative orthant on that support); m = 1 degenerates to argmax
     selection with weight 1. All b_i <= 0 is a degenerate instance, and so is
     a top m whose norm underflows to 0 (inner products below about 1e-162).
+    A batch gives such a row zero weights.
     """
     b = inner_products(c, E)
-    if not 1 <= m <= b.size:
-        raise ValueError(f"m must be in [1, {b.size}], got {m}")
-    if np.all(b <= 0) or np.linalg.norm(b) <= _degenerate_floor(c, E):
+    if not 1 <= m <= b.shape[-1]:
+        raise ValueError(f"m must be in [1, {b.shape[-1]}], got {m}")
+    unaligned = np.all(b <= 0, axis=-1) | (_norms(b) <= _degenerate_floor(c, E))
+    if b.ndim == 1 and unaligned:
         raise DegenerateDirectionError("no atom has positive alignment with the direction")
     # stable sort so equal inner products resolve to the smaller index
-    order = np.argsort(-b, kind="stable")[:m]
-    b_sel = np.maximum(b[order], 0.0)
-    norm = np.linalg.norm(b_sel)
-    if norm == 0:  # the kept inner products underflow in the norm
+    order = np.argsort(-b, axis=-1, kind="stable")[..., :m]
+    b_sel = np.maximum(b[order] if b.ndim == 1 else np.take_along_axis(b, order, axis=-1), 0.0)
+    norm = _norms(b_sel)
+    if b.ndim == 1 and norm == 0:  # the kept inner products underflow in the norm
         raise DegenerateDirectionError("the top-m inner products have zero norm")
-    return TopMSelection(indices=order, weights=b_sel / norm)
+    return TopMSelection(indices=order, weights=_unit_rows(b_sel, norm, unaligned | (norm == 0)))
 
 
 def synthesize_noise(E, weights) -> np.ndarray:
-    """Combine atoms into one noise vector.
+    """Combine atoms into one noise vector, or one per row of batch weights.
 
     ``weights`` is either a length-K vector over the whole codebook or a
     :class:`TopMSelection`; the sparse form sums in stored index order so the
@@ -115,11 +143,11 @@ def synthesize_noise(E, weights) -> np.ndarray:
     """
     atoms = atom_matrix(E)
     if isinstance(weights, TopMSelection):
-        out = np.zeros(atoms.shape[0])
-        for idx, w in zip(weights.indices, weights.weights):
+        out = np.zeros(weights.weights.shape[:-1] + atoms.shape[:1]).T  # (d,), or (d, B) for a batch
+        for w, idx in zip(weights.weights.T, weights.indices.T):  # the j-th atom of every row
             out += w * atoms[:, idx]
-        return out
+        return out.T
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (atoms.shape[1],):
+    if w.ndim not in (1, 2) or w.shape[-1] != atoms.shape[1]:
         raise ValueError(f"weights shape {w.shape} != atom count ({atoms.shape[1]},)")
-    return atoms @ w
+    return (atoms @ w[..., None])[..., 0]

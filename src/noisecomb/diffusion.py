@@ -20,14 +20,14 @@ time-t marginal. The Jacobian-vector product :func:`tweedie_jacobian_apply`
 solvers and codec all run :func:`reverse_loop` with their own noise policy and
 optional mean shift. The loop advances a batch of such rows in lockstep,
 aligned by t, each row on its own schedule: it calls ``step_at`` once per
-timestep and schedule on the rows of that schedule in its ``(B, d)`` state and
-hands each row's hooks that row's Step, which also names the row's schedule
-and seed; the sampler and the codec are its one-row case.
+timestep and schedule on the rows of that schedule in its ``(B, d)`` state,
+and calls each distinct hook once per timestep with batch Steps of all of
+that hook's rows, which also name the rows and their seeds; the sampler and
+the codec are its one-row case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -323,19 +323,24 @@ def tweedie_jacobian_apply(step: Step, v: np.ndarray) -> np.ndarray:
 
     Built from the mixture statistics and the marginal the :class:`Step`
     already holds, so neither the state nor the marginal is computed again.
+    ``v`` has the state's shape: one vector, or one per row of a batch Step.
+    Each row of a batch rounds exactly like that row alone: the products are
+    stacked ``matmul`` calls, one BLAS call per row.
     """
     v = np.asarray(v, dtype=np.float64)
-    if step.x.ndim != 1 or v.shape != step.x.shape:
-        raise ValueError("tweedie_jacobian_apply expects matching 1-d state and vector")
+    if step.x.ndim > 2 or v.shape != step.x.shape:
+        raise ValueError("tweedie_jacobian_apply expects one vector per state row")
     resp, g, s = step.stats
     covs, factors = step.marginal
     ab = step.schedule.alpha_bar_at(step.t)
-    Hv = (resp * (g @ v)) @ g - s * (s @ v)
+    col = v[..., :, None]
+    Hv = ((resp * (g @ col)[..., 0])[..., None, :] @ g)[..., 0, :] - s * (s[..., None, :] @ col)[..., 0]
     if factors is None:
-        Hv -= np.einsum("k,kd->d", resp, v / covs)
+        Hv -= np.einsum("...k,...kd->...d", resp, v[..., None, :] / covs)
     else:
-        for r, cf in zip(resp, factors):
-            Hv -= r * cho_solve(cf, v)
+        rows = v.reshape(-1, v.shape[-1])  # one solve per row, as a single row would
+        for r, cf in zip(np.moveaxis(resp, -1, 0), factors):
+            Hv -= r[..., None] * np.reshape([cho_solve(cf, row) for row in rows], v.shape)
     return (v + (1.0 - ab) * Hv) / np.sqrt(ab)
 
 
@@ -360,10 +365,19 @@ def ddpm_step(schedule: Schedule, x_t, t: int, noise, score_value) -> np.ndarray
     return mean + schedule.sigma_at(t) * noise
 
 
-def fresh_noise(step: Step) -> np.ndarray:
-    """The keyed fresh Gaussian draw of ``step``'s row at its t: plain DDPM's noise hook."""
-    key = StreamKey(step.seed, Domain.FRESH_NOISE, step.t, 0)
-    return derive_stream(key).standard_normal(step.x.shape[-1])
+def fresh_noise(steps) -> list:
+    """Plain DDPM's noise hook: per batch Step, the keyed fresh Gaussian draw of each row at t.
+
+    A draw depends only on the row's seed and t, so rows with equal seeds,
+    on any schedule, share one draw, made once per call.
+    """
+    draws = {}
+    for step in steps:
+        for seed in step.seeds:
+            if seed not in draws:
+                key = StreamKey(seed, Domain.FRESH_NOISE, step.t, 0)
+                draws[seed] = derive_stream(key).standard_normal(step.x.shape[-1])
+    return [np.array([draws[seed] for seed in step.seeds]) for step in steps]
 
 
 @dataclass(frozen=True)
@@ -373,8 +387,10 @@ class Step:
     ``stats`` are the mixture statistics ``(resp, g, s)`` at ``x`` and
     ``x0_hat`` their Tweedie estimate. ``marginal`` is ``(C, factors)`` at
     ``t``: the covariances of :func:`marginal_params` and, for a full prior,
-    their Cholesky factors (``None`` if diagonal). ``seed`` keys the draws of
-    the loop row the Step was handed to; a batch Step has ``seed=None``.
+    their Cholesky factors (``None`` if diagonal). A batch Step that
+    :func:`reverse_loop` hands its hooks holds ``(n, d)`` states, one per
+    loop row: ``rows`` lists those rows' indices and ``seeds`` their seeds,
+    in row order. :func:`step_at` leaves both ``None``.
     """
 
     t: int
@@ -383,7 +399,17 @@ class Step:
     stats: tuple
     marginal: tuple
     schedule: Schedule
-    seed: int | None = None
+    rows: tuple | None = None
+    seeds: tuple | None = None
+
+    def take(self, positions) -> Step:
+        """The batch Step of this Step's rows at ``positions``: indices, or a slice (which takes views)."""
+        if isinstance(positions, slice):
+            rows, seeds = self.rows[positions], self.seeds[positions]
+        else:
+            rows, seeds = (tuple(a[j] for j in positions) for a in (self.rows, self.seeds))
+        return Step(self.t, self.x[positions], self.x0_hat[positions],
+                    tuple(a[positions] for a in self.stats), self.marginal, self.schedule, rows, seeds)
 
 
 def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
@@ -406,61 +432,102 @@ def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
     return Step(t, x, (x + (1.0 - ab) * s) / np.sqrt(ab), (resp, g, s), marginal, schedule)
 
 
+def _index(positions: list):
+    """``positions`` as a slice where they lie side by side (it indexes without a copy), else an index array."""
+    if positions[-1] - positions[0] == len(positions) - 1:
+        return slice(positions[0], positions[-1] + 1)
+    return np.array(positions, dtype=np.intp)
+
+
+def _hook_rows(rows, groups, col: int) -> dict:
+    """Each hook of column ``col`` of ``rows``, in the order of its first row, mapped to
+    ``(positions, index)`` per schedule whose group holds rows of it: the rows' positions
+    in the group's Step (``None`` for all of them) and their index into the loop's state."""
+    plan = {row[col]: {} for row in rows if row[col] is not None}
+    for schedule, idx in groups.items():
+        for j, i in enumerate(idx):
+            if rows[i][col] is not None:
+                plan[rows[i][col]].setdefault(schedule, []).append((j, i))
+    return {hook: {sch: (None if len(pairs) == len(groups[sch]) else _index([j for j, _ in pairs]),
+                         _index([i for _, i in pairs])) for sch, pairs in per.items()}
+            for hook, per in plan.items()}
+
+
+def _batches(plan: dict, steps: dict):
+    """``(hook, batch, indices)`` per hook of ``plan`` with live rows: one batch Step per
+    live group that holds rows of the hook, and those rows' index into the loop's state."""
+    for hook, per_group in plan.items():
+        live = [(steps[sch], pos, index) for sch, (pos, index) in per_group.items() if sch in steps]
+        if live:
+            batch = tuple(step if pos is None else step.take(pos) for step, pos, _ in live)
+            yield hook, batch, [index for _, _, index in live]
+
+
+def _fill_noise(plan: dict, steps: dict, eps: np.ndarray) -> None:
+    """Each noise hook's noise, written to its rows of ``eps``."""
+    for hook, batch, indices in _batches(plan, steps):
+        for step, index, noise in zip(batch, indices, hook(batch), strict=True):
+            if np.shape(noise) != step.x.shape:
+                raise ValueError(f"noise shape {np.shape(noise)} != state shape {step.x.shape}")
+            eps[index] = noise
+
+
+def _add_shifts(plan: dict, steps: dict, x: np.ndarray) -> None:
+    """Each shift hook's mean shifts, added to its rows of ``x``; a non-finite norm is refused."""
+    for hook, batch, indices in _batches(plan, steps):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
+            for index, delta in zip(indices, hook(batch), strict=True):
+                if delta is not None:
+                    if not np.isfinite(delta[:, None, :] @ delta[:, :, None]).all():
+                        raise ValueError("the norm of a row's mean shift is not finite")
+                    x[index] += delta
+
+
 def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
     """The reverse process of every row, in lockstep, from its keyed N(0, I) latent down to x_0.
 
-    ``rows`` lists ``(schedule, seed, noise, shift)``: the row's schedule,
-    the seed that keys its latent, its noise policy ``noise(step)`` and its
-    optional mean shift ``shift(step)`` (``None`` for none). All rows
-    share ``prior`` and one ``(B, d)`` state, row i in row i; the rows on
-    one schedule value form its group. The loop runs t = max T..1, aligned
-    by t: a group joins at its own T. Per t, one ``step_at`` scores the rows
-    of each group whose T >= t, and each of its rows' hooks gets that row's
-    own :class:`Step`, with 1-d ``x`` and ``x0_hat``, that row's slice of the
-    statistics, the group's marginal and schedule, and the row's seed. The
-    noise hooks run in the order of ``rows`` and each fills its row of the
-    noise (the t = 1 step is noiseless); one ``ddpm_step`` moves each group's
-    rows; then the shift hooks, in the order of ``rows``, each return a
-    ``(d,)`` shift (or ``None``) that the loop adds to its row, refusing one
-    whose sum of squares is not finite with ``ValueError``. Hooks only read
-    their Step: only the latent draw, ``ddpm_step`` and the shifts write the
-    state. A hook's noise, the step's Steps and their statistics are dropped
-    before the next hook or scoring runs. Returns the state x_0, row i in row
-    i. Every row is bit-identical to a run of that row alone, and a single row
-    (B = 1) is the plain reverse loop.
+    ``rows`` lists ``(schedule, seed, noise, shift)``: the row's schedule, the
+    seed that keys its latent, its noise hook and its optional mean-shift hook
+    (``None`` for none). All rows share ``prior`` and one ``(B, d)`` state,
+    row i in row i; the rows on one schedule value form its group. The loop
+    runs t = max T..1, aligned by t: a group joins at its own T. Per t, one
+    ``step_at`` scores the rows of each group whose T >= t. Each distinct
+    hook is then called once, in the order of its first row, with a tuple of
+    batch :class:`Step` objects, one per live group that holds rows of that
+    hook: 2-d ``x`` and ``x0_hat`` and the statistics of just those rows, the
+    group's marginal and schedule, and the rows' indices and seeds. A hook
+    that holds a whole group gets the group's Step itself. A hook returns one
+    ``(n, d)`` array per Step. The noise hooks fill their rows of the noise
+    (the t = 1 step is noiseless); one ``ddpm_step`` moves each group's rows;
+    then the loop adds each shift (a shift hook may return ``None`` for a
+    Step), refusing a row whose shift's sum of squares is not finite with
+    ``ValueError``. Hooks only read their Steps: only the latent draw,
+    ``ddpm_step`` and the shifts write the state. The step's Steps and
+    statistics are dropped before the next scoring. Returns the state x_0,
+    row i in row i. Every row is bit-identical to a run of that row alone,
+    and a single row (B = 1) is the plain reverse loop.
     """
     d = prior.d
     groups, x = {}, np.zeros((len(rows), d))  # each schedule -> its row indices, in order
     for i, (schedule, seed, _, _) in enumerate(rows):
         groups.setdefault(schedule, []).append(i)
         x[i] = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(d)
+    noise_hooks, shift_hooks = _hook_rows(rows, groups, 2), _hook_rows(rows, groups, 3)
+    named = {sch: (_index(idx), tuple(idx), tuple(rows[i][1] for i in idx)) for sch, idx in groups.items()}
     eps = np.zeros_like(x)
     for t in range(max((schedule.T for schedule in groups), default=0), 0, -1):
-        steps = [(idx, step_at(prior, sch, x[idx], t)) for sch, idx in groups.items() if sch.T >= t]
-        views = [None] * len(rows)
-        for idx, step in steps:
-            for j, i in enumerate(idx):
-                views[i] = Step(t, step.x[j], step.x0_hat[j], tuple(a[j] for a in step.stats),
-                                step.marginal, step.schedule, rows[i][1])
+        steps = {}
+        for sch, (index, idx, seeds) in named.items():
+            if sch.T >= t:  # the Step keeps a copy of x_t: x moves on below
+                s = step_at(prior, sch, x[index].copy(), t)
+                steps[sch] = Step(t, s.x, s.x0_hat, s.stats, s.marginal, sch, idx, seeds)
         if t >= 2:
-            for i, view in enumerate(views):
-                if view is not None:
-                    row_noise = rows[i][2](view)  # the row's noise hook
-                    if np.shape(row_noise) != (d,):
-                        raise ValueError(f"noise shape {np.shape(row_noise)} != state shape ({d},)")
-                    eps[i] = row_noise
-                    del row_noise  # the next hook runs without the previous noise alive
-        for idx, step in steps:
-            x[idx] = ddpm_step(step.schedule, step.x, t, eps[idx], step.stats[2])
-        for i, view in enumerate(views):
-            if view is not None and rows[i][3] is not None:
-                with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
-                    delta = rows[i][3](view)  # the row's mean shift
-                    if delta is not None:
-                        if not math.isfinite(delta @ delta):
-                            raise ValueError("the norm of a row's mean shift is not finite")
-                        x[i] += delta
-        del steps, views, step, view  # free this step's statistics before the next is scored
+            _fill_noise(noise_hooks, steps, eps)
+        for sch, step in steps.items():
+            index = named[sch][0]
+            x[index] = ddpm_step(sch, step.x, t, eps[index], step.stats[2])
+        _add_shifts(shift_hooks, steps, x)
+        del steps, step, s  # free this step's statistics before the next is scored
     return x
 
 

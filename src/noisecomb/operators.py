@@ -1,9 +1,11 @@
 """Linear degradation operators, observations, and guidance directions.
 
 Operators map a flat signal in R^d to measurements in R^n and expose their
-exact adjoint; `apply`/`adjoint` always satisfy <A x, y> = <x, A^T y>.
-:func:`adjoint_residual` forms the residual ``r = y - A x0_hat`` of an
-observation at a denoised estimate once and returns ``(A^T r, ||r||)``; the
+exact adjoint; `apply`/`adjoint` always satisfy <A x, y> = <x, A^T y>. Both
+act on the last axis, so a ``(B, d)`` batch maps row by row, each row to
+exactly the bytes it maps to alone. :func:`adjoint_residual` forms the
+residual ``r = y - A x0_hat`` of an observation at a denoised estimate once
+and returns ``(A^T r, ||r||, ||A^T r||)``, for one estimate or a batch; the
 MPGD and codebook-matching directions are its first value. The DPS direction,
 which pulls ``A^T r`` back through the Tweedie Jacobian, lives with the DPS
 solver in :mod:`noisecomb.solvers`.
@@ -11,7 +13,6 @@ solver in :mod:`noisecomb.solvers`.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ __all__ = [
 
 
 class LinearOperator:
-    """Base class; subclasses set ``d``, ``n`` and implement apply/adjoint."""
+    """Base class; subclasses set ``d``, ``n`` and implement apply/adjoint on the last axis."""
 
     kind: str = "abstract"
     d: int
@@ -49,8 +50,8 @@ class LinearOperator:
 
     def _check_input(self, v: np.ndarray, length: int, name: str) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (length,):
-            raise ValueError(f"{self.kind}: {name} must have shape ({length},), got {v.shape}")
+        if v.shape[-1:] != (length,):
+            raise ValueError(f"{self.kind}: {name} must have shape (..., {length}), got {v.shape}")
         return v
 
 
@@ -85,12 +86,12 @@ class Mask(LinearOperator):
         self.n = len(idx)
 
     def apply(self, x):
-        return self._check_input(x, self.d, "x")[self.indices]
+        return self._check_input(x, self.d, "x")[..., self.indices]
 
     def adjoint(self, y):
         y = self._check_input(y, self.n, "y")
-        out = np.zeros(self.d)
-        out[self.indices] = y
+        out = np.zeros(y.shape[:-1] + (self.d,))
+        out[..., self.indices] = y
         return out
 
 
@@ -110,11 +111,11 @@ class Downsample(LinearOperator):
 
     def apply(self, x):
         x = self._check_input(x, self.d, "x")
-        return x.reshape(self.n, self.factor).mean(axis=1)
+        return x.reshape(x.shape[:-1] + (self.n, self.factor)).mean(axis=-1)
 
     def adjoint(self, y):
         y = self._check_input(y, self.n, "y")
-        return np.repeat(y / self.factor, self.factor)
+        return np.repeat(y / self.factor, self.factor, axis=-1)
 
 
 class CircularBlur(LinearOperator):
@@ -137,16 +138,16 @@ class CircularBlur(LinearOperator):
 
     def apply(self, x):
         x = self._check_input(x, self.d, "x")
-        out = np.zeros(self.d)
+        out = np.zeros(x.shape)
         for j, k in enumerate(self.taps):
-            out += k * np.roll(x, j)
+            out += k * np.roll(x, j, axis=-1)
         return out
 
     def adjoint(self, y):
         y = self._check_input(y, self.n, "y")
-        out = np.zeros(self.d)
+        out = np.zeros(y.shape)
         for j, k in enumerate(self.taps):
-            out += k * np.roll(y, -j)
+            out += k * np.roll(y, -j, axis=-1)
         return out
 
 
@@ -179,15 +180,18 @@ def operator_from_config(spec: dict, d: int) -> LinearOperator:
 
 @dataclass(frozen=True)
 class Observation:
-    """Measurement y = A x_0 + sigma_obs * z; solvers read only ``y`` and ``A``."""
+    """Measurement y = A x_0 + sigma_obs * z; solvers read only ``y`` and ``A``.
+
+    A ``(B, n)`` ``y`` is a batch: one measurement per row of a batch of estimates.
+    """
 
     y: np.ndarray
     operator: LinearOperator
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=np.float64)
-        if y.shape != (self.operator.n,):
-            raise ValueError(f"y has shape {y.shape}, operator expects ({self.operator.n},)")
+        if y.ndim not in (1, 2) or y.shape[-1] != self.operator.n:
+            raise ValueError(f"y has shape {y.shape}, operator expects (..., {self.operator.n})")
         object.__setattr__(self, "y", y)
 
 
@@ -203,21 +207,27 @@ def make_observation(
     return Observation(y=y, operator=op)
 
 
-def adjoint_residual(obs: Observation, x_tilde0: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(A^T r, ||r||)`` for the residual ``r = y - A x0_hat``, formed once.
+def adjoint_residual(obs: Observation, x_tilde0: np.ndarray) -> tuple:
+    """``(A^T r, ||r||, ||A^T r||)`` for the residual ``r = y - A x0_hat``, formed once.
 
-    Every solver row reads the residual through here, so a residual or
-    direction whose norm is not finite (a sum of squares that overflows, as
-    with a ``sigma_obs`` of 1e300, or a non-finite entry) is refused here.
+    For a ``(B, d)`` batch of estimates against a batch observation, row i
+    is row i's and the norms are ``(B,)`` arrays. Each norm is a stacked
+    ``matmul`` that rounds like ``np.linalg.norm`` of its row. ``A^T r``
+    takes the estimate's shape, so an operator written for single vectors
+    serves a batch of one. Every solver row reads the residual through here,
+    so a residual or direction whose norm is not finite (a sum of squares
+    that overflows, as with a ``sigma_obs`` of 1e300, or a non-finite entry)
+    is refused here.
     """
     x_tilde0 = np.asarray(x_tilde0, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = obs.y - obs.operator.apply(x_tilde0)
-        c = obs.operator.adjoint(residual)
-        rr = residual @ residual
-        if not (math.isfinite(rr) and math.isfinite(c @ c)):
+        c = np.reshape(obs.operator.adjoint(residual), x_tilde0.shape)
+        rr = (residual[..., None, :] @ residual[..., :, None])[..., 0, 0]
+        cc = (c[..., None, :] @ c[..., :, None])[..., 0, 0]
+        if not (np.isfinite(rr).all() and np.isfinite(cc).all()):
             raise ValueError("the norm of the residual or the direction is not finite")
-    return c, math.sqrt(rr)
+    return c, np.sqrt(rr), np.sqrt(cc)
 
 
 def mpgd_direction(obs: Observation, x_tilde0: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ Two private helpers hold the recipe, and both
 :meth:`NoiseStream.standard_normal` and :func:`build_codebook` go through them.
 ``_rekey`` holds the Philox state recipe: it re-keys this thread's one Philox
 generator through its ``.state`` (key words, counter block, empty output
-buffer). Because Philox is counter-based, that is exactly the word sequence
+buffer), setting the key and counter of one state dict that the thread
+reuses. Because Philox is counter-based, that is exactly the word sequence
 of a freshly keyed generator. ``_normals`` is the one normal map; it works in
 place, with one float64 buffer beside the raw words. A :class:`NoiseStream` is
 a plain ``(key, position)`` value that owns no generator: each read re-keys
@@ -103,26 +104,37 @@ class StreamKey:
 _local = threading.local()
 
 
+def _thread_philox() -> tuple:
+    """This thread's Philox generator and the one state dict that re-keys it, made on first use."""
+    try:
+        return _local.philox
+    except AttributeError:
+        _local.philox = Philox(key=0), {
+            "bit_generator": "Philox",
+            "state": {"counter": None, "key": None},
+            "buffer": (0,) * _PHILOX_BLOCK,
+            "buffer_pos": _PHILOX_BLOCK,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return _local.philox
+
+
 def _thread_generator() -> Philox:
     """This thread's Philox generator; its key and counter are set per read."""
-    try:
-        return _local.bitgen
-    except AttributeError:
-        _local.bitgen = Philox(key=0)
-        return _local.bitgen
+    return _thread_philox()[0]
 
 
 def _rekey(words: tuple, block: int = 0) -> Philox:
-    """This thread's Philox, keyed by the two key ``words``, next output at counter ``block``."""
-    bitgen = _thread_generator()
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (block, 0, 0, 0), "key": words},
-        "buffer": (0,) * _PHILOX_BLOCK,
-        "buffer_pos": _PHILOX_BLOCK,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    """This thread's Philox, keyed by the two key ``words``, next output at counter ``block``.
+
+    A re-key sets the key and counter of the thread's one state dict and
+    assigns it, so no dict is built per call.
+    """
+    bitgen, state = _thread_philox()
+    keyed = state["state"]
+    keyed["key"], keyed["counter"] = words, (block, 0, 0, 0)
+    bitgen.state = state
     return bitgen
 
 

@@ -10,34 +10,36 @@ Two families share one stream layout so runs with equal seeds are paired:
   atoms aligned with the solver's measurement direction. This restriction is
   structural: the combination path has no code that modifies the mean.
 
-Every solver is one row of :func:`~noisecomb.diffusion.reverse_loop`, built
-per config by ``_row``: a noise policy, plus a mean shift for DPS and MPGD. DPS
-and MPGD draw fresh keyed noise; DDCM and NCS-* share one guided noise rule
-that takes the measurement direction and the step codebook, and differ only
-in the weights (DDCM the argmax atom over all K, NCS-* the optimal or top-m
-combination). Each row reads what it needs from the loop's
-:class:`~noisecomb.diffusion.Step`: its seed and schedule, the Tweedie
-estimate for the measurement direction and, for DPS and NCS-DPS, the
-statistics and marginal that ``tweedie_jacobian_apply`` takes. No solver
-scores a state itself.
-:func:`solve_rows` runs several ``(schedule, obs, config)`` jobs as the rows
-of one lockstep loop: the jobs on equal schedules share one scoring and one
-DDPM update per step, and every schedule's rows step together, aligned by t.
-Each row is bit-identical to its own :func:`solve`, which is the one-job case
-(as are :func:`ncs_solve` and :func:`baseline_solve`).
+Every solver is one row of :func:`~noisecomb.diffusion.reverse_loop`. The
+loop calls each hook once per step with batch
+:class:`~noisecomb.diffusion.Step` objects of all of its rows, and
+:func:`solve_rows` builds one hook per family, shared by every row of that
+family: ``fresh_noise`` for DPS and MPGD, one guided noise rule for DDCM and
+NCS-*, and the DPS and MPGD mean shifts. A hook looks up each row's
+observation and config through ``step.rows``; the rows of a Step that share
+one operator object form one array batch, so a step forms one residual per
+operator, and one stacked Jacobian product per Step for the DPS rows. DDCM
+and NCS-* share the guided rule, which takes the measurement direction and
+the step codebook and differs only in the weights (DDCM the argmax atom over
+all K, NCS-* the optimal or top-m combination). No solver scores a state
+itself. The jobs of one :func:`solve_rows` call on equal schedules share one
+scoring and one DDPM update per step, and every schedule's rows step
+together, aligned by t. Each row is bit-identical to its own :func:`solve`,
+which is the one-job case (as are :func:`ncs_solve` and
+:func:`baseline_solve`).
 
 A degenerate direction (zero, or with no usable codebook projection) makes
-its step draw the keyed fresh noise of a plain DDPM step: ``fresh_noise(step)``,
+its step draw the keyed fresh noise of a plain DDPM step: ``fresh_noise``,
 which is also the whole noise policy of DPS and MPGD. A zero direction
 (``||c|| == 0``) is degenerate for every codebook, so its step builds none.
 
 A codebook depends only on ``(seed, t, K, d)``, not on the solver or on T.
-Within one :func:`solve_rows` call the rows keep the last codebook built,
-read-only, and a row that names the same key reuses it; any other key drops
-it and builds its own, so at most one codebook of ``K*d`` floats is alive.
-The call runs its rows in ``(seed, K)`` order, so each key is built once
-whatever the job order (990 builds for the shipped d=16 grid). There is no
-process-wide cache.
+The guided rule works through its rows seed by seed in ``(seed, K)`` order,
+across all of its Steps: it drops the previous codebook, builds this key's
+read-only codebook once and combines it with the directions of all of that
+key's rows at once, so at most one codebook of ``K*d`` floats is alive and
+each key is built once whatever the job order (990 builds for the shipped
+d=16 grid). There is no process-wide cache.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combination import (
-    DegenerateDirectionError,
     inner_products,
     optimal_weights,
     synthesize_noise,
@@ -78,6 +79,7 @@ __all__ = [
 
 BASELINE_SOLVERS = ("DPS", "MPGD", "DDCM")
 NCS_SOLVERS = ("NCS-DPS", "NCS-MPGD", "NCS-DDCM")
+_ROW_ORDER = ("DPS", "MPGD", "NCS-DPS", "NCS-MPGD", "NCS-DDCM", "DDCM")  # solve_rows's row order
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -105,66 +107,43 @@ class SolveResult:
     degenerate_steps: int
 
 
+def _pull_back(step: Step, v: np.ndarray) -> np.ndarray:
+    """(1/sigma_t^2) J^T v at each row of ``step``."""
+    return tweedie_jacobian_apply(step, v) / step.schedule.sigma_at(step.t) ** 2
+
+
 def dps_direction(obs: Observation, step: Step) -> np.ndarray:
     """Likelihood-gradient direction: (1/sigma_t^2) J^T A^T (y - A x0_hat).
 
     Equals the ascent direction of the Gaussian log-likelihood of y given the
     Tweedie estimate ``x0_hat`` of the :class:`~noisecomb.diffusion.Step`'s
-    state, with the Step schedule's sigma_t as the likelihood scale.
+    state, with the Step schedule's sigma_t as the likelihood scale. A batch
+    Step takes a batch observation, one measurement per row.
     """
-    jv = tweedie_jacobian_apply(step, mpgd_direction(obs, step.x0_hat))
-    return jv / step.schedule.sigma_at(step.t) ** 2
+    return _pull_back(step, mpgd_direction(obs, step.x0_hat))
 
 
-def _row(obs, config, codebook_at, tally):
-    """The ``(noise, shift)`` pair of one loop row; it counts degenerate steps in ``tally[0]``.
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``a``; each rounds like ``np.linalg.norm`` of its row."""
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
-    DPS and MPGD draw fresh noise and shift the mean at every step, t = 1
-    included; the loop adds the shift to the DDPM update. DPS's shift is
-    ``-zeta_t * grad ||y - A x0_hat||^2`` with the residual-normalized step
-    ``zeta_t = zeta / ||y - A x0_hat||``, both from one residual; MPGD moves
-    the Tweedie estimate by ``2 lam sqrt(alpha_bar) A^T r`` and folds that
-    move through the posterior-mean coefficient. A zero ``zeta`` or ``lam``
-    leaves the row without a shift. DDCM and NCS-* leave the mean alone and
-    take the guided noise rule.
+
+def _combine(rule, codebook: np.ndarray, c: np.ndarray) -> tuple:
+    """The codebook noise of the directions ``c`` under one rule, and the rows it serves.
+
+    ``rule`` is ``"DDCM"`` (the argmax atom), ``None`` (the optimal combination)
+    or the ``m`` of a top-m combination. A row whose weights are degenerate is
+    not served. The directions and weights, like the codebook, are read-only.
     """
-
-    def guided(step):
-        if config.solver == "NCS-DPS":
-            c = dps_direction(obs, step)
-        else:
-            c = mpgd_direction(obs, step.x0_hat)
-        if np.linalg.norm(c) > 0:
-            codebook = codebook_at(step.seed, step.t, config.K)
-            try:
-                if config.solver == "DDCM":
-                    return codebook[:, int(np.argmax(inner_products(c, codebook)))]
-                if config.m is None:
-                    return synthesize_noise(codebook, optimal_weights(c, codebook))
-                return synthesize_noise(codebook, top_m_weights(c, codebook, config.m))
-            except DegenerateDirectionError:
-                pass
-        tally[0] += 1
-        return fresh_noise(step)
-
-    def dps(step):
-        pulled, rnorm = adjoint_residual(obs, step.x0_hat)
-        if rnorm > 0:
-            return (config.zeta / rnorm) * (2.0 * tweedie_jacobian_apply(step, pulled))
-        return None
-
-    def mpgd(step):
-        t, schedule = step.t, step.schedule
-        ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
-        shift = 2.0 * config.lam * np.sqrt(ab) * mpgd_direction(obs, step.x0_hat)
-        coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
-        return coef0 * shift
-
-    if config.solver == "DPS":
-        return fresh_noise, dps if config.zeta else None
-    if config.solver == "MPGD":
-        return fresh_noise, mpgd if config.lam else None
-    return guided, None
+    c.flags.writeable = False
+    if rule == "DDCM":
+        return codebook[:, np.argmax(inner_products(c, codebook), axis=-1)].T, np.ones(len(c), dtype=bool)
+    if rule is None:
+        weights = optimal_weights(c, codebook)
+        weights.flags.writeable = False
+        return synthesize_noise(codebook, weights), weights.any(axis=-1)
+    selection = top_m_weights(c, codebook, rule)
+    return synthesize_noise(codebook, selection), selection.weights.any(axis=-1)
 
 
 def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
@@ -174,38 +153,128 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
     against its own observation, keyed by its config's seed on its schedule;
     jobs on equal schedules are scored as one batch. Every result is
     bit-identical to ``solve(prior, schedule, obs, config)`` run alone, and
-    the results come back in job order. The rows run in a stable ``(seed, K)``
-    order and keep the last codebook built, read-only, building the next only
-    when a row asks for another ``(seed, t, K, d)``; the previous one is
-    dropped first, so at most one codebook is alive and, in any job order,
-    each key is built once.
+    the results come back in job order. DPS and MPGD draw fresh noise and
+    shift the mean at every step, t = 1 included; the loop adds the shift to
+    the DDPM update. DPS's shift is ``-zeta_t * grad ||y - A x0_hat||^2``
+    with the residual-normalized step ``zeta_t = zeta / ||y - A x0_hat||``,
+    both from one residual; MPGD moves the Tweedie estimate by ``2 lam
+    sqrt(alpha_bar) A^T r`` and folds that move through the posterior-mean
+    coefficient. A zero ``zeta`` or ``lam`` leaves the row without a shift.
+    DDCM and NCS-* leave the mean alone and take the guided noise rule.
     """
-    last = (None, None)  # the key and read-only codebook of the latest build
+    first = {}  # each schedule -> the first job on it
+    for j, (schedule, _, _) in enumerate(jobs):
+        first.setdefault(schedule, j)
 
-    def codebook_at(seed, t, K):
-        nonlocal last
-        key = (seed, t, K, prior.d)
-        if last[0] != key:
-            last = (None, None)  # drop the previous codebook before the next is built
-            codebook = build_codebook(*key)
-            codebook.flags.writeable = False
-            last = (key, codebook)
-        return last[1]
+    def rank(j):
+        """Row order: by schedule, then solver, with a shift first, then ``(seed, K)``. Each
+        group's rows, and in it each hook's rows, then lie side by side, so the loop takes
+        them as slices."""
+        schedule, _, config = jobs[j]
+        shift = {"DPS": config.zeta, "MPGD": config.lam}.get(config.solver, 0.0)
+        return first[schedule], _ROW_ORDER.index(config.solver), not shift, config.seed, config.K
 
-    order = sorted(range(len(jobs)), key=lambda j: (jobs[j][2].seed, jobs[j][2].K))
-    tallies = [[0] for _ in jobs]
+    order = sorted(range(len(jobs)), key=rank)
+    obs = [jobs[j][1] for j in order]
+    configs = [jobs[j][2] for j in order]
+    zeta, lam = (np.array([getattr(config, name) for config in configs]) for name in ("zeta", "lam"))
+    degenerate = np.zeros(len(jobs), dtype=int)  # per row: the steps that drew fresh noise
+    stacked = {}  # a Step's rows -> per operator, its rows' positions and batch observation
+
+    def residuals(step):
+        """``adjoint_residual`` of each row of ``step`` against its own observation."""
+        if step.rows not in stacked:
+            by_operator = {}
+            for j, i in enumerate(step.rows):
+                by_operator.setdefault(id(obs[i].operator), []).append(j)
+            stacked[step.rows] = [
+                (pos, Observation(np.array([obs[step.rows[j]].y for j in pos]), obs[step.rows[pos[0]]].operator))
+                for pos in by_operator.values()
+            ]
+        parts = stacked[step.rows]
+        if len(parts) == 1:
+            return adjoint_residual(parts[0][1], step.x0_hat)
+        out = (np.empty_like(step.x), np.empty(len(step.rows)), np.empty(len(step.rows)))
+        for pos, batch in parts:
+            for whole, part in zip(out, adjoint_residual(batch, step.x0_hat[pos])):
+                whole[pos] = part
+        return out
+
+    def directions(step):
+        """Each row's guidance direction and its norm: ``A^T r``, pulled back through J for NCS-DPS."""
+        c, _, norm = residuals(step)
+        n_dps = sum(configs[i].solver == "NCS-DPS" for i in step.rows)  # in row order, they come first
+        if n_dps:
+            dps = slice(0, n_dps)
+            c[dps] = _pull_back(step if n_dps == len(c) else step.take(dps), c[dps])
+            norm[dps] = _row_norms(c[dps])
+        return c, norm
+
+    def guided(steps):
+        """Each row's codebook noise; per ``(seed, K)``, one codebook serves all of its rows."""
+        c, norm = (np.concatenate(a) for a in zip(*map(directions, steps)))
+        flat = [i for step in steps for i in step.rows]  # the rows of all Steps, in order
+        ends = np.cumsum([len(step.rows) for step in steps])[:-1]
+        noise, fresh = np.empty_like(c), ~(norm > 0)  # fresh: the rows that draw fresh noise
+        rules = {}  # (seed, K) -> rule -> positions in ``flat``
+        for n, i in enumerate(flat):
+            config = configs[i]
+            rule = "DDCM" if config.solver == "DDCM" else config.m
+            rules.setdefault((config.seed, config.K), {}).setdefault(rule, []).append(n)
+        for (seed, K), by_rule in sorted(rules.items()):
+            live = {rule: [n for n in pos if not fresh[n]] for rule, pos in by_rule.items()}
+            if any(live.values()):
+                codebook = None  # drop the previous codebook before the next is built
+                codebook = build_codebook(seed, steps[0].t, K, prior.d)
+                codebook.flags.writeable = False
+                for rule, pos in live.items():
+                    if pos:
+                        noise[pos], usable = _combine(rule, codebook, c[pos])
+                        fresh[pos] = ~usable
+        if fresh.any():  # the fresh noise of a plain DDPM step, drawn for just those rows
+            picks = (np.flatnonzero(m).tolist() for m in np.split(fresh, ends))
+            noise[fresh] = np.concatenate(fresh_noise([s.take(p) for s, p in zip(steps, picks) if p]))
+            degenerate[np.array(flat)[fresh]] += 1
+        return np.split(noise, ends)
+
+    def dps(steps):
+        out = []
+        for step in steps:
+            pulled, rnorm, _ = residuals(step)
+            live = rnorm > 0
+            scale = zeta[list(step.rows)] / np.where(live, rnorm, 1.0)
+            shift = scale[:, None] * (2.0 * tweedie_jacobian_apply(step, pulled))
+            out.append(np.where(live[:, None], shift, -0.0))  # adding -0.0 leaves a row as it is
+        return out
+
+    def mpgd(steps):
+        out = []
+        for step in steps:
+            t, schedule = step.t, step.schedule
+            ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
+            shift = (2.0 * lam[list(step.rows)] * np.sqrt(ab))[:, None] * residuals(step)[0]
+            coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
+            out.append(coef0 * shift)
+        return out
+
     rows = []
-    for j in order:
-        schedule, obs, config = jobs[j]
-        rows.append((schedule, config.seed, *_row(obs, config, codebook_at, tallies[j])))
+    for schedule, _, config in (jobs[j] for j in order):
+        if config.solver == "DPS":
+            hooks = (fresh_noise, dps if config.zeta else None)
+        elif config.solver == "MPGD":
+            hooks = (fresh_noise, mpgd if config.lam else None)
+        else:
+            hooks = (guided, None)
+        rows.append((schedule, config.seed, *hooks))
     x0 = dict(zip(order, reverse_loop(prior, rows)))
-    return [SolveResult(x0=x0[j], degenerate_steps=tally[0]) for j, tally in enumerate(tallies)]
+    degenerate_steps = dict(zip(order, degenerate.tolist()))
+    return [SolveResult(x0=x0[j], degenerate_steps=degenerate_steps[j]) for j in range(len(jobs))]
 
 
 def ncs_solve(
     prior: GaussianMixturePrior, schedule: Schedule, obs: Observation, config: SolverConfig
 ) -> SolveResult:
-    """Combination solvers: plain DDPM steps with guided noise (see ``_row``).
+    """Combination solvers: plain DDPM steps with guided noise (see :func:`solve_rows`).
 
     The DDPM mean is left as it is. The one-job case of :func:`solve_rows`.
     """
@@ -217,7 +286,7 @@ def ncs_solve(
 def baseline_solve(
     prior: GaussianMixturePrior, schedule: Schedule, obs: Observation, config: SolverConfig
 ) -> SolveResult:
-    """Reference solvers, guided through the mean term or one atom (see ``_row``).
+    """Reference solvers, guided through the mean term or one atom (see :func:`solve_rows`).
 
     The one-job case of :func:`solve_rows`.
     """

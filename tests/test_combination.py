@@ -212,3 +212,30 @@ def test_projection_norm_dominates_single_atom_and_grows():
     # combination value scales ~sqrt(K); one-hot only ~sqrt(2 ln K)
     assert mean_norm[64] / mean_norm[4] > 3.0
     assert mean_max[64] / mean_max[4] < 2.5
+
+
+@pytest.mark.parametrize("d,K", [(8, 4), (16, 64), (64, 64)])
+def test_batch_directions_match_each_row(d, K):
+    # every function takes a (B, d) batch and gives each row the bytes it gets
+    # alone; a row that raises alone gets zero weights and zero noise in a batch
+    E = build_codebook(4, 9, K, d)
+    C = RNG.normal(size=(6, d))
+    C[1] = 0.0  # degenerate for every rule
+    C[3] = 1e-170  # its inner products underflow in the top-m norm
+    assert inner_products(C, E).tobytes() == np.stack([inner_products(c, E) for c in C]).tobytes()
+    for rule in (None, 1, 3):
+        weights = optimal_weights(C, E) if rule is None else top_m_weights(C, E, rule)
+        noise = synthesize_noise(E, weights)
+        for i, c in enumerate(C):
+            try:
+                alone = optimal_weights(c, E) if rule is None else top_m_weights(c, E, rule)
+            except DegenerateDirectionError:
+                row = weights if rule is None else weights.weights
+                assert not row[i].any() and not noise[i].any(), (rule, i)
+                continue
+            if rule is None:
+                assert weights[i].tobytes() == alone.tobytes()
+            else:
+                assert weights.indices[i].tobytes() == alone.indices.tobytes()
+                assert weights.weights[i].tobytes() == alone.weights.tobytes()
+            assert noise[i].tobytes() == synthesize_noise(E, alone).tobytes()

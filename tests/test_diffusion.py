@@ -411,9 +411,10 @@ def test_ddpm_step_zero_noise_is_mean():
 def test_reverse_loop_rejects_noise_of_the_wrong_shape():
     prior = _mixture_4d_diag()
     sch = Schedule(3, 1e-4, 0.02)
-    for bad in (0.5, np.zeros(1), np.zeros(5), np.zeros((1, 4))):
+    # the one Step of a one-row loop holds a (1, 4) state
+    for bad in (0.5, np.zeros(4), np.zeros((1, 1)), np.zeros((1, 5)), np.zeros((1, 1, 4))):
         with pytest.raises(ValueError, match="noise shape"):
-            reverse_loop(prior, [(sch, 0, lambda step: bad, None)])
+            reverse_loop(prior, [(sch, 0, lambda steps: [bad], None)])
 
 
 def test_ddpm_step_rejects_dimension_mismatch():
@@ -458,22 +459,63 @@ def test_each_step_names_its_rows_seed_and_schedule():
         for seed in (3, 4, 5):
             sch = Schedule(T)
 
-            def noise(step, row=len(rows)):
-                seen.append((row, "noise", step.t, step.seed, step.schedule))
-                return fresh_noise(step)
+            # each row has hooks of its own, so each call gets one Step of that one row
+            def noise(steps):
+                (step,) = steps
+                seen.append((step.rows, "noise", step.t, step.seeds, step.schedule))
+                return fresh_noise(steps)
 
-            def shift(step, row=len(rows)):
-                seen.append((row, "shift", step.t, step.seed, step.schedule))
+            def shift(steps):
+                (step,) = steps
+                seen.append((step.rows, "shift", step.t, step.seeds, step.schedule))
+                return [None]
 
             rows.append((sch, seed, noise, shift))
     reverse_loop(prior, rows)
     for row, (sch, seed, _, _) in enumerate(rows):
-        mine = [r[1:] for r in seen if r[0] == row]
+        mine = [r[1:] for r in seen if r[0] == (row,)]
         assert [t for hook, t, _, _ in mine if hook == "noise"] == list(range(sch.T, 1, -1))
         assert [t for hook, t, _, _ in mine if hook == "shift"] == list(range(sch.T, 0, -1))
-        assert all(s == seed and step_sch == sch for _, _, s, step_sch in mine)
+        assert all(s == (seed,) and step_sch == sch for _, _, s, step_sch in mine)
     batch = step_at(prior, Schedule(6), np.zeros((3, 2)), 6)
-    assert batch.seed is None and batch.schedule == Schedule(6)
+    assert batch.rows is None and batch.seeds is None and batch.schedule == Schedule(6)
+
+
+def test_each_hook_runs_once_per_step_on_all_of_its_rows():
+    # two schedules x three seeds: a hook shared by rows gets one call per t,
+    # with one batch Step per live group holding just its rows, in row order
+    prior = _mixture_2d_full()
+    calls = []
+
+    def noise(name):
+        def hook(steps):
+            calls.append((name, steps[0].t, [(s.schedule.T, s.rows, s.seeds) for s in steps]))
+            assert all(s.x.shape == s.x0_hat.shape == (len(s.rows), 2) for s in steps)
+            assert all(len(a) == len(s.rows) for s in steps for a in s.stats)
+            return fresh_noise(steps)
+        return hook
+
+    def shift(name):
+        def hook(steps):
+            calls.append((name, steps[0].t, [(s.schedule.T, s.rows, s.seeds) for s in steps]))
+            return [None if s.schedule.T == 6 else np.zeros_like(s.x) for s in steps]
+        return hook
+
+    a, b, c = noise("a"), noise("b"), shift("c")
+    rows = [(Schedule(T), seed, a if seed < 5 else b, c if seed != 4 else None)
+            for T in (9, 6) for seed in (3, 4, 5)]
+    batch = reverse_loop(prior, rows)
+    alone = _batched_unconditional(prior, Schedule(9), [3, 4, 5])
+    assert batch[:3].tobytes() == alone.tobytes()  # zero and missing shifts leave rows as they are
+    # noise hooks once per t >= 2, the shift hook once per t, whatever their row counts
+    for name, last in (("a", 2), ("b", 2), ("c", 1)):
+        assert [t for n, t, _ in calls if n == name] == list(range(9, last - 1, -1))
+    by_t = {(n, t): groups for n, t, groups in calls}
+    assert by_t[("a", 9)] == [(9, (0, 1), (3, 4))]
+    assert by_t[("a", 6)] == [(9, (0, 1), (3, 4)), (6, (3, 4), (3, 4))]
+    assert by_t[("b", 2)] == [(9, (2,), (5,)), (6, (5,), (5,))]
+    assert by_t[("c", 1)] == [(9, (0, 2), (3, 5)), (6, (3, 5), (3, 5))]
+    assert [n for n, t, _ in calls if t == 6] == ["a", "b", "c"]
 
 
 def test_rows_on_equal_schedules_share_one_scoring_per_step(monkeypatch):

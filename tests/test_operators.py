@@ -8,6 +8,7 @@ from noisecomb.operators import (
     Identity,
     Mask,
     Observation,
+    adjoint_residual,
     ddcm_direction,
     make_observation,
     mpgd_direction,
@@ -64,6 +65,35 @@ def test_adjoint_identity_randomized(op_idx):
         lhs = float(np.dot(op.apply(x), y))
         rhs = float(np.dot(x, op.adjoint(y)))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+@pytest.mark.parametrize("d", [12, 48])
+@pytest.mark.parametrize("op_idx", range(5))
+def test_apply_and_adjoint_act_on_the_last_axis(op_idx, d):
+    # a (B, d) batch maps row by row, each row to exactly the bytes it maps to alone
+    op = _operators(d)[op_idx]
+    X = RNG.normal(size=(7, op.d))
+    Y = RNG.normal(size=(7, op.n))
+    assert op.apply(X).tobytes() == np.stack([op.apply(x) for x in X]).tobytes()
+    assert op.adjoint(Y).tobytes() == np.stack([op.adjoint(y) for y in Y]).tobytes()
+    with pytest.raises(ValueError):
+        op.apply(np.zeros((7, op.d + 1)))
+    with pytest.raises(ValueError):
+        op.adjoint(np.zeros((7, op.n + 1)))
+
+
+def test_adjoint_residual_of_a_batch_matches_each_row():
+    # one residual pass per batch: A^T r and both norms of each row are that
+    # row's own, and the norms round like np.linalg.norm
+    op = Mask(12, [0, 2, 5, 11])
+    X = RNG.normal(size=(6, 12))
+    Y = RNG.normal(size=(6, 4))
+    c, rnorm, cnorm = adjoint_residual(Observation(y=Y, operator=op), X)
+    for i in range(6):
+        ci, ri, ni = adjoint_residual(Observation(y=Y[i], operator=op), X[i])
+        assert c[i].tobytes() == ci.tobytes()
+        assert rnorm[i] == ri == np.linalg.norm(Y[i] - op.apply(X[i]))
+        assert cnorm[i] == ni == np.linalg.norm(ci)
 
 
 def test_operator_dimension_errors():

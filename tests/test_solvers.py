@@ -14,6 +14,8 @@ from noisecomb.diffusion import (
     unconditional_sample,
 )
 from noisecomb.operators import (
+    CircularBlur,
+    Downsample,
     Identity,
     LinearOperator,
     Mask,
@@ -45,10 +47,10 @@ class ZeroOperator(LinearOperator):
         self.n = 1
 
     def apply(self, x):
-        return np.zeros(1)
+        return np.zeros(x.shape[:-1] + (1,))
 
     def adjoint(self, y):
-        return np.zeros(self.d)
+        return np.zeros(y.shape[:-1] + (self.d,))
 
 
 def _toy_problem(seed=0, d=8, T=25, sigma=0.05, keep=None):
@@ -163,12 +165,18 @@ _LOCKSTEP_SCHEDULES = (Schedule(7, 1e-4, 0.02), Schedule(12, 1e-4, 0.02))
 
 def _lockstep_jobs(operator):
     """Jobs over two schedules (T = 7 and 12) and two seeds, each with its own
-    observation: all six solvers at m in {None, 1, 3}, seed-major, then by T."""
+    observation: all six solvers at m in {None, 1, 3}, seed-major, then by T.
+    Each seed's mask is its own operator object; the other operators are one
+    object that both seeds' observations share."""
     jobs = []
+    shared = {"downsample": Downsample(8, 2), "circular_blur": CircularBlur(8, [0.5, 0.3, 0.2])}
     for seed in (5, 6):
-        prior, _, _, obs = _toy_problem(seed=seed)
+        prior, _, x0, obs = _toy_problem(seed=seed)
         if operator == "zero":
             obs = Observation(y=np.zeros(1), operator=ZeroOperator(prior.d))
+        elif operator in shared:
+            noise = derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
+            obs = make_observation(x0, shared[operator], 0.05, noise)
         for sch in _LOCKSTEP_SCHEDULES:
             for solver in BASELINE_SOLVERS + NCS_SOLVERS:
                 for m in (None, 1, 3):
@@ -176,7 +184,7 @@ def _lockstep_jobs(operator):
     return prior, jobs
 
 
-@pytest.mark.parametrize("operator", ["mask", "zero"])
+@pytest.mark.parametrize("operator", ["mask", "zero", "downsample", "circular_blur"])
 def test_lockstep_rows_match_one_row_solves(operator):
     # each row of one lockstep call is its one-job solve, byte for byte
     prior, jobs = _lockstep_jobs(operator)
@@ -189,10 +197,13 @@ def test_lockstep_rows_match_one_row_solves(operator):
     # per seed, the mask gives 8 distinct trajectories at T = 12 (NCS-MPGD and
     # NCS-DDCM coincide, and so do m = 1 and DDCM) and 7 at T = 7 (where
     # NCS-DPS at m = 1 also picks DDCM's atom at every step); the zero
-    # operator leaves every solver at plain DDPM, one trajectory per seed and T
+    # operator leaves every solver at plain DDPM, one trajectory per seed and T.
+    # The downsample counts as the mask; under the blur, seed 5's NCS-DPS at
+    # m = 1 and T = 7 leaves DDCM's atom once, which makes 31
     degenerate = {row.degenerate_steps for row in rows}
     assert degenerate == ({0, 6, 11} if operator == "zero" else {0})
-    assert len({row.x0.tobytes() for row in rows}) == (4 if operator == "zero" else 30)
+    distinct = {"mask": 30, "zero": 4, "downsample": 30, "circular_blur": 31}[operator]
+    assert len({row.x0.tobytes() for row in rows}) == distinct
 
 
 def test_lockstep_job_order_changes_neither_builds_nor_bytes(monkeypatch):
@@ -384,15 +395,16 @@ def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
     v = np.random.default_rng(9).normal(size=prior.d)
     steps = []
 
-    def noise(step):
-        steps.append(step)
-        return fresh_noise(step)
+    def noise(batch):
+        steps.extend(batch)
+        return fresh_noise(batch)
 
     reverse_loop(prior, [(sch, 3, noise, None)])
     assert [step.t for step in steps] == list(range(15, 1, -1))
     for step in steps:
-        J = tweedie_jacobian(prior, sch, step.x, step.t)
-        assert np.allclose(tweedie_jacobian_apply(step, v), J @ v, atol=1e-12)
-        pulled = mpgd_direction(obs, step.x0_hat)
+        assert step.x.shape == (1, prior.d)
+        J = tweedie_jacobian(prior, sch, step.x[0], step.t)
+        assert np.allclose(tweedie_jacobian_apply(step, v[None]), J @ v, atol=1e-12)
+        pulled = mpgd_direction(obs, step.x0_hat[0])
         expected = J @ pulled / sch.sigma_at(step.t) ** 2
         assert np.allclose(dps_direction(obs, step), expected, atol=1e-12)
