@@ -71,6 +71,23 @@ def test_degenerate_fallback_steps_round_trip():
     assert np.array_equal(decompress(res.stream), res.reconstruction)
 
 
+def test_split_codebook_builds_give_the_serial_stream(monkeypatch):
+    import noisecomb.rng as rng
+
+    prior, x0 = _signal(seed=5, d=512)
+    sch = Schedule(5, 1e-4, 0.02)
+    kw = dict(seed=5, K=64, m=4, C=4, n_side=4, prior_id=2)
+    monkeypatch.setattr(rng, "_SPLIT_MIN_VALUES", 2**62)
+    serial = compress(x0, prior, sch, **kw)
+    # every build splits, the decoder's 4-atom builds included
+    monkeypatch.setattr(rng, "_SPLIT_MIN_VALUES", 1)
+    monkeypatch.setattr(rng, "_CPUS", 2)
+    split = compress(x0, prior, sch, **kw)
+    assert split.stream.to_bytes() == serial.stream.to_bytes()
+    assert split.reconstruction.tobytes() == serial.reconstruction.tobytes()
+    assert decompress(split.stream).tobytes() == split.reconstruction.tobytes()
+
+
 def test_corrupting_one_bit_changes_output():
     prior, x0 = _signal(seed=7, d=16)
     sch = Schedule(12, 1e-4, 0.02)

@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -125,7 +128,7 @@ def test_handles_read_alternately_from_two_threads_match_serial():
                 return
             try:
                 got[j].append(stream.raw(3))
-                generators[j] = rng._thread_generator()
+                generators[j] = rng._thread_philox()[0]
             except Exception as exc:
                 errors.append(exc)
                 return
@@ -319,6 +322,147 @@ def test_concurrent_codebook_builds_match_serial():
         parallel = list(pool.map(lambda j: build_codebook(j[0], j[1], 6, 64), jobs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every build of two or more atoms splits with the helper thread, on any host."""
+    monkeypatch.setattr(rng, "_SPLIT_MIN_VALUES", 1)
+    monkeypatch.setattr(rng, "_CPUS", 2)
+
+
+def test_concurrent_split_builds_share_one_helper(split, monkeypatch):
+    import sys
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    jobs = [(seed, t) for seed in (0, 1, 2) for t in (1, 2, 3, 4)]
+    expected = [
+        np.stack([derive_stream(StreamKey(seed, Domain.CODEBOOK, t, i)).standard_normal(64) for i in range(6)], 1)
+        for seed, t in jobs
+    ]
+    helpers = []
+
+    def slow_helper(**kwargs):
+        time.sleep(0.05)  # lets the other callers reach the helper check meanwhile
+        helpers.append(ThreadPoolExecutor(**kwargs))
+        return helpers[-1]
+
+    # eight callers race to make the helper, and all of them share one
+    monkeypatch.setattr(rng, "_helper", None)
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", slow_helper)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            built = list(pool.map(lambda j: build_codebook(j[0], j[1], 6, 64), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+        for helper in helpers:
+            helper.shutdown()
+    assert len(helpers) == 1
+    for a, b in zip(expected, built):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 3, 5, 64])
+def test_split_build_is_the_serial_build(monkeypatch, K):
+    d = 24
+    indices = [K - 1, 0, K // 2, 0, K - 1][::-1]  # odd count, repeats, reversed
+    raws, normals = np.empty((K, d), dtype=np.uint64), np.empty((K, d))
+
+    def builds():
+        return [
+            build_codebook(9, 4, K, d),
+            build_codebook(9, 4, K, d, indices),
+            build_codebook(9, 4, K, d, buffers=(raws, normals)).copy(),
+        ]
+
+    monkeypatch.setattr(rng, "_SPLIT_MIN_VALUES", 2**62)
+    serial = builds()
+    mapped_on = set()
+    real = rng._normals
+    monkeypatch.setattr(
+        rng, "_normals", lambda *a: mapped_on.add(threading.current_thread().name) or real(*a)
+    )
+    monkeypatch.setattr(rng, "_SPLIT_MIN_VALUES", 1)
+    monkeypatch.setattr(rng, "_CPUS", 2)
+    split = builds()
+    assert len(mapped_on) == 2  # the five-atom named build splits even at K=1
+    for a, b in zip(serial, split):
+        assert a.tobytes() == b.tobytes()
+    assert split[1].tobytes() == serial[0][:, indices].tobytes()
+    for i in range(K):
+        direct = derive_stream(StreamKey(9, Domain.CODEBOOK, 4, i)).standard_normal(d)
+        assert split[0][:, i].tobytes() == direct.tobytes()
+
+
+def test_split_build_keeps_no_caller_buffer_alive(split):
+    raws, normals = np.empty((8, 16), dtype=np.uint64), np.empty((8, 16))
+    refs = [weakref.ref(raws), weakref.ref(normals)]
+    codebook = build_codebook(2, 3, 8, 16, buffers=(raws, normals))
+    del raws, normals, codebook
+    assert all(ref() is None for ref in refs)
+
+
+def test_split_builds_start_at_most_one_thread(split):
+    before = threading.active_count()
+    for t in range(50):
+        build_codebook(1, t, 4, 8)
+    assert threading.active_count() <= before + 1
+
+
+def test_error_in_the_helpers_half_reaches_the_caller(split, monkeypatch):
+    # the two halves map their rows in either order, so the helper's call is
+    # told apart by its thread, not by its place in the call sequence
+    caller, error = threading.get_ident(), RuntimeError("helper half failed")
+    real = rng._normals
+
+    def failing_off_caller(*args):
+        if threading.get_ident() != caller:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(rng, "_normals", failing_off_caller)
+    with pytest.raises(RuntimeError) as caught:
+        build_codebook(1, 2, 6, 8)
+    assert caught.value is error
+    monkeypatch.setattr(rng, "_normals", real)
+    column = derive_stream(StreamKey(1, Domain.CODEBOOK, 2, 5)).standard_normal(8)
+    assert build_codebook(1, 2, 6, 8)[:, 5].tobytes() == column.tobytes()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs thread affinity and two CPUs",
+)
+def test_helper_leaves_its_creators_cpu(monkeypatch):
+    # a scheduler that does not balance threads leaves a new thread on its
+    # creator's CPU; the helper moves off it
+    allowed = os.sched_getaffinity(0)
+    assert rng._current_cpu() in allowed
+    monkeypatch.setattr(rng, "_helper", None)
+    monkeypatch.setattr(rng, "_current_cpu", lambda: min(allowed))
+    helper = rng._split_helper()
+    try:
+        assert helper.submit(os.sched_getaffinity, 0).result(timeout=30) == allowed - {min(allowed)}
+    finally:
+        helper.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_splits_with_its_own_helper(split):
+    reference = build_codebook(4, 2, 8, 16).tobytes()  # the parent's helper now exists
+    context = multiprocessing.get_context("fork")
+    received, sent = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: sent.send_bytes(build_codebook(4, 2, 8, 16).tobytes()))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+    assert received.poll(0) and received.recv_bytes() == reference
 
 
 def test_interleaved_streams_do_not_interact():
