@@ -26,7 +26,6 @@ from .codec import (
     MAX_ENCODE_WORK,
     Bitstream,
     FormatError,
-    PriorRegistryError,
     build_registered_prior,
     compress,
     decompress,
@@ -152,8 +151,8 @@ def _registered_prior(prior_id, d) -> GaussianMixturePrior:
         raise ConfigError(f"d = {d} exceeds the dimension bound {MAX_D}")
     try:
         return build_registered_prior(prior_id, d)
-    except PriorRegistryError as exc:
-        raise ConfigError(exc.args[0]) from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def prior_from_config(spec: dict) -> GaussianMixturePrior:
@@ -491,7 +490,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, PriorRegistryError) as exc:
+    except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -16,9 +16,9 @@ Container layout (all big-endian):
   MSB-first, final byte zero-padded (non-zero padding is rejected). Total
   payload bits are exactly ``(T - 1) * (m * log2(K) + C * (m - 1))``. The m
   indices of a step are distinct; a step naming an atom twice is rejected.
-  Headers with ``C > MAX_C``, ``T * K * d > MAX_ENCODE_WORK``, ``d > MAX_D``
-  or ``T * d * (k + m) > MAX_DECODE_WORK`` (k: the prior's component count)
-  are rejected before decoding.
+  Headers with ``C > MAX_C``, ``T * K * d > MAX_ENCODE_WORK``, ``d > MAX_D``,
+  an unregistered ``prior_id`` or ``T * d * (k + m) > MAX_DECODE_WORK`` (k:
+  the prior's component count) are rejected before decoding.
 
 Encoder and decoder are two noise policies of one ``reverse_loop`` that share
 one step synthesis, so the decoder replays the encoder by construction.
@@ -49,7 +49,6 @@ __all__ = [
     "MAX_DECODE_WORK",
     "MAX_D",
     "FormatError",
-    "PriorRegistryError",
     "CodecHeader",
     "Bitstream",
     "CompressResult",
@@ -89,10 +88,6 @@ class FormatError(ValueError):
     """The byte stream is not a valid container of a supported version."""
 
 
-class PriorRegistryError(KeyError):
-    """The header references a prior id that is not registered."""
-
-
 @dataclass(frozen=True)
 class CodecHeader:
     """The header fields after magic and versions, in their packing order."""
@@ -127,12 +122,12 @@ class CodecHeader:
         if not 1 <= self.n_side <= 65535:
             raise ValueError(f"n_side must fit in [1, 65535], got {self.n_side}")
         Schedule(self.T, self.beta_min, self.beta_max)  # checks the betas and alpha_bar
-        if self.prior_id in _PRIORS:  # an unregistered id is refused where the prior is built
-            k = _PRIORS[self.prior_id](1).n_components
-            work = self.T * self.d * (k + self.m)
-            if work > MAX_DECODE_WORK:
-                bound = MAX_DECODE_WORK
-                raise ValueError(f"T*d*(k+m) = {work} exceeds the decode work bound {bound}")
+        if self.prior_id not in _PRIORS:
+            raise ValueError(f"prior id {self.prior_id} is not registered")
+        k = _PRIORS[self.prior_id](1).n_components
+        work = self.T * self.d * (k + self.m)
+        if work > MAX_DECODE_WORK:
+            raise ValueError(f"T*d*(k+m) = {work} exceeds the decode work bound {MAX_DECODE_WORK}")
 
     @property
     def index_bits(self) -> int:
@@ -280,11 +275,9 @@ _PRIORS = {
 
 
 def build_registered_prior(prior_id: int, d: int) -> GaussianMixturePrior:
-    try:
-        builder = _PRIORS[prior_id]
-    except KeyError:
-        raise PriorRegistryError(f"prior id {prior_id} is not registered") from None
-    return builder(d)
+    if prior_id not in _PRIORS:
+        raise ValueError(f"prior id {prior_id} is not registered")
+    return _PRIORS[prior_id](d)
 
 
 # --------------------------------------------------------------------------
@@ -348,10 +341,7 @@ def compress(
         beta_max=float(schedule.beta_max),
         prior_id=prior_id,
     )
-    try:
-        registered = build_registered_prior(prior_id, prior.d)
-    except PriorRegistryError as exc:
-        raise ValueError(exc.args[0]) from None
+    registered = build_registered_prior(prior_id, prior.d)
     fields = ("weights", "means", "variances", "covariances")
     if not all(np.array_equal(getattr(prior, f), getattr(registered, f)) for f in fields):
         raise ValueError(

@@ -199,8 +199,8 @@ def make_observation(
     x0: np.ndarray, op: LinearOperator, sigma_obs: float, stream: NoiseStream
 ) -> Observation:
     """Synthesize an observation; deterministic given the noise stream."""
-    if sigma_obs < 0:
-        raise ValueError("sigma_obs must be >= 0")
+    if not 0 <= sigma_obs < np.inf:
+        raise ValueError(f"sigma_obs must be finite and >= 0, got {sigma_obs}")
     y = op.apply(x0)
     if sigma_obs > 0:
         y = y + sigma_obs * stream.standard_normal(op.n)
@@ -212,17 +212,20 @@ def adjoint_residual(obs: Observation, x_tilde0: np.ndarray) -> tuple:
 
     For a ``(B, d)`` batch of estimates against a batch observation, row i
     is row i's and the norms are ``(B,)`` arrays. Each norm is a stacked
-    ``matmul`` that rounds like ``np.linalg.norm`` of its row. ``A^T r``
-    takes the estimate's shape, so an operator written for single vectors
-    serves a batch of one. Every solver row reads the residual through here,
-    so a residual or direction whose norm is not finite (a sum of squares
-    that overflows, as with a ``sigma_obs`` of 1e300, or a non-finite entry)
-    is refused here.
+    ``matmul`` that rounds like ``np.linalg.norm`` of its row. An operator
+    whose ``A^T r`` does not take the estimate's shape breaks the last-axis
+    contract of :class:`LinearOperator` and is refused. Every solver row reads
+    the residual through here, so a residual or direction whose norm is not
+    finite (a sum of squares that overflows, as with a ``sigma_obs`` of
+    1e300, or a non-finite entry) is refused here.
     """
     x_tilde0 = np.asarray(x_tilde0, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = obs.y - obs.operator.apply(x_tilde0)
-        c = np.reshape(obs.operator.adjoint(residual), x_tilde0.shape)
+        c = obs.operator.adjoint(residual)
+        if c.shape != x_tilde0.shape:
+            raise ValueError(f"{obs.operator.kind}: A^T r has shape {c.shape}, not the estimate's "
+                             f"{x_tilde0.shape}; apply and adjoint must act on the last axis")
         rr = (residual[..., None, :] @ residual[..., :, None])[..., 0, 0]
         cc = (c[..., None, :] @ c[..., :, None])[..., 0, 0]
         if not (np.isfinite(rr).all() and np.isfinite(cc).all()):

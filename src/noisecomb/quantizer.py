@@ -97,7 +97,7 @@ def stick_forward(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("u must be 1-d")
-    if np.any((u < 0) | (u > 1)):
+    if not np.all((u >= 0) & (u <= 1)):
         raise ValueError("fractions must lie in [0, 1]")
     m = len(u) + 1
     gamma = np.empty(m)
@@ -120,10 +120,10 @@ def stick_inverse(gamma) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.ndim != 1 or len(gamma) < 1:
         raise ValueError("gamma must be a nonempty 1-d vector")
-    if np.any(gamma < -1e-12):
+    if not np.all(gamma >= -1e-12):
         raise ValueError("gamma must be nonnegative")
     sq = gamma * gamma
-    if abs(sq.sum() - 1.0) > 1e-10:
+    if not abs(sq.sum() - 1.0) <= 1e-10:
         raise ValueError(f"gamma must have unit norm, got ||gamma||^2 = {sq.sum()}")
     m = len(gamma)
     tail = np.cumsum(sq[::-1])[::-1]  # tail[i] = sq[i] + sq[i+1] + ...
@@ -136,7 +136,10 @@ def stick_inverse(gamma) -> np.ndarray:
 
 def fractions_from_scores(b) -> np.ndarray:
     """Fractions of the continuous optimum gamma* = b / ||b|| (b clamped >= 0)."""
-    b = np.maximum(np.asarray(b, dtype=np.float64), 0.0)
+    b = np.asarray(b, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("scores must be finite")
+    b = np.maximum(b, 0.0)
     norm = np.linalg.norm(b)
     if norm == 0:
         raise ValueError("all scores are nonpositive; no continuous optimum")
@@ -188,7 +191,7 @@ def quantize_nn(u_star, grid: Grid) -> StickCode:
     Ties break toward the smaller code, hence toward the reserved zero.
     """
     u_star = np.asarray(u_star, dtype=np.float64)
-    if np.any((u_star < -1e-12) | (u_star > 1 + 1e-12)):
+    if not np.all((u_star >= -1e-12) & (u_star <= 1 + 1e-12)):
         raise ValueError("fractions must lie in [0, 1]")
     m = len(u_star) + 1
     if grid.C == 0:

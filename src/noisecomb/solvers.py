@@ -48,12 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combination import (
-    inner_products,
-    optimal_weights,
-    synthesize_noise,
-    top_m_weights,
-)
+from .combination import inner_products, optimal_weights, row_norms, synthesize_noise, top_m_weights
 from .diffusion import (
     GaussianMixturePrior,
     Schedule,
@@ -121,11 +116,6 @@ def dps_direction(obs: Observation, step: Step) -> np.ndarray:
     Step takes a batch observation, one measurement per row.
     """
     return _pull_back(step, mpgd_direction(obs, step.x0_hat))
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """The norm of each row of ``a``; each rounds like ``np.linalg.norm`` of its row."""
-    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
 
 def _combine(rule, codebook: np.ndarray, c: np.ndarray) -> tuple:
@@ -206,8 +196,8 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
         n_dps = sum(configs[i].solver == "NCS-DPS" for i in step.rows)  # in row order, they come first
         if n_dps:
             dps = slice(0, n_dps)
-            c[dps] = _pull_back(step if n_dps == len(c) else step.take(dps), c[dps])
-            norm[dps] = _row_norms(c[dps])
+            c[dps] = _pull_back(step.take(dps), c[dps])
+            norm[dps] = row_norms(c[dps])
         return c, norm
 
     def guided(steps):

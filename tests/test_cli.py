@@ -660,7 +660,8 @@ def test_cli_unregistered_prior_in_stream_stays_a_format_error(tmp_path, capsys)
     stream_path = tmp_path / "rogue.ncsb"
     stream_path.write_bytes(bytes(blob))
     assert main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")]) == 4
-    assert "format error" in capsys.readouterr().err
+    assert "format error: prior id 99 is not registered" in capsys.readouterr().err
+    assert not (tmp_path / "r.npy").exists()
 
 
 def test_cli_dimension_bound_header_is_a_format_error(tmp_path, capsys):

@@ -9,7 +9,6 @@ from noisecomb.codec import (
     Bitstream,
     CodecHeader,
     FormatError,
-    PriorRegistryError,
     build_registered_prior,
     compress,
     decompress,
@@ -291,17 +290,16 @@ def test_bit_reader_is_linear_and_matches_unpackbits():
 
 
 def test_unknown_prior_id():
+    # an unregistered prior id is refused with the other header fields, before any decoding
     prior, x0 = _signal(seed=4, d=8, prior_id=1)
     sch = Schedule(6, 1e-4, 0.02)
     res = compress(x0, prior, sch, seed=4, K=8, m=2, C=2, n_side=3, prior_id=1)
-    header = res.stream.header
-    rogue = CodecHeader(
-        seed=header.seed, T=header.T, K=header.K, m=header.m, C=header.C, d=header.d,
-        n_side=header.n_side, beta_min=header.beta_min, beta_max=header.beta_max,
-        prior_id=999_999,
-    )
-    with pytest.raises(PriorRegistryError):
-        decompress(Bitstream(header=rogue, payload=res.stream.payload))
+    blob = bytearray(res.stream.to_bytes())
+    struct.pack_into(">I", blob, struct.calcsize(">4sBBQHIBBIHdd"), 999_999)  # prior_id
+    with pytest.raises(FormatError, match="prior id 999999 is not registered"):
+        Bitstream.from_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="not registered"):
+        build_registered_prior(999_999, 8)
 
 
 def test_decompress_identical_across_processes(tmp_path):
@@ -479,7 +477,7 @@ def test_decoder_fuzz_raises_only_documented_errors():
         if h.T * h.K * h.d <= 1 << 16:
             try:
                 assert np.all(np.isfinite(decompress(stream)))
-            except (FormatError, PriorRegistryError):
+            except FormatError:
                 pass
 
     run()

@@ -45,10 +45,10 @@ class ZeroOperator(LinearOperator):
         self.n = 1
 
     def apply(self, x):
-        return np.zeros(1)
+        return np.zeros(x.shape[:-1] + (1,))
 
     def adjoint(self, y):
-        return np.zeros(self.d)
+        return np.zeros(y.shape[:-1] + (self.d,))
 
 
 def _digest(*parts) -> str:

@@ -142,8 +142,9 @@ def test_observation_noiseless():
     stream = derive_stream(StreamKey(0, Domain.OBSERVATION_NOISE, 0, 0))
     obs = make_observation(x0, op, 0.0, stream)
     assert np.array_equal(obs.y, op.apply(x0))
-    with pytest.raises(ValueError):
-        make_observation(x0, op, -0.05, stream)
+    for bad in (-0.05, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma_obs"):
+            make_observation(x0, op, bad, stream)
 
 
 def test_observation_deterministic_per_key():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisecomb.quantizer import (
+    QUANTIZERS,
     BudgetExceededError,
     Grid,
     StickCode,
@@ -76,6 +77,8 @@ def test_stick_forward_rejects_out_of_range():
         stick_forward([1.2])
     with pytest.raises(ValueError):
         stick_forward([-0.1])
+    with pytest.raises(ValueError):
+        stick_forward([np.nan])
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=12))
@@ -97,6 +100,10 @@ def test_stick_inverse_validates():
         stick_inverse([0.9, 0.1])  # not unit norm
     with pytest.raises(ValueError):
         stick_inverse([-0.6, 0.8])
+    with pytest.raises(ValueError):
+        stick_inverse([np.nan, np.nan])
+    with pytest.raises(ValueError):
+        stick_inverse([np.nan, 1.0])
 
 
 def test_stick_inverse_tiny_tail_recovers():
@@ -149,6 +156,19 @@ def test_nn_tie_breaks_to_smaller_code():
     grid = Grid(2)
     # 1/6 is equidistant between 0 and 1/3
     assert quantize_nn(np.array([1 / 6]), grid).codes == (0,)
+
+
+def test_nn_rejects_nan_fractions():
+    with pytest.raises(ValueError, match="fractions must lie in"):
+        quantize_nn(np.array([np.nan]), Grid(3))
+
+
+@pytest.mark.parametrize("name", sorted(QUANTIZERS))
+@pytest.mark.parametrize("b", [[1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf]], ids=["nan", "inf", "-inf"])
+def test_quantizers_refuse_non_finite_scores(name, b):
+    # all three quantizers refuse the same inputs with the same message
+    with pytest.raises(ValueError, match="scores must be finite"):
+        QUANTIZERS[name](np.array(b), Grid(3))
 
 
 # ---------------------------------------------------------------------------

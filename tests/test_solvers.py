@@ -20,6 +20,7 @@ from noisecomb.operators import (
     LinearOperator,
     Mask,
     Observation,
+    adjoint_residual,
     make_observation,
     mpgd_direction,
 )
@@ -120,7 +121,30 @@ class TinyAdjointOperator(ZeroOperator):
     kind = "tiny"
 
     def adjoint(self, y):
-        return np.full(self.d, 1e-170)
+        return np.full(y.shape[:-1] + (self.d,), 1e-170)
+
+
+class SingleVectorOperator(ZeroOperator):
+    """Written for single vectors: its adjoint drops the batch axis."""
+
+    kind = "single_vector"
+
+    def adjoint(self, y):
+        return np.zeros(self.d)
+
+
+def test_adjoint_off_the_last_axis_is_refused():
+    # a (d,) adjoint for a (1, n) residual breaks the last-axis contract of
+    # LinearOperator: it is refused, not reshaped to the estimate's shape
+    d = 6
+    op = SingleVectorOperator(d)
+    with pytest.raises(ValueError, match="must act on the last axis"):
+        adjoint_residual(Observation(y=np.zeros((1, 1)), operator=op), np.zeros((1, d)))
+    prior = build_registered_prior(2, d)
+    obs = Observation(y=np.zeros(1), operator=op)
+    for solver in ("DPS", "MPGD", "NCS-DPS", "NCS-MPGD", "DDCM"):
+        with pytest.raises(ValueError, match="must act on the last axis"):
+            solve(prior, Schedule(5, 1e-4, 0.02), obs, SolverConfig(solver=solver, K=4, seed=0))
 
 
 @pytest.mark.parametrize("operator", [ZeroOperator, TinyAdjointOperator])
