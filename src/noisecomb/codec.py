@@ -124,7 +124,7 @@ class CodecHeader:
         Schedule(self.T, self.beta_min, self.beta_max)  # checks the betas and alpha_bar
         if self.prior_id not in _PRIORS:
             raise ValueError(f"prior id {self.prior_id} is not registered")
-        k = _PRIORS[self.prior_id](1).n_components
+        _, k = _PRIORS[self.prior_id]
         work = self.T * self.d * (k + self.m)
         if work > MAX_DECODE_WORK:
             raise ValueError(f"T*d*(k+m) = {work} exceeds the decode work bound {MAX_DECODE_WORK}")
@@ -266,18 +266,18 @@ def _seeded_mixture_prior(d: int) -> GaussianMixturePrior:
     )
 
 
-_PRIORS = {
-    1: _standard_normal_prior,
-    2: _bimodal_prior,
-    3: _anisotropic_prior,
-    4: _seeded_mixture_prior,
+_PRIORS = {  # id -> (builder of the prior at dimension d, its component count)
+    1: (_standard_normal_prior, 1),
+    2: (_bimodal_prior, 2),
+    3: (_anisotropic_prior, 1),
+    4: (_seeded_mixture_prior, 8),
 }
 
 
 def build_registered_prior(prior_id: int, d: int) -> GaussianMixturePrior:
     if prior_id not in _PRIORS:
         raise ValueError(f"prior id {prior_id} is not registered")
-    return _PRIORS[prior_id](d)
+    return _PRIORS[prior_id][0](d)
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,10 @@ timestep and schedule on the rows of that schedule in its ``(B, d)`` state,
 and calls each distinct hook once per timestep with batch Steps of all of
 that hook's rows, which also name the rows and their seeds; the sampler and
 the codec are its one-row case.
+
+Only full-covariance priors factor their covariances, so ``scipy.linalg``
+(LAPACK and SciPy's bundled OpenBLAS, about 6 MiB resident) is imported on
+the first full-covariance use, never by a diagonal run.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .rng import Domain, NoiseStream, StreamKey, derive_stream
 
@@ -55,6 +58,20 @@ __all__ = [
 ]
 
 _LOG_2PI = np.log(2.0 * np.pi)
+
+
+def cho_factor(a, lower=False):
+    """``scipy.linalg.cho_factor``, with ``scipy.linalg`` imported on the first call."""
+    from scipy.linalg import cho_factor
+
+    return cho_factor(a, lower=lower)
+
+
+def cho_solve(c_and_lower, b):
+    """``scipy.linalg.cho_solve``, with ``scipy.linalg`` imported on the first call."""
+    from scipy.linalg import cho_solve
+
+    return cho_solve(c_and_lower, b)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False):
@@ -182,6 +199,8 @@ class GaussianMixturePrior:
             cov = np.asarray(self.covariances, dtype=np.float64)
             if cov.shape != (len(mu), self.d, self.d):
                 raise ValueError(f"covariances must have shape (k, d, d), got {cov.shape}")
+            if not np.isfinite(cov).all():
+                raise ValueError("component covariances must be finite")
             for k in range(len(mu)):
                 if not np.allclose(cov[k], cov[k].T, atol=1e-12):
                     raise ValueError(f"covariance {k} is not symmetric")

@@ -615,6 +615,15 @@ def test_cli_non_finite_config_float_is_a_config_error(tmp_path, capsys, field, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["NaN", "Infinity", "-Infinity"])
+def test_cli_non_finite_prior_covariance_is_a_config_error(tmp_path, capsys, value):
+    prior = {"weights": [1.0], "means": [[0.0, 0.0]], "covariances": [[[1.0, 0.0], [0.0, value]]]}
+    assert _run_config(tmp_path, "sample", {"prior": prior, "T": 3, "seeds": [0]}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "component covariances must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_compress_input_not_an_npy_array_is_an_io_error(tmp_path, capsys):
     text = tmp_path / "x0.txt"
     text.write_text("0.1 0.2 0.3\n")

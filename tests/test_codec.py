@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from noisecomb.codec import (
+    _PRIORS,
     Bitstream,
     CodecHeader,
     FormatError,
@@ -496,6 +497,23 @@ def _count_derive_stream(monkeypatch) -> list:
 
     monkeypatch.setattr(rng, "_rekey", counting)
     return keys
+
+
+@pytest.mark.parametrize("d", [1, 7, 64])
+@pytest.mark.parametrize("prior_id", sorted(_PRIORS))
+def test_registered_component_count_matches_the_built_prior(prior_id, d):
+    # the header reads k from the registry, not from a prior it builds
+    assert _PRIORS[prior_id][1] == build_registered_prior(prior_id, d).n_components
+
+
+def test_parsing_a_header_draws_no_random_words(monkeypatch):
+    # prior 4 draws its means from 8 streams; reading its header must not build it
+    prior, x0 = _signal(seed=3, d=8, prior_id=4)
+    res = compress(x0, prior, Schedule(5, 1e-4, 0.02), seed=3, K=8, m=2, C=2, n_side=3, prior_id=4)
+    blob = res.stream.to_bytes()
+    keys = _count_derive_stream(monkeypatch)
+    assert Bitstream.from_bytes(blob).header.prior_id == 4
+    assert keys == []
 
 
 @pytest.mark.parametrize("T,K,m,C", PARAM_MATRIX)

@@ -195,6 +195,16 @@ def test_score_rejects_nonfinite_input():
         score(prior, sch, np.array([1.0, np.nan, 0.0, 0.0]), 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_full_covariance_must_be_finite(bad):
+    # refused by its own message, before the symmetry test and before SciPy factors it
+    prior = _mixture_2d_full()
+    covs = prior.covariances.copy()
+    covs[1, 1, 1] = bad
+    with pytest.raises(ValueError, match="^component covariances must be finite$"):
+        GaussianMixturePrior(weights=prior.weights, means=prior.means, covariances=covs)
+
+
 def test_logsumexp_bit_identical_to_scipy():
     from hypothesis import given, settings
     from hypothesis import strategies as st

@@ -1,7 +1,11 @@
 """The package's import graph: each module imports from inside the package only
-the modules listed here, so a new dependency between layers is a visible edit."""
+the modules listed here, so a new dependency between layers is a visible edit.
+The same holds for the third-party libraries each module loads at import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import noisecomb
@@ -37,3 +41,66 @@ def test_each_module_imports_only_its_lower_layers():
     assert {path.stem for path in paths} == set(ALLOWED)
     for path in paths:
         assert _package_imports(path) <= ALLOWED[path.stem], path.stem
+
+
+# third-party libraries each module imports at module level; every other module: numpy only
+THIRD_PARTY = {"rng": {"numpy", "numpy.random", "scipy.special"}}
+
+
+def _top_level_third_party_imports(path: Path) -> set:
+    """The modules outside the standard library and the package that ``path`` imports at
+    module level; imports inside functions are loaded only when they are called."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return {name for name in found
+            if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "noisecomb"}
+
+
+def test_each_module_imports_only_its_third_party_libraries():
+    for path in sorted(Path(noisecomb.__file__).parent.glob("*.py")):
+        assert _top_level_third_party_imports(path) <= THIRD_PARTY.get(path.stem, {"numpy"}), path.stem
+
+
+_DIAGONAL_RUNS = """
+import json, sys
+import noisecomb, noisecomb.cli
+import numpy as np
+from noisecomb.cli import main
+
+def config(name, payload):
+    path = out + "/" + name + ".json"
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    return path
+
+out = sys.argv[1]
+solve = {"prior": {"preset_id": 4, "d": 8},
+         "task": {"operator": {"kind": "mask", "indices": [0, 1, 2, 3]}, "sigma_obs": 0.05},
+         "solvers": ["DPS", "NCS-DPS", "MPGD", "NCS-MPGD", "DDCM"], "T": [4], "K": 8, "seeds": [0]}
+assert main(["solve", "--config", config("solve", solve), "--out", out + "/solve.csv"]) == 0
+sample = {"prior": {"preset_id": 2, "d": 4}, "T": 4, "seeds": [0, 1]}
+assert main(["sample", "--config", config("sample", sample), "--out", out + "/sample.json"]) == 0
+np.save(out + "/x0.npy", np.linspace(-1.0, 1.0, 8))
+codec = {"prior_id": 2, "T": 6, "K": 8, "m": 2, "C": 2, "seed": 0}
+assert main(["compress", "--config", config("codec", codec), "--input", out + "/x0.npy",
+             "--out", out + "/x0.ncsb"]) == 0
+assert main(["decompress", "--input", out + "/x0.ncsb", "--out", out + "/x0.dec.npy"]) == 0
+assert "scipy.linalg" not in sys.modules, "a diagonal run loaded scipy.linalg"
+
+from noisecomb.diffusion import GaussianMixturePrior
+GaussianMixturePrior.single(np.zeros(2), [[1.0, 0.5], [0.5, 1.0]])
+assert "scipy.linalg" in sys.modules, "a full-covariance prior did not load scipy.linalg"
+"""
+
+
+def test_scipy_linalg_is_loaded_only_by_a_full_covariance_prior(tmp_path):
+    # a fresh interpreter: pytest itself loads scipy.stats, and with it scipy.linalg
+    src = Path(noisecomb.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", _DIAGONAL_RUNS, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
