@@ -316,7 +316,7 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     task_name = task.get("name", op.kind)
     grid, jobs = [], []
     for seed in seeds:
-        x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+        x0 = prior.sample(derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))
         noise = derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
         obs = make_observation(x0, op, sigma_obs, noise)
         for T in t_values:
@@ -341,14 +341,17 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
 
 
 def _load_signal(path: str) -> np.ndarray:
-    """The real array stored in the ``.npy`` file at ``path``; anything else is an I/O error."""
-    with open(path, "rb") as fh:
-        try:
-            x = np.lib.format.read_array(fh)
-            if x.dtype.kind not in "biuf":
-                raise ValueError(f"dtype {x.dtype} is not real")
-        except ValueError as exc:
-            raise OSError(f"{path}: not a .npy array of real numbers: {exc}") from exc
+    """The real array stored in the ``.npy`` file at ``path``; anything else is an I/O error.
+
+    The file is mapped before it is copied, so a header that declares more
+    data than the file holds is refused before anything is allocated for it.
+    """
+    try:
+        x = np.array(np.lib.format.open_memmap(path, mode="r"))
+        if x.dtype.kind not in "biuf":
+            raise ValueError(f"dtype {x.dtype} is not real")
+    except ValueError as exc:
+        raise OSError(f"{path}: not a .npy array of real numbers: {exc}") from exc
     return x
 
 
@@ -450,8 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="noisecomb")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required)
+    def common(p):
+        p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed-offset", type=int, default=0)
 

@@ -60,11 +60,11 @@ __all__ = [
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
-def cho_factor(a, lower=False):
-    """``scipy.linalg.cho_factor``, with ``scipy.linalg`` imported on the first call."""
+def cho_factor(a):
+    """``scipy.linalg.cho_factor(a, lower=True)``, with ``scipy.linalg`` imported on the first call."""
     from scipy.linalg import cho_factor
 
-    return cho_factor(a, lower=lower)
+    return cho_factor(a, lower=True)
 
 
 def cho_solve(c_and_lower, b):
@@ -205,7 +205,7 @@ class GaussianMixturePrior:
                 if not np.allclose(cov[k], cov[k].T, atol=1e-12):
                     raise ValueError(f"covariance {k} is not symmetric")
                 try:
-                    cho_factor(cov[k], lower=True)
+                    cho_factor(cov[k])
                 except np.linalg.LinAlgError as exc:
                     raise ValueError(f"covariance {k} is not positive-definite") from exc
             object.__setattr__(self, "covariances", cov)
@@ -233,20 +233,17 @@ class GaussianMixturePrior:
             return cls(weights=np.array([1.0]), means=mean[None], variances=cov[None])
         return cls(weights=np.array([1.0]), means=mean[None], covariances=cov[None])
 
-    def sample(self, n: int, stream: NoiseStream) -> np.ndarray:
-        """Draw ``n`` points from the mixture; deterministic given the stream."""
-        cum = np.cumsum(self.weights)
-        out = np.empty((n, self.d))
-        for j in range(n):
-            u = (stream.raw(1)[0] >> np.uint64(12)).astype(np.float64) * 2.0**-52
-            k = int(np.searchsorted(cum, u, side="right").clip(0, self.n_components - 1))
-            z = stream.standard_normal(self.d)
-            if self.diagonal:
-                out[j] = self.means[k] + np.sqrt(self.variances[k]) * z
-            else:
-                L = np.linalg.cholesky(self.covariances[k])
-                out[j] = self.means[k] + L @ z
-        return out
+    def sample(self, stream: NoiseStream) -> np.ndarray:
+        """Draw one point from the mixture; deterministic given the stream.
+
+        Each draw reads the stream on, so successive calls give successive points.
+        """
+        u = (stream.raw(1)[0] >> np.uint64(12)).astype(np.float64) * 2.0**-52
+        k = int(np.searchsorted(np.cumsum(self.weights), u, side="right").clip(0, self.n_components - 1))
+        z = stream.standard_normal(self.d)
+        if self.diagonal:
+            return self.means[k] + np.sqrt(self.variances[k]) * z
+        return self.means[k] + np.linalg.cholesky(self.covariances[k]) @ z
 
 
 def marginal_params(prior: GaussianMixturePrior, schedule: Schedule, t: int):
@@ -285,7 +282,7 @@ def _component_stats(prior, schedule, x, t):
         quad = (diff * diff / covs).sum(axis=-1)
         logdet = np.log(covs).sum(axis=-1)
     else:
-        factors = [cho_factor(c, lower=True) for c in covs]
+        factors = [cho_factor(c) for c in covs]
         g = np.empty_like(diff)
         quad = np.empty(diff.shape[:-1])
         logdet = np.array([2.0 * np.sum(np.log(np.diag(cf[0]))) for cf in factors])

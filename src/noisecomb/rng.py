@@ -21,9 +21,9 @@ buffer), setting the key and counter of one state dict that the thread
 reuses. Because Philox is counter-based, that is exactly the word sequence
 of a freshly keyed generator. ``_normals`` is the one normal map; it works in
 place, with one float64 buffer beside the raw words. A :class:`NoiseStream` is
-a plain ``(key, position)`` value that owns no generator: each read re-keys
-at block ``position // 4`` and discards the ``position % 4`` words already
-consumed from it, so opening, seeking and cloning a handle cost no generator
+a key and a count of the words read so far, and owns no generator: each
+read re-keys at block ``count // 4`` and discards the ``count % 4`` words
+already consumed from it, so opening a handle costs no generator
 construction, and handles read from several threads never share generator
 state. :func:`build_codebook` re-keys once per atom with that atom's key
 words, without building a key or a handle per atom; the key fields are range
@@ -225,31 +225,17 @@ if hasattr(os, "register_at_fork"):
 
 
 class NoiseStream:
-    """A value-like handle on one keyed random stream: ``(key, position)``.
+    """A handle on one keyed random stream, read from its start in order.
 
-    ``position`` counts the raw 64-bit words consumed so far. Seeking assigns
-    it and cloning copies it; no generator state lives in the handle.
+    It holds the key and the count of raw 64-bit words read so far; no
+    generator state lives in the handle.
     """
 
     __slots__ = ("key", "_position")
 
-    def __init__(self, key: StreamKey, position: int = 0):
+    def __init__(self, key: StreamKey):
         self.key = key
-        self.seek(position)
-
-    @property
-    def position(self) -> int:
-        """Number of raw 64-bit words consumed so far."""
-        return self._position
-
-    def seek(self, position: int) -> None:
-        """Reposition the stream at ``position`` raw words from the start."""
-        if position < 0:
-            raise ValueError("position must be nonnegative")
-        self._position = position
-
-    def clone(self) -> "NoiseStream":
-        return NoiseStream(self.key, self._position)
+        self._position = 0
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 words."""
@@ -273,7 +259,7 @@ class NoiseStream:
 
 
 def derive_stream(key: StreamKey) -> NoiseStream:
-    """Open the stream addressed by ``key`` at position 0."""
+    """Open the stream addressed by ``key`` at its start."""
     return NoiseStream(key)
 
 

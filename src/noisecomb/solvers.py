@@ -4,11 +4,14 @@ Two families share one stream layout so runs with equal seeds are paired:
 
 * baselines (``DPS``, ``MPGD``, ``DDCM``) steer the trajectory through the
   mean term (gradient steps) or swap in a single selected codebook atom;
-* combination variants (``NCS-DPS``, ``NCS-MPGD``, ``NCS-DDCM``) leave the
-  DDPM mean untouched and put all guidance into the noise term, replacing
-  the fresh Gaussian draw with the optimal unit-norm combination of codebook
-  atoms aligned with the solver's measurement direction. This restriction is
+* combination variants (``NCS-DPS``, ``NCS-MPGD``) leave the DDPM mean
+  untouched and put all guidance into the noise term, replacing the fresh
+  Gaussian draw with the optimal unit-norm combination of codebook atoms
+  aligned with the solver's measurement direction. This restriction is
   structural: the combination path has no code that modifies the mean.
+  DDCM's direction is MPGD's (:func:`~noisecomb.operators.ddcm_direction`),
+  so ``NCS-MPGD`` is also the combination variant of DDCM, and the name
+  ``NCS-DDCM`` is refused with a pointer to it.
 
 Every solver is one row of :func:`~noisecomb.diffusion.reverse_loop`. The
 loop calls each hook once per step with batch
@@ -73,8 +76,8 @@ __all__ = [
 ]
 
 BASELINE_SOLVERS = ("DPS", "MPGD", "DDCM")
-NCS_SOLVERS = ("NCS-DPS", "NCS-MPGD", "NCS-DDCM")
-_ROW_ORDER = ("DPS", "MPGD", "NCS-DPS", "NCS-MPGD", "NCS-DDCM", "DDCM")  # solve_rows's row order
+NCS_SOLVERS = ("NCS-DPS", "NCS-MPGD")
+_ROW_ORDER = ("DPS", "MPGD", "NCS-DPS", "NCS-MPGD", "DDCM")  # solve_rows's row order
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -87,7 +90,8 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if self.solver not in BASELINE_SOLVERS + NCS_SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
+            hint = "; NCS-DDCM is NCS-MPGD under a second name" if self.solver == "NCS-DDCM" else ""
+            raise ValueError(f"unknown solver {self.solver!r}{hint}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.m is not None and not 1 <= self.m <= self.K:

@@ -239,7 +239,7 @@ def test_criterion_07_complexity():
 @criterion(8, "payload length obeys the bit-budget law; published parameter sets check out")
 def test_criterion_08_bpp_law():
     prior = build_registered_prior(2, 16)
-    x0 = prior.sample(1, derive_stream(StreamKey(8, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+    x0 = prior.sample(derive_stream(StreamKey(8, Domain.PRIOR_SAMPLE, 0, 0)))
     matrix = [
         (T, K, m, C)
         for T in (1, 5, 12)
@@ -275,14 +275,14 @@ def test_criterion_09_codec_round_trip():
         (1, 16, 2, 3),
     ]
     prior = build_registered_prior(2, 24)
-    x0 = prior.sample(1, derive_stream(StreamKey(9, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+    x0 = prior.sample(derive_stream(StreamKey(9, Domain.PRIOR_SAMPLE, 0, 0)))
     for T, K, m, C in cells:
         sch = Schedule(T, 1e-4, 0.02)
         res = compress(x0, prior, sch, seed=9, K=K, m=m, C=C, n_side=5, prior_id=2)
         assert np.array_equal(decompress(res.stream), res.reconstruction)
     # tiny codebook forces the deterministic fallback path on some steps
     p1 = build_registered_prior(1, 8)
-    z0 = p1.sample(1, derive_stream(StreamKey(19, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+    z0 = p1.sample(derive_stream(StreamKey(19, Domain.PRIOR_SAMPLE, 0, 0)))
     sch = Schedule(40, 1e-4, 0.02)
     res = compress(z0, p1, sch, seed=19, K=2, m=2, C=2, n_side=3, prior_id=1)
     assert res.degenerate_steps >= 1
@@ -354,7 +354,7 @@ def test_criterion_11_solver_trend():
     errs = {"DPS": [], "NCS-DPS": []}
     wins = 0
     for seed in range(n_seeds):
-        x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+        x0 = prior.sample(derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))
         obs = make_observation(
             x0, op, 0.05, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
         )
@@ -381,7 +381,7 @@ def test_criterion_11_solver_trend():
 def test_criterion_12_compression_speed():
     d, K = 4096, 128
     prior = build_registered_prior(2, d)
-    x0 = prior.sample(1, derive_stream(StreamKey(0, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+    x0 = prior.sample(derive_stream(StreamKey(0, Domain.PRIOR_SAMPLE, 0, 0)))
 
     def run(T, m, C):
         # CPU time of this process: another process sharing the cores does not count

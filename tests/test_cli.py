@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,7 +526,7 @@ def _tiny_solve(**fields):
         *[
             ("solve", _tiny_solve(T=[5], K=8, solvers=[solver],
                                   task={**SOLVE_CONFIG["task"], "sigma_obs": 1e300}))
-            for solver in ("DPS", "NCS-DPS", "MPGD", "NCS-MPGD", "DDCM", "NCS-DDCM")
+            for solver in ("DPS", "NCS-DPS", "MPGD", "NCS-MPGD", "DDCM")
         ],
         ("solve", _tiny_solve(T=[5], K=8, solvers=["DPS"], zeta=-1.0)),
         ("solve", _tiny_solve(T=[5], K=8, solvers=["MPGD"], **{"lambda": -5.0})),
@@ -551,7 +552,7 @@ def _tiny_solve(**fields):
         "mask-operator-unknown-key", "identity-operator-unknown-key",
         "sigma-obs-huge", "prior-mean-huge",
         "sigma-obs-huge-DPS", "sigma-obs-huge-NCS-DPS", "sigma-obs-huge-MPGD",
-        "sigma-obs-huge-NCS-MPGD", "sigma-obs-huge-DDCM", "sigma-obs-huge-NCS-DDCM",
+        "sigma-obs-huge-NCS-MPGD", "sigma-obs-huge-DDCM",
         "zeta-negative", "lambda-negative", "lambda-huge-MPGD-T1", "lambda-huge-MPGD-T5",
         "zeta-huge-DPS-T1",
     ],
@@ -630,6 +631,35 @@ def test_cli_compress_input_not_an_npy_array_is_an_io_error(tmp_path, capsys):
     cfg = {"prior_id": 1, "T": 3, "K": 2, "m": 1, "C": 0, "seed": 0}
     assert _run_config(tmp_path, "compress", cfg, text) == 3
     assert capsys.readouterr().err.startswith("i/o error:")
+
+
+@pytest.mark.parametrize("count", [2**27, 2**40], ids=["1GiB", "8TiB"])
+def test_cli_compress_input_declaring_more_data_than_it_holds_is_an_io_error(tmp_path, capsys, count):
+    # a 144-byte .npy whose header declares ``count`` float64 values (1 GiB and
+    # 8 TiB) is refused before anything is allocated for the values
+    signal = tmp_path / "x0.npy"
+    with open(signal, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": (count,)})
+        fh.write(bytes(16))
+    assert signal.stat().st_size == 144
+    cfg = {"prior_id": 2, "T": 3, "K": 2, "m": 1, "C": 0, "seed": 0}
+    tracemalloc.start()
+    try:
+        rc = _run_config(tmp_path, "compress", cfg, signal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_ncs_ddcm_is_a_config_error_naming_ncs_mpgd(tmp_path, capsys):
+    assert _run_config(tmp_path, "solve", _tiny_solve(solvers=["DPS", "NCS-DDCM"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown solver 'NCS-DDCM'") and "NCS-MPGD" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])

@@ -35,7 +35,7 @@ PARAM_MATRIX = [
 
 def _signal(seed, d, prior_id=2):
     prior = build_registered_prior(prior_id, d)
-    return prior, prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+    return prior, prior.sample(derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))
 
 
 @pytest.mark.parametrize("T,K,m,C", PARAM_MATRIX)
@@ -117,7 +117,7 @@ def test_mse_decreases_with_m():
     for m in (1, 2, 4, 8):
         errs = []
         for seed in range(50):
-            x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+            x0 = prior.sample(derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))
             res = compress(x0, prior, sch, seed=seed, K=16, m=m, C=3, n_side=8, prior_id=4)
             errs.append(float(np.mean((res.reconstruction - x0) ** 2)))
         medians.append(float(np.median(errs)))

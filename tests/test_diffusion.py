@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from noisecomb.diffusion import (
     tweedie_jacobian_apply,
     unconditional_sample,
 )
+from noisecomb.rng import Domain, StreamKey, derive_stream
 
 RNG = np.random.default_rng(20240811)
 
@@ -203,6 +206,23 @@ def test_full_covariance_must_be_finite(bad):
     covs[1, 1, 1] = bad
     with pytest.raises(ValueError, match="^component covariances must be finite$"):
         GaussianMixturePrior(weights=prior.weights, means=prior.means, covariances=covs)
+
+
+# the SHA-256 of three prior draws from one stream, as one (3, d) float64 array;
+# taken when ``sample`` drew n points in one call, as ``sample(3, stream)``
+PRIOR_DRAWS_3 = {
+    "full": "64b6fb4ca928c4053615933987d79553f4d5d317b9cb62be27fdd36701a13a8d",
+    "diag": "e90d8fadfd8c67aec708ab2ca9b7cfa3469c7117f87fd67f33c87177441199ea",
+}
+
+
+@pytest.mark.parametrize("prior_kind", ["full", "diag"])
+def test_successive_prior_draws_read_the_stream_on(prior_kind):
+    prior = _mixture_2d_full() if prior_kind == "full" else _mixture_4d_diag()
+    stream = derive_stream(StreamKey(11, Domain.PRIOR_SAMPLE, 0, 0))
+    draws = np.array([prior.sample(stream) for _ in range(3)])
+    assert draws.shape == (3, prior.d)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == PRIOR_DRAWS_3[prior_kind]
 
 
 def test_logsumexp_bit_identical_to_scipy():

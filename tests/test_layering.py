@@ -1,8 +1,10 @@
 """The package's import graph: each module imports from inside the package only
 the modules listed here, so a new dependency between layers is a visible edit.
-The same holds for the third-party libraries each module loads at import."""
+The same holds for the third-party libraries each module loads at import, and
+every name a module lists in ``__all__`` is one that it defines."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -41,6 +43,13 @@ def test_each_module_imports_only_its_lower_layers():
     assert {path.stem for path in paths} == set(ALLOWED)
     for path in paths:
         assert _package_imports(path) <= ALLOWED[path.stem], path.stem
+
+
+def test_every_name_a_module_exports_is_defined():
+    # so a removal cannot leave a stale name in an ``__all__``
+    for path in sorted(Path(noisecomb.__file__).parent.glob("*.py")):
+        module = importlib.import_module("noisecomb" if path.stem == "__init__" else f"noisecomb.{path.stem}")
+        assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == [], path.stem
 
 
 # third-party libraries each module imports at module level; every other module: numpy only

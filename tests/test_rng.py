@@ -91,29 +91,27 @@ def test_key_field_validation():
 
 
 def test_stream_is_value_like():
-    s = derive_stream(GOLDEN_KEY)
-    s.raw(3)
-    c = s.clone()
-    assert c.position == s.position == 3
-    assert np.array_equal(c.raw(5), s.raw(5))
-    s.seek(1)
+    # a handle is its key and the count of words it has read: two handles on
+    # one key that have read as many words, in any reads, read on alike
+    s, c = derive_stream(GOLDEN_KEY), derive_stream(GOLDEN_KEY)
+    assert s.raw(1).tolist() == GOLDEN_RAW_4[:1]
     assert s.raw(3).tolist() == GOLDEN_RAW_4[1:4]
+    c.raw(2)
+    c.raw(2)
+    assert np.array_equal(c.raw(5), s.raw(5))
 
 
 @pytest.mark.parametrize("position", [1, 2, 3, 5, 6, 7, 9, 14])
-def test_seek_and_clone_off_block_boundary_match_fresh_slice(position):
+def test_reads_off_block_boundary_match_fresh_slice(position):
+    # a read that starts inside a Philox block re-keys at that block and skips
+    # the words already consumed from it
     fresh = derive_stream(GOLDEN_KEY).raw(position + 11)
-    sought = derive_stream(GOLDEN_KEY)
-    sought.seek(position)
-    assert np.array_equal(sought.raw(11), fresh[position:])
-    assert np.array_equal(NoiseStream(GOLDEN_KEY, position).raw(11), fresh[position:])
-    read = derive_stream(GOLDEN_KEY)
-    read.raw(position)
-    clone = read.clone()
-    assert clone.position == position
-    assert np.array_equal(clone.raw(11), fresh[position:])
-    assert read.position == position  # reading the clone leaves the original alone
-    assert np.array_equal(read.raw(11), fresh[position:])
+    whole, stepped = derive_stream(GOLDEN_KEY), derive_stream(GOLDEN_KEY)
+    assert np.array_equal(whole.raw(position), fresh[:position])
+    for j in range(position):  # the same words, one read each
+        assert stepped.raw(1)[0] == fresh[j]
+    assert np.array_equal(stepped.raw(11), fresh[position:])
+    assert np.array_equal(whole.raw(11), fresh[position:])  # reading one handle leaves the other alone
 
 
 def test_handles_read_alternately_from_two_threads_match_serial():
@@ -181,9 +179,10 @@ def test_normal_moments_one_million_draws():
 
 
 def test_identical_stream_state_identical_vector():
-    s = derive_stream(StreamKey(9, Domain.INIT_LATENT, 3, 0))
-    s.raw(11)
-    assert np.array_equal(s.clone().standard_normal(16), s.clone().standard_normal(16))
+    a, b = (derive_stream(StreamKey(9, Domain.INIT_LATENT, 3, 0)) for _ in range(2))
+    a.raw(11)
+    b.raw(11)
+    assert np.array_equal(a.standard_normal(16), b.standard_normal(16))
 
 
 def test_codebook_bit_reproducible():

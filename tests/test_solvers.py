@@ -57,7 +57,7 @@ class ZeroOperator(LinearOperator):
 def _toy_problem(seed=0, d=8, T=25, sigma=0.05, keep=None):
     prior = build_registered_prior(4, d)
     sch = Schedule(T, 1e-4, 0.02)
-    x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+    x0 = prior.sample(derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))
     op = Mask(d, keep if keep is not None else list(range(d // 2)))
     obs = make_observation(
         x0, op, sigma, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
@@ -80,7 +80,7 @@ def test_family_dispatch_guards():
         baseline_solve(prior, sch, obs, SolverConfig(solver="NCS-DPS"))
 
 
-@pytest.mark.parametrize("solver", ["DPS", "MPGD", "DDCM", "NCS-DPS", "NCS-MPGD", "NCS-DDCM"])
+@pytest.mark.parametrize("solver", ["DPS", "MPGD", "DDCM", "NCS-DPS", "NCS-MPGD"])
 def test_deterministic_per_config_seed(solver):
     prior, sch, _, obs = _toy_problem(seed=5)
     cfg = SolverConfig(solver=solver, K=16, seed=5)
@@ -157,13 +157,13 @@ def test_degenerate_directions_fall_back_to_plain_ddpm(operator):
     sch = Schedule(15, 1e-4, 0.02)
     obs = Observation(y=np.zeros(1), operator=operator(d))
     uncond = unconditional_sample(prior, sch, 21)
-    for solver in ("NCS-DPS", "NCS-MPGD", "NCS-DDCM", "DDCM"):
+    for solver in ("NCS-DPS", "NCS-MPGD", "DDCM"):
         res = solve(prior, sch, obs, SolverConfig(solver=solver, K=8, seed=21))
         assert res.degenerate_steps == 14  # every noisy step degenerated
         assert np.array_equal(res.x0, uncond)
 
 
-@pytest.mark.parametrize("solver", ["DDCM", "NCS-DPS", "NCS-MPGD", "NCS-DDCM"])
+@pytest.mark.parametrize("solver", ["DDCM", "NCS-DPS", "NCS-MPGD"])
 def test_zero_direction_builds_no_codebook(monkeypatch, solver):
     # an all-zero direction is degenerate for any codebook, so its step draws
     # fresh noise without building one
@@ -189,7 +189,7 @@ _LOCKSTEP_SCHEDULES = (Schedule(7, 1e-4, 0.02), Schedule(12, 1e-4, 0.02))
 
 def _lockstep_jobs(operator):
     """Jobs over two schedules (T = 7 and 12) and two seeds, each with its own
-    observation: all six solvers at m in {None, 1, 3}, seed-major, then by T.
+    observation: every solver at m in {None, 1, 3}, seed-major, then by T.
     Each seed's mask is its own operator object; the other operators are one
     object that both seeds' observations share."""
     jobs = []
@@ -218,8 +218,8 @@ def test_lockstep_rows_match_one_row_solves(operator):
         alone = solve(prior, sch, obs, config)
         assert row.x0.tobytes() == alone.x0.tobytes(), (sch.T, config)
         assert row.degenerate_steps == alone.degenerate_steps, (sch.T, config)
-    # per seed, the mask gives 8 distinct trajectories at T = 12 (NCS-MPGD and
-    # NCS-DDCM coincide, and so do m = 1 and DDCM) and 7 at T = 7 (where
+    # per seed, the mask gives 8 distinct trajectories at T = 12 (NCS-MPGD at
+    # m = 1 and DDCM coincide) and 7 at T = 7 (where
     # NCS-DPS at m = 1 also picks DDCM's atom at every step); the zero
     # operator leaves every solver at plain DDPM, one trajectory per seed and T.
     # The downsample counts as the mask; under the blur, seed 5's NCS-DPS at
@@ -267,16 +267,9 @@ def test_self_consistent_first_step_degenerates():
     assert res.degenerate_steps >= 1
 
 
-def test_ncs_mpgd_and_ncs_ddcm_identical():
-    prior, sch, _, obs = _toy_problem(seed=13)
-    a = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", K=16, seed=13))
-    b = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-DDCM", K=16, seed=13))
-    assert np.array_equal(a.x0, b.x0)
-
-
-def test_ncs_ddcm_m1_equals_ddcm_baseline():
+def test_ncs_mpgd_m1_equals_ddcm_baseline():
     prior, sch, _, obs = _toy_problem(seed=17)
-    ncs = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-DDCM", K=16, m=1, seed=17))
+    ncs = ncs_solve(prior, sch, obs, SolverConfig(solver="NCS-MPGD", K=16, m=1, seed=17))
     base = baseline_solve(prior, sch, obs, SolverConfig(solver="DDCM", K=16, seed=17))
     assert np.array_equal(ncs.x0, base.x0)
 
@@ -286,7 +279,7 @@ def test_restricted_support_interpolates():
     d = 8
     prior = build_registered_prior(1, d)
     sch = Schedule(20, 1e-4, 0.02)
-    x0 = prior.sample(1, derive_stream(StreamKey(8, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+    x0 = prior.sample(derive_stream(StreamKey(8, Domain.PRIOR_SAMPLE, 0, 0)))
     obs = make_observation(
         x0, Identity(d), 0.0, derive_stream(StreamKey(8, Domain.OBSERVATION_NOISE, 0, 0))
     )
@@ -326,7 +319,7 @@ def test_paired_trend_ncs_dps_beats_dps_small():
     op = Mask(d, list(range(8)))
     errs = {"DPS": [], "NCS-DPS": []}
     for seed in range(40):
-        x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+        x0 = prior.sample(derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))
         obs = make_observation(
             x0, op, 0.05, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0))
         )
@@ -357,7 +350,7 @@ def test_solves_score_each_step_once(monkeypatch, prior_kind):
     real = noisecomb.diffusion.logsumexp
     monkeypatch.setattr(noisecomb.diffusion, "logsumexp", lambda *a, **k: calls.append(1) or real(*a, **k))
     for seed in (0, 1):
-        x0 = prior.sample(1, derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))[0]
+        x0 = prior.sample(derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))
         obs = make_observation(x0, op, 0.05, derive_stream(StreamKey(seed, Domain.OBSERVATION_NOISE, 0, 0)))
         for T in (5, 12):
             for solver in ("DPS", "NCS-DPS"):
