@@ -138,7 +138,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8 text
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8 text, or nested too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return _object(cfg, path)
 
@@ -235,10 +235,10 @@ def _t_values(cfg: dict) -> list:
 def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
     """Unconditional samples per (seed, T): moment summary CSV plus a dump.
 
-    The whole (T, seed) grid is one lockstep ``reverse_loop`` with one
-    sampler row (fresh keyed noise, no mean shift) per sample, run in CSV row
-    order; a check that fails inside it, such as a non-finite state, is a
-    config error.
+    The whole (T, seed) grid is one lockstep ``reverse_loop`` with one row
+    per sample, run in CSV row order, ``fresh_noise`` as its noise hook and
+    no mean shift; a check that fails inside it, such as a non-finite state,
+    is a config error.
     """
     _known_keys(cfg, _SAMPLE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
@@ -251,7 +251,7 @@ def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
     schedules = {T: _schedule_from_config(schedule_spec, T) for T in t_values}
     grid = [(T, seed) for T in sorted(t_values) for seed in sorted(seeds)]  # CSV row order
     try:
-        samples = reverse_loop(prior, [(schedules[T], seed, fresh_noise, None) for T, seed in grid])
+        samples = reverse_loop(prior, [(schedules[T], seed) for T, seed in grid], fresh_noise)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = [

@@ -375,7 +375,7 @@ def compress(
             writer.write(value, C)
         return [_step_noise(codebook[:, indices], code, grid)[None]]
 
-    x = reverse_loop(prior, [(schedule, seed, encode, None)])[0]
+    x = reverse_loop(prior, [(schedule, seed)], encode)[0]
     stream = Bitstream(header=header, payload=writer.getvalue())
     return CompressResult(stream=stream, reconstruction=x, degenerate_steps=degenerate)
 
@@ -397,7 +397,7 @@ def decompress(stream: Bitstream) -> np.ndarray:
         atoms = build_codebook(header.seed, step.t, header.K, header.d, indices)
         return [_step_noise(atoms, code, grid)[None]]
 
-    return reverse_loop(prior, [(schedule, header.seed, decode, None)])[0]
+    return reverse_loop(prior, [(schedule, header.seed)], decode)[0]
 
 
 def report_bpp(stream: Bitstream) -> float:

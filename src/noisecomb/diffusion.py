@@ -17,13 +17,14 @@ reverse step adds no noise.
 :class:`Step` of that state, with its mixture statistics, Tweedie estimate and
 time-t marginal. The Jacobian-vector product :func:`tweedie_jacobian_apply`
 (and with it the DPS direction) takes a Step, so it reuses all three. Sampler,
-solvers and codec all run :func:`reverse_loop` with their own noise policy and
-optional mean shift. The loop advances a batch of such rows in lockstep,
-aligned by t, each row on its own schedule: it calls ``step_at`` once per
-timestep and schedule on the rows of that schedule in its ``(B, d)`` state,
-and calls each distinct hook once per timestep with batch Steps of all of
-that hook's rows, which also name the rows and their seeds; the sampler and
-the codec are its one-row case.
+solvers and codec all run :func:`reverse_loop` with one noise hook and an
+optional mean-shift hook of their own. The loop advances a batch of rows in
+lockstep, aligned by t, each row on its own schedule: per timestep it calls
+``step_at`` once per schedule on the rows of that schedule in its ``(B, d)``
+state, and then each hook once with the batch Steps of the live schedules,
+which also name the rows and their seeds. A hook that treats rows
+differently dispatches on those names itself; :func:`unconditional_sample`
+and the codec are the one-row case.
 
 Only full-covariance priors factor their covariances, so ``scipy.linalg``
 (LAPACK and SciPy's bundled OpenBLAS, about 6 MiB resident) is imported on
@@ -455,95 +456,54 @@ def _index(positions: list):
     return np.array(positions, dtype=np.intp)
 
 
-def _hook_rows(rows, groups, col: int) -> dict:
-    """Each hook of column ``col`` of ``rows``, in the order of its first row, mapped to
-    ``(positions, index)`` per schedule whose group holds rows of it: the rows' positions
-    in the group's Step (``None`` for all of them) and their index into the loop's state."""
-    plan = {row[col]: {} for row in rows if row[col] is not None}
-    for schedule, idx in groups.items():
-        for j, i in enumerate(idx):
-            if rows[i][col] is not None:
-                plan[rows[i][col]].setdefault(schedule, []).append((j, i))
-    return {hook: {sch: (None if len(pairs) == len(groups[sch]) else _index([j for j, _ in pairs]),
-                         _index([i for _, i in pairs])) for sch, pairs in per.items()}
-            for hook, per in plan.items()}
-
-
-def _batches(plan: dict, steps: dict):
-    """``(hook, batch, indices)`` per hook of ``plan`` with live rows: one batch Step per
-    live group that holds rows of the hook, and those rows' index into the loop's state."""
-    for hook, per_group in plan.items():
-        live = [(steps[sch], pos, index) for sch, (pos, index) in per_group.items() if sch in steps]
-        if live:
-            batch = tuple(step if pos is None else step.take(pos) for step, pos, _ in live)
-            yield hook, batch, [index for _, _, index in live]
-
-
-def _fill_noise(plan: dict, steps: dict, eps: np.ndarray) -> None:
-    """Each noise hook's noise, written to its rows of ``eps``."""
-    for hook, batch, indices in _batches(plan, steps):
-        for step, index, noise in zip(batch, indices, hook(batch), strict=True):
-            if np.shape(noise) != step.x.shape:
-                raise ValueError(f"noise shape {np.shape(noise)} != state shape {step.x.shape}")
-            eps[index] = noise
-
-
-def _add_shifts(plan: dict, steps: dict, x: np.ndarray) -> None:
-    """Each shift hook's mean shifts, added to its rows of ``x``; a non-finite norm is refused."""
-    for hook, batch, indices in _batches(plan, steps):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
-            for index, delta in zip(indices, hook(batch), strict=True):
-                if delta is not None:
-                    if not np.isfinite(delta[:, None, :] @ delta[:, :, None]).all():
-                        raise ValueError("the norm of a row's mean shift is not finite")
-                    x[index] += delta
-
-
-def reverse_loop(prior: GaussianMixturePrior, rows) -> np.ndarray:
+def reverse_loop(prior: GaussianMixturePrior, rows, noise, shift=None) -> np.ndarray:
     """The reverse process of every row, in lockstep, from its keyed N(0, I) latent down to x_0.
 
-    ``rows`` lists ``(schedule, seed, noise, shift)``: the row's schedule, the
-    seed that keys its latent, its noise hook and its optional mean-shift hook
-    (``None`` for none). All rows share ``prior`` and one ``(B, d)`` state,
-    row i in row i; the rows on one schedule value form its group. The loop
-    runs t = max T..1, aligned by t: a group joins at its own T. Per t, one
-    ``step_at`` scores the rows of each group whose T >= t. Each distinct
-    hook is then called once, in the order of its first row, with a tuple of
-    batch :class:`Step` objects, one per live group that holds rows of that
-    hook: 2-d ``x`` and ``x0_hat`` and the statistics of just those rows, the
-    group's marginal and schedule, and the rows' indices and seeds. A hook
-    that holds a whole group gets the group's Step itself. A hook returns one
-    ``(n, d)`` array per Step. The noise hooks fill their rows of the noise
-    (the t = 1 step is noiseless); one ``ddpm_step`` moves each group's rows;
-    then the loop adds each shift (a shift hook may return ``None`` for a
-    Step), refusing a row whose shift's sum of squares is not finite with
-    ``ValueError``. Hooks only read their Steps: only the latent draw,
-    ``ddpm_step`` and the shifts write the state. The step's Steps and
-    statistics are dropped before the next scoring. Returns the state x_0,
-    row i in row i. Every row is bit-identical to a run of that row alone,
-    and a single row (B = 1) is the plain reverse loop.
+    ``rows`` lists ``(schedule, seed)``: the row's schedule and the seed that
+    keys its latent. All rows share ``prior`` and one ``(B, d)`` state, row i
+    in row i; the rows on one schedule value form its group. The loop runs
+    t = max T..1, aligned by t: a group joins at its own T. Per t, one
+    ``step_at`` scores the rows of each group whose T >= t, into one batch
+    :class:`Step` per live group, in the order of the groups' first rows:
+    2-d ``x`` and ``x0_hat``, the group's statistics, marginal and schedule,
+    and its rows' indices and seeds. ``noise`` (at t >= 2; the t = 1 step is
+    noiseless) and then the optional ``shift`` are called once each with the
+    tuple of those Steps, and return one ``(n, d)`` array per Step.
+    ``ddpm_step`` moves each group's rows with its noise, refusing a noise
+    whose shape is not the Step's state's; then the loop adds each shift
+    (``shift`` may return ``None`` for a Step), refusing a row whose shift's
+    sum of squares is not finite with ``ValueError``. Hooks only read their
+    Steps: only the latent draw, ``ddpm_step`` and the shifts write the
+    state. The step's Steps and statistics are dropped before the next
+    scoring. Returns the state x_0, row i in row i. Every row is
+    bit-identical to a run of that row alone, and a single row (B = 1) is
+    the plain reverse loop.
     """
     d = prior.d
     groups, x = {}, np.zeros((len(rows), d))  # each schedule -> its row indices, in order
-    for i, (schedule, seed, _, _) in enumerate(rows):
+    for i, (schedule, seed) in enumerate(rows):
         groups.setdefault(schedule, []).append(i)
         x[i] = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(d)
-    noise_hooks, shift_hooks = _hook_rows(rows, groups, 2), _hook_rows(rows, groups, 3)
     named = {sch: (_index(idx), tuple(idx), tuple(rows[i][1] for i in idx)) for sch, idx in groups.items()}
-    eps = np.zeros_like(x)
     for t in range(max((schedule.T for schedule in groups), default=0), 0, -1):
-        steps = {}
+        steps, indices = [], []
         for sch, (index, idx, seeds) in named.items():
             if sch.T >= t:  # the Step keeps a copy of x_t: x moves on below
                 s = step_at(prior, sch, x[index].copy(), t)
-                steps[sch] = Step(t, s.x, s.x0_hat, s.stats, s.marginal, sch, idx, seeds)
-        if t >= 2:
-            _fill_noise(noise_hooks, steps, eps)
-        for sch, step in steps.items():
-            index = named[sch][0]
-            x[index] = ddpm_step(sch, step.x, t, eps[index], step.stats[2])
-        _add_shifts(shift_hooks, steps, x)
-        del steps, step, s  # free this step's statistics before the next is scored
+                steps.append(Step(t, s.x, s.x0_hat, s.stats, s.marginal, sch, idx, seeds))
+                indices.append(index)
+        steps = tuple(steps)
+        eps = noise(steps) if t >= 2 else [np.zeros_like(step.x) for step in steps]
+        for step, index, e in zip(steps, indices, eps, strict=True):
+            x[index] = ddpm_step(step.schedule, step.x, t, e, step.stats[2])
+        if shift is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
+                for index, delta in zip(indices, shift(steps), strict=True):
+                    if delta is not None:
+                        if not np.isfinite(delta[:, None, :] @ delta[:, :, None]).all():
+                            raise ValueError("the norm of a row's mean shift is not finite")
+                        x[index] += delta
+        del steps, step, s, eps, e  # free this step's statistics and noise before the next is scored
     return x
 
 
@@ -551,4 +511,4 @@ def unconditional_sample(
     prior: GaussianMixturePrior, schedule: Schedule, seed: int
 ) -> np.ndarray:
     """Plain DDPM sampling: the reverse loop with fresh keyed noise."""
-    return reverse_loop(prior, [(schedule, seed, fresh_noise, None)])[0]
+    return reverse_loop(prior, [(schedule, seed)], fresh_noise)[0]

@@ -13,23 +13,25 @@ Two families share one stream layout so runs with equal seeds are paired:
   so ``NCS-MPGD`` is also the combination variant of DDCM, and the name
   ``NCS-DDCM`` is refused with a pointer to it.
 
-Every solver is one row of :func:`~noisecomb.diffusion.reverse_loop`. The
-loop calls each hook once per step with batch
-:class:`~noisecomb.diffusion.Step` objects of all of its rows, and
-:func:`solve_rows` builds one hook per family, shared by every row of that
-family: ``fresh_noise`` for DPS and MPGD, one guided noise rule for DDCM and
-NCS-*, and the DPS and MPGD mean shifts. A hook looks up each row's
-observation and config through ``step.rows``; the rows of a Step that share
-one operator object form one array batch, so a step forms one residual per
-operator, and one stacked Jacobian product per Step for the DPS rows. DDCM
-and NCS-* share the guided rule, which takes the measurement direction and
-the step codebook and differs only in the weights (DDCM the argmax atom over
-all K, NCS-* the optimal or top-m combination). No solver scores a state
-itself. The jobs of one :func:`solve_rows` call on equal schedules share one
-scoring and one DDPM update per step, and every schedule's rows step
-together, aligned by t. Each row is bit-identical to its own :func:`solve`,
-which is the one-job case (as are :func:`ncs_solve` and
-:func:`baseline_solve`).
+Every solver is one row of :func:`~noisecomb.diffusion.reverse_loop`, whose
+one noise hook and one shift hook :func:`solve_rows` dispatches to the
+solver families itself. It sorts each schedule's rows by family, so every
+family's rows lie side by side in every batch
+:class:`~noisecomb.diffusion.Step`, and per step runs each family's hook
+once on its slices of all Steps: ``fresh_noise`` for DPS and MPGD, one
+guided noise rule for DDCM and NCS-*, and the DPS and MPGD mean shifts
+(rows with no shift get ``-0.0``, which leaves them as they are). A hook
+looks up each row's observation and config through ``step.rows``; the rows
+of a Step that share one operator object form one array batch, so a step
+forms one residual per operator, and one stacked Jacobian product per Step
+for the DPS rows. DDCM and NCS-* share the guided rule, which takes the
+measurement direction and the step codebook and differs only in the weights
+(DDCM the argmax atom over all K, NCS-* the optimal or top-m combination).
+No solver scores a state itself. The jobs of one :func:`solve_rows` call on
+equal schedules share one scoring and one DDPM update per step, and every
+schedule's rows step together, aligned by t. Each row is bit-identical to
+its own :func:`solve`, which is the one-job case (as are :func:`ncs_solve`
+and :func:`baseline_solve`).
 
 A degenerate direction (zero, or with no usable codebook projection) makes
 its step draw the keyed fresh noise of a plain DDPM step: ``fresh_noise``,
@@ -47,6 +49,7 @@ d=16 grid). There is no process-wide cache.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +146,12 @@ def _combine(rule, codebook: np.ndarray, c: np.ndarray) -> tuple:
 def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
     """One :class:`SolveResult` per ``(schedule, obs, config)`` job, all in one ``reverse_loop``.
 
-    Each job is one row of the loop: its solver's noise policy and mean shift
-    against its own observation, keyed by its config's seed on its schedule;
-    jobs on equal schedules are scored as one batch. Every result is
-    bit-identical to ``solve(prior, schedule, obs, config)`` run alone, and
-    the results come back in job order. DPS and MPGD draw fresh noise and
+    Each job is one row of the loop, keyed by its config's seed on its
+    schedule: its solver's noise policy and mean shift against its own
+    observation, which the loop's two hooks dispatch to by the row's slot
+    (see ``rank``); jobs on equal schedules are scored as one batch. Every
+    result is bit-identical to ``solve(prior, schedule, obs, config)`` run
+    alone, and the results come back in job order. DPS and MPGD draw fresh noise and
     shift the mean at every step, t = 1 included; the loop adds the shift to
     the DDPM update. DPS's shift is ``-zeta_t * grad ||y - A x0_hat||^2``
     with the residual-normalized step ``zeta_t = zeta / ||y - A x0_hat||``,
@@ -160,18 +164,23 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
     for j, (schedule, _, _) in enumerate(jobs):
         first.setdefault(schedule, j)
 
-    def rank(j):
-        """Row order: by schedule, then solver, with a shift first, then ``(seed, K)``. Each
-        group's rows, and in it each hook's rows, then lie side by side, so the loop takes
-        them as slices."""
-        schedule, _, config = jobs[j]
+    def slot(config):
+        """``2 * place + (no shift)``, ``place`` the solver's in ``_ROW_ORDER``: DPS rows take slots
+        0 and 1, MPGD rows 2 and 3, each with a shift in the even one, and the guided rows 5 to 9."""
         shift = {"DPS": config.zeta, "MPGD": config.lam}.get(config.solver, 0.0)
-        return first[schedule], _ROW_ORDER.index(config.solver), not shift, config.seed, config.K
+        return 2 * _ROW_ORDER.index(config.solver) + (not shift)
+
+    def rank(j):
+        """Row order: by schedule, then slot, then ``(seed, K)``. Each group's rows, and in each
+        group's Step the rows of each slot, then lie side by side."""
+        schedule, _, config = jobs[j]
+        return first[schedule], slot(config), config.seed, config.K
 
     order = sorted(range(len(jobs)), key=rank)
     obs = [jobs[j][1] for j in order]
     configs = [jobs[j][2] for j in order]
     zeta, lam = (np.array([getattr(config, name) for config in configs]) for name in ("zeta", "lam"))
+    slots = [slot(config) for config in configs]
     degenerate = np.zeros(len(jobs), dtype=int)  # per row: the steps that drew fresh noise
     stacked = {}  # a Step's rows -> per operator, its rows' positions and batch observation
 
@@ -251,16 +260,29 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
             out.append(coef0 * shift)
         return out
 
-    rows = []
-    for schedule, _, config in (jobs[j] for j in order):
-        if config.solver == "DPS":
-            hooks = (fresh_noise, dps if config.zeta else None)
-        elif config.solver == "MPGD":
-            hooks = (fresh_noise, mpgd if config.lam else None)
-        else:
-            hooks = (guided, None)
-        rows.append((schedule, config.seed, *hooks))
-    x0 = dict(zip(order, reverse_loop(prior, rows)))
+    def run(hooks, steps, out):
+        """Call each ``(hook, lo, hi)`` once, on the rows of slots ``lo`` to ``hi - 1`` of every
+        Step that holds some, and write its output to those rows of ``out``, one array per Step."""
+        for hook, lo, hi in hooks:
+            parts = []
+            for n, step in enumerate(steps):
+                a = step.rows[0]  # a group's Step holds the rows a, a + 1, ... in slot order
+                pos = slice(*(bisect_left(slots, k, a, a + len(step.rows)) - a for k in (lo, hi)))
+                if pos.start < pos.stop:
+                    parts.append((n, pos))
+            if parts:
+                for (n, pos), part in zip(parts, hook([steps[n].take(pos) for n, pos in parts])):
+                    out[n][pos] = part
+        return out
+
+    def noise(steps):  # fresh noise for DPS and MPGD (slots 0 to 3), the guided rule for the rest
+        return run(((fresh_noise, 0, 4), (guided, 4, 10)), steps, [np.empty_like(s.x) for s in steps])
+
+    def shift(steps):  # slots 0 and 2; adding -0.0 leaves a row with no shift as it is
+        return run(((dps, 0, 1), (mpgd, 2, 3)), steps, [np.full_like(s.x, -0.0) for s in steps])
+
+    rows = [(jobs[j][0], jobs[j][2].seed) for j in order]
+    x0 = dict(zip(order, reverse_loop(prior, rows, noise, shift)))
     degenerate_steps = dict(zip(order, degenerate.tolist()))
     return [SolveResult(x0=x0[j], degenerate_steps=degenerate_steps[j]) for j in range(len(jobs))]
 

@@ -55,6 +55,14 @@ def test_load_config_reports_line(tmp_path):
         load_config(str(p))
 
 
+def test_cli_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    # the JSON parser recurses once per level and gives up long before 200,000
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000)
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_prior_from_config_errors_name_field():
     with pytest.raises(ConfigError, match="weights"):
         prior_from_config({"means": [[0.0]]})

@@ -305,8 +305,12 @@ def test_unknown_prior_id():
 
 def test_decompress_identical_across_processes(tmp_path):
     # fresh-interpreter replay: no hidden global state may leak into decoding
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import noisecomb
 
     prior, x0 = _signal(seed=12, d=16)
     sch = Schedule(15, 1e-4, 0.02)
@@ -320,7 +324,8 @@ def test_decompress_identical_across_processes(tmp_path):
         f"data = open({str(blob_path)!r}, 'rb').read()\n"
         f"np.save({str(out_path)!r}, decompress(Bitstream.from_bytes(data)))\n"
     )
-    subprocess.run([sys.executable, "-c", script], check=True)
+    src = Path(noisecomb.__file__).resolve().parent.parent  # the package this suite imports
+    subprocess.run([sys.executable, "-c", script], check=True, env={**os.environ, "PYTHONPATH": str(src)})
     fresh = np.load(out_path)
     assert fresh.tobytes() == res.reconstruction.tobytes()
 

@@ -444,7 +444,7 @@ def test_reverse_loop_rejects_noise_of_the_wrong_shape():
     # the one Step of a one-row loop holds a (1, 4) state
     for bad in (0.5, np.zeros(4), np.zeros((1, 1)), np.zeros((1, 5)), np.zeros((1, 1, 4))):
         with pytest.raises(ValueError, match="noise shape"):
-            reverse_loop(prior, [(sch, 0, lambda steps: [bad], None)])
+            reverse_loop(prior, [(sch, 0)], lambda steps: [bad])
 
 
 def test_ddpm_step_rejects_dimension_mismatch():
@@ -461,7 +461,7 @@ def test_ddpm_step_rejects_dimension_mismatch():
 def _batched_unconditional(prior, sch, seeds):
     """``unconditional_sample`` over a seed batch: one lockstep loop, one row per seed."""
 
-    return reverse_loop(prior, [(sch, seed, fresh_noise, None) for seed in seeds])
+    return reverse_loop(prior, [(sch, seed) for seed in seeds], fresh_noise)
 
 
 def test_unconditional_deterministic_per_seed():
@@ -482,70 +482,43 @@ def test_batched_replica_matches_sampler():
         assert np.array_equal(row, unconditional_sample(prior, sch, seed))
 
 
-def test_each_step_names_its_rows_seed_and_schedule():
+def test_noise_and_shift_run_once_per_step_on_every_live_group():
+    # two schedules x two seeds, interleaved: T = 6 holds the first row, but
+    # only T = 9 is live above t = 6
     prior = _mixture_2d_full()
-    rows, seen = [], []
-    for T in (6, 9):
-        for seed in (3, 4, 5):
-            sch = Schedule(T)
+    rows = [(Schedule(T), seed) for seed in (3, 4) for T in (6, 9)]
+    calls = []
 
-            # each row has hooks of its own, so each call gets one Step of that one row
-            def noise(steps):
-                (step,) = steps
-                seen.append((step.rows, "noise", step.t, step.seeds, step.schedule))
-                return fresh_noise(steps)
+    def hook(name):
+        def call(steps):
+            calls.append((name, steps[0].t, [(s.schedule.T, s.rows, s.seeds) for s in steps]))
+            assert all(s.x.shape == s.x0_hat.shape == (len(s.rows), 2) for s in steps)
+            assert all(len(a) == len(s.rows) for s in steps for a in s.stats)
+            return fresh_noise(steps) if name == "noise" else [None] * len(steps)
+        return call
 
-            def shift(steps):
-                (step,) = steps
-                seen.append((step.rows, "shift", step.t, step.seeds, step.schedule))
-                return [None]
-
-            rows.append((sch, seed, noise, shift))
-    reverse_loop(prior, rows)
-    for row, (sch, seed, _, _) in enumerate(rows):
-        mine = [r[1:] for r in seen if r[0] == (row,)]
-        assert [t for hook, t, _, _ in mine if hook == "noise"] == list(range(sch.T, 1, -1))
-        assert [t for hook, t, _, _ in mine if hook == "shift"] == list(range(sch.T, 0, -1))
-        assert all(s == (seed,) and step_sch == sch for _, _, s, step_sch in mine)
+    reverse_loop(prior, rows, hook("noise"), hook("shift"))
+    # noise once per t >= 2, then the shift; the shift runs at t = 1 too
+    order = [(n, t) for t in range(9, 1, -1) for n in ("noise", "shift")] + [("shift", 1)]
+    assert [(n, t) for n, t, _ in calls] == order
+    both = [(6, (0, 2), (3, 4)), (9, (1, 3), (3, 4))]
+    assert all(steps == both[1:] for _, t, steps in calls if t > 6)
+    assert all(steps == both for _, t, steps in calls if t <= 6)
     batch = step_at(prior, Schedule(6), np.zeros((3, 2)), 6)
     assert batch.rows is None and batch.seeds is None and batch.schedule == Schedule(6)
 
 
-def test_each_hook_runs_once_per_step_on_all_of_its_rows():
-    # two schedules x three seeds: a hook shared by rows gets one call per t,
-    # with one batch Step per live group holding just its rows, in row order
+def test_a_none_shift_leaves_its_rows_as_they_are():
     prior = _mixture_2d_full()
-    calls = []
-
-    def noise(name):
-        def hook(steps):
-            calls.append((name, steps[0].t, [(s.schedule.T, s.rows, s.seeds) for s in steps]))
-            assert all(s.x.shape == s.x0_hat.shape == (len(s.rows), 2) for s in steps)
-            assert all(len(a) == len(s.rows) for s in steps for a in s.stats)
-            return fresh_noise(steps)
-        return hook
-
-    def shift(name):
-        def hook(steps):
-            calls.append((name, steps[0].t, [(s.schedule.T, s.rows, s.seeds) for s in steps]))
-            return [None if s.schedule.T == 6 else np.zeros_like(s.x) for s in steps]
-        return hook
-
-    a, b, c = noise("a"), noise("b"), shift("c")
-    rows = [(Schedule(T), seed, a if seed < 5 else b, c if seed != 4 else None)
-            for T in (9, 6) for seed in (3, 4, 5)]
-    batch = reverse_loop(prior, rows)
-    alone = _batched_unconditional(prior, Schedule(9), [3, 4, 5])
-    assert batch[:3].tobytes() == alone.tobytes()  # zero and missing shifts leave rows as they are
-    # noise hooks once per t >= 2, the shift hook once per t, whatever their row counts
-    for name, last in (("a", 2), ("b", 2), ("c", 1)):
-        assert [t for n, t, _ in calls if n == name] == list(range(9, last - 1, -1))
-    by_t = {(n, t): groups for n, t, groups in calls}
-    assert by_t[("a", 9)] == [(9, (0, 1), (3, 4))]
-    assert by_t[("a", 6)] == [(9, (0, 1), (3, 4)), (6, (3, 4), (3, 4))]
-    assert by_t[("b", 2)] == [(9, (2,), (5,)), (6, (5,), (5,))]
-    assert by_t[("c", 1)] == [(9, (0, 2), (3, 5)), (6, (3, 5), (3, 5))]
-    assert [n for n, t, _ in calls if t == 6] == ["a", "b", "c"]
+    rows = [(Schedule(T), seed) for T in (9, 6) for seed in (3, 4)]
+    plain = reverse_loop(prior, rows, fresh_noise)
+    for_six = lambda steps: [None if s.schedule.T == 9 else np.ones_like(s.x) for s in steps]
+    shifted = reverse_loop(prior, rows, fresh_noise, for_six)
+    assert shifted[:2].tobytes() == plain[:2].tobytes()
+    assert not np.array_equal(shifted[2:], plain[2:])
+    # solve_rows gives its rows with no shift -0.0, which must leave them as they are too
+    minus_zero = lambda steps: [None if s.schedule.T == 6 else np.full_like(s.x, -0.0) for s in steps]
+    assert reverse_loop(prior, rows, fresh_noise, minus_zero).tobytes() == plain.tobytes()
 
 
 def test_rows_on_equal_schedules_share_one_scoring_per_step(monkeypatch):
@@ -559,11 +532,8 @@ def test_rows_on_equal_schedules_share_one_scoring_per_step(monkeypatch):
     monkeypatch.setattr(
         noisecomb.diffusion, "step_at", lambda *a, **k: calls.append(a[3]) or real_step_at(*a, **k)
     )
-    rows = [
-        (Schedule(T), seed, fresh_noise, None)
-        for seed in seeds
-    ]  # three separately built, equal schedules
-    batch = reverse_loop(prior, rows)
+    rows = [(Schedule(T), seed) for seed in seeds]  # three separately built, equal schedules
+    batch = reverse_loop(prior, rows, fresh_noise)
     assert calls == list(range(T, 0, -1))
     for row, expected in zip(batch, alone):
         assert row.tobytes() == expected.tobytes()

@@ -251,6 +251,25 @@ def test_lockstep_job_order_changes_neither_builds_nor_bytes(monkeypatch):
         assert row.degenerate_steps == ordered[j].degenerate_steps
 
 
+def test_fresh_noise_runs_once_per_noisy_step_on_both_schedules(monkeypatch):
+    # solve_rows calls fresh_noise once per step, on the DPS and MPGD rows of
+    # every live Step; the mask leaves no guided row degenerate
+    import noisecomb.solvers
+
+    calls = []
+    real = noisecomb.solvers.fresh_noise
+    monkeypatch.setattr(
+        noisecomb.solvers, "fresh_noise", lambda steps: calls.append(steps) or real(steps)
+    )
+    prior, jobs = _lockstep_jobs("mask")
+    solve_rows(prior, jobs)
+    assert [steps[0].t for steps in calls] == list(range(12, 1, -1))
+    for steps in calls:
+        assert [s.schedule.T for s in steps] == ([7, 12] if steps[0].t <= 7 else [12])
+        # per schedule: DPS then MPGD, each at three m for seeds 5 and 6
+        assert all(s.seeds == (5, 5, 5, 6, 6, 6) * 2 for s in steps)
+
+
 def test_self_consistent_first_step_degenerates():
     # y equal (bitwise) to the trajectory's own first Tweedie target makes the
     # first-step residual exactly zero
@@ -416,7 +435,7 @@ def test_loop_jacobian_product_matches_tweedie_jacobian_apply(prior_kind):
         steps.extend(batch)
         return fresh_noise(batch)
 
-    reverse_loop(prior, [(sch, 3, noise, None)])
+    reverse_loop(prior, [(sch, 3)], noise)
     assert [step.t for step in steps] == list(range(15, 1, -1))
     for step in steps:
         assert step.x.shape == (1, prior.d)
