@@ -79,6 +79,10 @@ _SCHEDULE_KEYS = {"beta_min", "beta_max"}
 _COMPRESS_KEYS = {"prior_id", "schedule", "T", "K", "m", "C", "seed", "n_side", "quantizer"}
 _BENCH_QUANT_KEYS = {"m_values", "C_values", "batch", "seed", "budget"}
 
+# The most score vectors one bench-quant cell may draw: a larger batch is a
+# config error, so no config can make the score batches grow without bound.
+_MAX_BENCH_BATCH = 1 << 12
+
 # Codebook sizes a config may name in place of a number for K.
 _K_PRESETS = {"inpaint_box": 64}
 
@@ -426,7 +430,7 @@ def cmd_bench_quant(cfg: dict, out: str) -> list:
     _known_keys(cfg, _BENCH_QUANT_KEYS, "config")
     m_values = _int_list(cfg.get("m_values", [2, 4, 8, 16, 32]), "m_values", 1, 255)
     c_values = _int_list(cfg.get("C_values", [3]), "C_values", 0, MAX_C)
-    batch = _typed(int, cfg.get("batch", 64), "batch", 1)
+    batch = _typed(int, cfg.get("batch", 64), "batch", 1, _MAX_BENCH_BATCH)
     seed = _typed(int, cfg.get("seed", 0), "seed", 0, 2**64 - 1)
     budget = _typed(int, cfg.get("budget", 1_000_000), "budget")
     rows = []

@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "DegenerateDirectionError",
     "TopMSelection",
-    "atom_matrix",
     "inner_products",
     "row_norms",
     "optimal_weights",
@@ -64,7 +63,7 @@ class TopMSelection:
         object.__setattr__(self, "weights", w)
 
 
-def atom_matrix(E) -> np.ndarray:
+def _atom_matrix(E) -> np.ndarray:
     """Validate a codebook: a (d, K) array of atom columns."""
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 2:
@@ -88,7 +87,7 @@ def _unit_rows(a: np.ndarray, norm: np.ndarray, degenerate) -> np.ndarray:
 
 def inner_products(c: np.ndarray, E) -> np.ndarray:
     """b_i = <c, atom_i> for every atom, per row of a batch of directions."""
-    atoms = atom_matrix(E)
+    atoms = _atom_matrix(E)
     c = np.asarray(c, dtype=np.float64)
     if c.ndim not in (1, 2) or c.shape[-1] != atoms.shape[0]:
         raise ValueError(f"direction shape {c.shape} != atom dimension ({atoms.shape[0]},)")
@@ -146,7 +145,7 @@ def synthesize_noise(E, weights) -> np.ndarray:
     :class:`TopMSelection`; the sparse form sums in stored index order so the
     result is reproducible bit-for-bit.
     """
-    atoms = atom_matrix(E)
+    atoms = _atom_matrix(E)
     if isinstance(weights, TopMSelection):
         out = np.zeros(weights.weights.shape[:-1] + atoms.shape[:1]).T  # (d,), or (d, B) for a batch
         for w, idx in zip(weights.weights.T, weights.indices.T):  # the j-th atom of every row

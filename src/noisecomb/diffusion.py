@@ -26,9 +26,11 @@ which also name the rows and their seeds. A hook that treats rows
 differently dispatches on those names itself; :func:`unconditional_sample`
 and the codec are the one-row case.
 
-Only full-covariance priors factor their covariances, so ``scipy.linalg``
-(LAPACK and SciPy's bundled OpenBLAS, about 6 MiB resident) is imported on
-the first full-covariance use, never by a diagonal run.
+A full-covariance prior scores through the precision matrices of its
+marginal covariances, inverted with NumPy once per scoring. The ``(1 -
+alpha_bar) I`` term keeps every eigenvalue of a marginal covariance at or
+above ``beta_min``, so at every t its condition number is at most
+``(lambda_max + 1) / beta_min``.
 """
 
 from __future__ import annotations
@@ -59,20 +61,6 @@ __all__ = [
 ]
 
 _LOG_2PI = np.log(2.0 * np.pi)
-
-
-def cho_factor(a):
-    """``scipy.linalg.cho_factor(a, lower=True)``, with ``scipy.linalg`` imported on the first call."""
-    from scipy.linalg import cho_factor
-
-    return cho_factor(a, lower=True)
-
-
-def cho_solve(c_and_lower, b):
-    """``scipy.linalg.cho_solve``, with ``scipy.linalg`` imported on the first call."""
-    from scipy.linalg import cho_solve
-
-    return cho_solve(c_and_lower, b)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False):
@@ -206,7 +194,7 @@ class GaussianMixturePrior:
                 if not np.allclose(cov[k], cov[k].T, atol=1e-12):
                     raise ValueError(f"covariance {k} is not symmetric")
                 try:
-                    cho_factor(cov[k])
+                    np.linalg.cholesky(cov[k])
                 except np.linalg.LinAlgError as exc:
                     raise ValueError(f"covariance {k} is not positive-definite") from exc
             object.__setattr__(self, "covariances", cov)
@@ -278,22 +266,17 @@ def _component_stats(prior, schedule, x, t):
     w, means, covs = marginal_params(prior, schedule, t)
     diff = x[..., None, :] - means  # (..., k, d)
     if prior.diagonal:
-        factors = None
+        precisions = None
         g = -diff / covs
         quad = (diff * diff / covs).sum(axis=-1)
         logdet = np.log(covs).sum(axis=-1)
     else:
-        factors = [cho_factor(c) for c in covs]
-        g = np.empty_like(diff)
-        quad = np.empty(diff.shape[:-1])
-        logdet = np.array([2.0 * np.sum(np.log(np.diag(cf[0]))) for cf in factors])
-        for j, cf in enumerate(factors):
-            dj = diff[..., j, :]
-            sol = cho_solve(cf, dj.reshape(-1, prior.d).T).T.reshape(dj.shape)
-            g[..., j, :] = -sol
-            quad[..., j] = np.sum(dj * sol, axis=-1)
+        precisions = np.linalg.inv(covs)
+        g = -(precisions @ diff[..., None])[..., 0]
+        quad = -(diff * g).sum(axis=-1)
+        logdet = np.linalg.slogdet(covs)[1]
     log_w_pdf = np.log(w) - 0.5 * (quad + logdet + prior.d * _LOG_2PI)
-    return log_w_pdf, g, (covs, factors)
+    return log_w_pdf, g, (covs, precisions)
 
 
 def marginal_log_density(prior: GaussianMixturePrior, schedule: Schedule, x, t: int):
@@ -324,14 +307,13 @@ def tweedie_jacobian(prior: GaussianMixturePrior, schedule: Schedule, x_t, t: in
         raise ValueError("tweedie_jacobian expects a single state vector")
     step = step_at(prior, schedule, x_t, t)
     resp, g, s = step.stats
-    covs, _ = step.marginal
+    covs, precisions = step.marginal
     ab = schedule.alpha_bar_at(t)
     H = np.einsum("k,kd,ke->de", resp, g, g) - np.outer(s, s)
     if prior.diagonal:
         H -= np.diag(resp @ (1.0 / covs))
     else:
-        for j in range(prior.n_components):
-            H -= resp[j] * np.linalg.inv(covs[j])
+        H -= np.einsum("k,kde->de", resp, precisions)
     return (np.eye(prior.d) + (1.0 - ab) * H) / np.sqrt(ab)
 
 
@@ -348,16 +330,12 @@ def tweedie_jacobian_apply(step: Step, v: np.ndarray) -> np.ndarray:
     if step.x.ndim > 2 or v.shape != step.x.shape:
         raise ValueError("tweedie_jacobian_apply expects one vector per state row")
     resp, g, s = step.stats
-    covs, factors = step.marginal
+    covs, precisions = step.marginal
     ab = step.schedule.alpha_bar_at(step.t)
     col = v[..., :, None]
     Hv = ((resp * (g @ col)[..., 0])[..., None, :] @ g)[..., 0, :] - s * (s[..., None, :] @ col)[..., 0]
-    if factors is None:
-        Hv -= np.einsum("...k,...kd->...d", resp, v[..., None, :] / covs)
-    else:
-        rows = v.reshape(-1, v.shape[-1])  # one solve per row, as a single row would
-        for r, cf in zip(np.moveaxis(resp, -1, 0), factors):
-            Hv -= r[..., None] * np.reshape([cho_solve(cf, row) for row in rows], v.shape)
+    Pv = v[..., None, :] / covs if precisions is None else (precisions @ v[..., None, :, None])[..., 0]
+    Hv -= np.einsum("...k,...kd->...d", resp, Pv)
     return (v + (1.0 - ab) * Hv) / np.sqrt(ab)
 
 
@@ -402,9 +380,9 @@ class Step:
     """A state ``x`` at timestep ``t`` of ``schedule``, scored once; built by :func:`step_at`.
 
     ``stats`` are the mixture statistics ``(resp, g, s)`` at ``x`` and
-    ``x0_hat`` their Tweedie estimate. ``marginal`` is ``(C, factors)`` at
-    ``t``: the covariances of :func:`marginal_params` and, for a full prior,
-    their Cholesky factors (``None`` if diagonal). A batch Step that
+    ``x0_hat`` their Tweedie estimate. ``marginal`` is ``(C, P)`` at ``t``:
+    the covariances of :func:`marginal_params` and, for a full prior, their
+    inverses, the precision matrices (``None`` if diagonal). A batch Step that
     :func:`reverse_loop` hands its hooks holds ``(n, d)`` states, one per
     loop row: ``rows`` lists those rows' indices and ``seeds`` their seeds,
     in row order. :func:`step_at` leaves both ``None``.
@@ -470,14 +448,13 @@ def reverse_loop(prior: GaussianMixturePrior, rows, noise, shift=None) -> np.nda
     noiseless) and then the optional ``shift`` are called once each with the
     tuple of those Steps, and return one ``(n, d)`` array per Step.
     ``ddpm_step`` moves each group's rows with its noise, refusing a noise
-    whose shape is not the Step's state's; then the loop adds each shift
-    (``shift`` may return ``None`` for a Step), refusing a row whose shift's
-    sum of squares is not finite with ``ValueError``. Hooks only read their
-    Steps: only the latent draw, ``ddpm_step`` and the shifts write the
-    state. The step's Steps and statistics are dropped before the next
-    scoring. Returns the state x_0, row i in row i. Every row is
-    bit-identical to a run of that row alone, and a single row (B = 1) is
-    the plain reverse loop.
+    whose shape is not the Step's state's; then the loop adds each shift,
+    refusing a row whose shift's sum of squares is not finite with
+    ``ValueError``. Hooks only read their Steps: only the latent draw,
+    ``ddpm_step`` and the shifts write the state. The step's Steps and
+    statistics are dropped before the next scoring. Returns the state x_0,
+    row i in row i. Every row is bit-identical to a run of that row alone,
+    and a single row (B = 1) is the plain reverse loop.
     """
     d = prior.d
     groups, x = {}, np.zeros((len(rows), d))  # each schedule -> its row indices, in order
@@ -499,10 +476,9 @@ def reverse_loop(prior: GaussianMixturePrior, rows, noise, shift=None) -> np.nda
         if shift is not None:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
                 for index, delta in zip(indices, shift(steps), strict=True):
-                    if delta is not None:
-                        if not np.isfinite(delta[:, None, :] @ delta[:, :, None]).all():
-                            raise ValueError("the norm of a row's mean shift is not finite")
-                        x[index] += delta
+                    if not np.isfinite(delta[:, None, :] @ delta[:, :, None]).all():
+                        raise ValueError("the norm of a row's mean shift is not finite")
+                    x[index] += delta
         del steps, step, s, eps, e  # free this step's statistics and noise before the next is scored
     return x
 

@@ -35,7 +35,6 @@ __all__ = [
     "stick_forward",
     "stick_inverse",
     "fractions_from_scores",
-    "decode_fractions",
     "decode_weights",
     "stick_objective",
     "quantize_nn",
@@ -146,17 +145,12 @@ def fractions_from_scores(b) -> np.ndarray:
     return stick_inverse(b / norm)
 
 
-def decode_fractions(code: StickCode, grid: Grid) -> np.ndarray:
-    """Per-stage fractions encoded by ``code`` (implicit equal split at C = 0)."""
-    if grid.C == 0:
-        return 1.0 / np.arange(code.m, 1, -1)
-    fractions = grid.all_fractions()
-    return fractions[np.asarray(code.codes, dtype=np.intp)] if code.m > 1 else np.array([])
-
-
 def decode_weights(code: StickCode, grid: Grid) -> np.ndarray:
-    """Reconstruct the unit-norm weights for a stick code."""
-    return stick_forward(decode_fractions(code, grid))
+    """The unit-norm weights of the per-stage fractions ``code`` encodes (implicit equal split at C = 0)."""
+    if grid.C == 0:
+        return stick_forward(1.0 / np.arange(code.m, 1, -1))
+    fractions = grid.all_fractions()
+    return stick_forward(fractions[np.asarray(code.codes, dtype=np.intp)] if code.m > 1 else np.array([]))
 
 
 def stick_objective(b, code: StickCode, grid: Grid) -> float:

@@ -17,19 +17,28 @@ import noisecomb.rng
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
-def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # only a traced benchmark run (--trace 1) installs the tracer; this resolves
+    # and wraps every target it names, and the aliases other modules import
+    # (the codec's build_codebook), so a rename in src fails here, and runs nothing
     spec = importlib.util.spec_from_file_location("noisecomb_benchmark_tracer", TRACER)
     tracer_module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer_module)  # its dataclasses look it up
     spec.loader.exec_module(tracer_module)
-    original = noisecomb.codec.build_codebook
     tracer = tracer_module.Tracer()
+    functions = {t: getattr(sys.modules[t.owner], t.attr) for t in tracer.targets if "." not in t.attr}
+    for target in set(tracer.targets) - set(functions):
+        assert tracer_module._class_slots(sys.modules[target.owner], target.attr), target.name
+    original = noisecomb.codec.build_codebook
+    tracer.install()  # AttributeError if a target is gone
     try:
-        tracer.install()  # AttributeError if a target is gone
+        assert all(getattr(sys.modules[t.owner], t.attr) is not fn for t, fn in functions.items())
         assert noisecomb.codec.build_codebook is not original
     finally:
         tracer.uninstall()
+    assert all(getattr(sys.modules[t.owner], t.attr) is fn for t, fn in functions.items())
     assert noisecomb.codec.build_codebook is original is noisecomb.rng.build_codebook
+    assert not any(stat.calls for stat in tracer.stats.values())
 
 
 def test_worker_imports_build_schedule():

@@ -589,6 +589,25 @@ def test_cli_config_above_size_bound_is_a_config_error(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_bench_quant_batch_above_bound_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # one more than the bound of 4096, refused before any score batch is built
+    import noisecomb.cli
+
+    built = []
+    monkeypatch.setattr(noisecomb.cli, "_bench_scores", lambda *args: built.append(args) or [])
+    cfg = {"m_values": [2], "C_values": [3], "batch": 4097}
+    tracemalloc.start()
+    try:
+        rc = _run_config(tmp_path, "bench-quant", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: batch: must be in [1, 4096], got 4097\n"
+    assert built == [] and peak < 2**20
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_unknown_config_key_is_named(tmp_path, capsys):
     # a misspelt key must not run with the default it failed to set
     assert _run_config(tmp_path, "solve", _tiny_solve(lamda=5.0)) == 2

@@ -200,7 +200,7 @@ def test_score_rejects_nonfinite_input():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_full_covariance_must_be_finite(bad):
-    # refused by its own message, before the symmetry test and before SciPy factors it
+    # refused by its own message, before the symmetry test and before it is factored
     prior = _mixture_2d_full()
     covs = prior.covariances.copy()
     covs[1, 1, 1] = bad
@@ -268,7 +268,7 @@ def _mixture_16d_full():
 @pytest.mark.parametrize("prior_kind", ["diagonal", "full"])
 def test_step_at_rows_match_single_states(prior_kind):
     # the lockstep loop scores a (B, d) state once; each row must equal the
-    # single-state Step byte for byte (the full prior takes the cho_solve path)
+    # single-state Step byte for byte (the full prior takes the precision-matrix path)
     from noisecomb.codec import build_registered_prior
 
     prior = build_registered_prior(4, 16) if prior_kind == "diagonal" else _mixture_16d_full()
@@ -494,7 +494,7 @@ def test_noise_and_shift_run_once_per_step_on_every_live_group():
             calls.append((name, steps[0].t, [(s.schedule.T, s.rows, s.seeds) for s in steps]))
             assert all(s.x.shape == s.x0_hat.shape == (len(s.rows), 2) for s in steps)
             assert all(len(a) == len(s.rows) for s in steps for a in s.stats)
-            return fresh_noise(steps) if name == "noise" else [None] * len(steps)
+            return fresh_noise(steps) if name == "noise" else [np.full_like(s.x, -0.0) for s in steps]
         return call
 
     reverse_loop(prior, rows, hook("noise"), hook("shift"))
@@ -509,15 +509,15 @@ def test_noise_and_shift_run_once_per_step_on_every_live_group():
 
 
 def test_a_none_shift_leaves_its_rows_as_they_are():
+    # solve_rows gives its rows with no shift -0.0, which must leave them as they are
     prior = _mixture_2d_full()
     rows = [(Schedule(T), seed) for T in (9, 6) for seed in (3, 4)]
     plain = reverse_loop(prior, rows, fresh_noise)
-    for_six = lambda steps: [None if s.schedule.T == 9 else np.ones_like(s.x) for s in steps]
+    for_six = lambda steps: [np.full_like(s.x, -0.0 if s.schedule.T == 9 else 1.0) for s in steps]
     shifted = reverse_loop(prior, rows, fresh_noise, for_six)
     assert shifted[:2].tobytes() == plain[:2].tobytes()
     assert not np.array_equal(shifted[2:], plain[2:])
-    # solve_rows gives its rows with no shift -0.0, which must leave them as they are too
-    minus_zero = lambda steps: [None if s.schedule.T == 6 else np.full_like(s.x, -0.0) for s in steps]
+    minus_zero = lambda steps: [np.full_like(s.x, -0.0) for s in steps]
     assert reverse_loop(prior, rows, fresh_noise, minus_zero).tobytes() == plain.tobytes()
 
 
@@ -575,6 +575,61 @@ def test_full_covariance_path_at_d16():
     J = tweedie_jacobian(prior, sch, x, t)
     v = rng.normal(size=d)
     assert np.allclose(tweedie_jacobian_apply(step_at(prior, sch, x, t), v), J @ v, atol=1e-11)
+
+
+def _ill_conditioned_full_prior(d):
+    # three components; the first has condition number 1e6
+    rng = np.random.default_rng(d)
+    covs = np.empty((3, d, d))
+    for j in range(3):
+        Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        eig = np.geomspace(1.0, 1e-6, d) if j == 0 else rng.uniform(0.3, 2.0, d)
+        covs[j] = (Q * eig) @ Q.T
+        covs[j] = (covs[j] + covs[j].T) / 2.0
+    return GaussianMixturePrior(
+        weights=np.array([0.5, 0.3, 0.2]), means=rng.normal(size=(3, d)), covariances=covs
+    )
+
+
+def _cholesky_reference(prior, sch, x, t, v):
+    """Log density, score and J v of a full prior, from Cholesky solves of the marginal covariances."""
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    w, means, covs = marginal_params(prior, sch, t)
+    factors = [cho_factor(c, lower=True) for c in covs]
+    diff = x[:, None, :] - means  # (B, k, d)
+    g = np.stack([-cho_solve(cf, diff[:, j].T).T for j, cf in enumerate(factors)], axis=1)
+    logdet = np.array([2.0 * np.log(np.diag(cf[0])).sum() for cf in factors])
+    log_w_pdf = np.log(w) - 0.5 * ((-diff * g).sum(-1) + logdet + prior.d * np.log(2.0 * np.pi))
+    log_density = scipy_logsumexp(log_w_pdf, axis=-1)
+    resp = np.exp(log_w_pdf - log_density[:, None])
+    s = np.einsum("bk,bkd->bd", resp, g)
+    precision_v = np.stack([cho_solve(cf, v.T).T for cf in factors], axis=1)
+    Hv = (np.einsum("bk,bkd->bd", resp * np.einsum("bkd,bd->bk", g, v), g)
+          - s * (s * v).sum(-1, keepdims=True) - np.einsum("bk,bkd->bd", resp, precision_v))
+    ab = sch.alpha_bar_at(t)
+    return log_density, s, (v + (1.0 - ab) * Hv) / np.sqrt(ab)
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_full_covariance_scores_match_a_cholesky_reference(d):
+    # the precision-matrix path against Cholesky solves, within 1e-10 of each
+    # row's norm, at the ends and the middle of the schedule
+    prior = _ill_conditioned_full_prior(d)
+    assert np.linalg.cond(prior.covariances[0]) == pytest.approx(1e6, rel=1e-3)
+    sch = Schedule(100, 1e-4, 0.02)
+    rng = np.random.default_rng(100 + d)
+    for t in (1, 50, 100):
+        ab = sch.alpha_bar_at(t)
+        x = np.sqrt(ab) * prior.means[rng.integers(0, 3, size=6)] + rng.normal(size=(6, d))
+        v = rng.normal(size=(6, d))
+        log_density, s, Jv = _cholesky_reference(prior, sch, x, t, v)
+        step = step_at(prior, sch, x, t)
+        for got, want in ((step.stats[2], s), (tweedie_jacobian_apply(step, v), Jv)):
+            err = np.linalg.norm(got - want, axis=-1)
+            assert np.all(err <= 1e-10 * np.linalg.norm(want, axis=-1)), (t, err)
+        assert np.allclose(marginal_log_density(prior, sch, x, t), log_density, rtol=1e-10, atol=0.0)
 
 
 def test_unconditional_bimodal_recovers_weights():

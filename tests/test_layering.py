@@ -74,11 +74,15 @@ def test_each_module_imports_only_its_third_party_libraries():
         assert _top_level_third_party_imports(path) <= THIRD_PARTY.get(path.stem, {"numpy"}), path.stem
 
 
-_DIAGONAL_RUNS = """
+_RUNS = """
 import json, sys
 import noisecomb, noisecomb.cli
 import numpy as np
 from noisecomb.cli import main
+from noisecomb.diffusion import (
+    GaussianMixturePrior, Schedule, step_at, tweedie_jacobian, tweedie_jacobian_apply, unconditional_sample,
+)
+from noisecomb.rng import Domain, StreamKey, derive_stream
 
 def config(name, payload):
     path = out + "/" + name + ".json"
@@ -98,18 +102,30 @@ codec = {"prior_id": 2, "T": 6, "K": 8, "m": 2, "C": 2, "seed": 0}
 assert main(["compress", "--config", config("codec", codec), "--input", out + "/x0.npy",
              "--out", out + "/x0.ncsb"]) == 0
 assert main(["decompress", "--input", out + "/x0.ncsb", "--out", out + "/x0.dec.npy"]) == 0
-assert "scipy.linalg" not in sys.modules, "a diagonal run loaded scipy.linalg"
 
-from noisecomb.diffusion import GaussianMixturePrior
-GaussianMixturePrior.single(np.zeros(2), [[1.0, 0.5], [0.5, 1.0]])
-assert "scipy.linalg" in sys.modules, "a full-covariance prior did not load scipy.linalg"
+full = {"weights": [0.4, 0.6], "means": [[0.0, 0.5, 0.0], [1.0, -1.0, 0.2]],
+        "covariances": [[[1.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 0.7]], np.eye(3).tolist()]}
+assert main(["sample", "--config", config("full-sample", {"prior": full, "T": 4, "seeds": [0, 1]}),
+             "--out", out + "/full-sample.json"]) == 0
+assert main(["solve", "--config", config("full-solve", {**solve, "prior": full, "task": {
+    "operator": {"kind": "mask", "indices": [0, 1]}, "sigma_obs": 0.05}}),
+             "--out", out + "/full-solve.csv"]) == 0
+prior = GaussianMixturePrior(**{key: np.array(value) for key, value in full.items()})
+schedule = Schedule(6)
+step = step_at(prior, schedule, np.zeros((2, 3)), 3)
+tweedie_jacobian_apply(step, np.ones((2, 3)))
+tweedie_jacobian(prior, schedule, np.zeros(3), 3)
+prior.sample(derive_stream(StreamKey(0, Domain.PRIOR_SAMPLE, 0, 0)))
+unconditional_sample(prior, schedule, 0)
+assert "scipy.linalg" not in sys.modules, "the package loaded scipy.linalg"
 """
 
 
-def test_scipy_linalg_is_loaded_only_by_a_full_covariance_prior(tmp_path):
-    # a fresh interpreter: pytest itself loads scipy.stats, and with it scipy.linalg
+def test_scipy_linalg_is_never_loaded(tmp_path):
+    # diagonal and full-covariance priors alike score through NumPy alone; a fresh
+    # interpreter, because pytest itself loads scipy.stats, and with it scipy.linalg
     src = Path(noisecomb.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    run = subprocess.run([sys.executable, "-c", _DIAGONAL_RUNS, str(tmp_path)],
+    run = subprocess.run([sys.executable, "-c", _RUNS, str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

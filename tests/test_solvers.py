@@ -393,13 +393,15 @@ def test_dps_step_forms_one_residual(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "prior_kind,counted,expected", [("diagonal", "marginal_params", 12), ("full", "cho_factor", 36)]
+    "prior_kind,owner,counted,expected",
+    [("diagonal", "noisecomb.diffusion", "marginal_params", 12), ("full", "numpy.linalg", "inv", 12)],
+    ids=["diagonal-marginal_params-12", "full-inv-12"],
 )
-def test_solve_rows_derive_the_marginal_once_per_step(monkeypatch, prior_kind, counted, expected):
+def test_solve_rows_derive_the_marginal_once_per_step(monkeypatch, prior_kind, owner, counted, expected):
     # the rows of one step share its Step's marginal: one marginal_params call
-    # per step, and one cho_factor per step and component of a full prior;
-    # DPS and NCS-DPS rows that derived it again made 35 and 105 calls
-    import noisecomb.diffusion
+    # per step, and for a full prior one inversion of all its covariances per step;
+    # DPS and NCS-DPS rows that derived it again made 35 calls
+    import importlib
 
     if prior_kind == "diagonal":
         prior = build_registered_prior(4, 8)
@@ -414,8 +416,9 @@ def test_solve_rows_derive_the_marginal_once_per_step(monkeypatch, prior_kind, c
     obs = Observation(y=np.ones(2), operator=Mask(prior.d, [0, 1]))
     configs = [SolverConfig(solver=s, K=16, seed=3) for s in ("DPS", "NCS-DPS", "MPGD", "NCS-MPGD")]
     calls = []
-    real = getattr(noisecomb.diffusion, counted)
-    monkeypatch.setattr(noisecomb.diffusion, counted, lambda *a, **k: calls.append(1) or real(*a, **k))
+    module = importlib.import_module(owner)
+    real = getattr(module, counted)
+    monkeypatch.setattr(module, counted, lambda *a, **k: calls.append(1) or real(*a, **k))
     sch = Schedule(12, 1e-4, 0.02)
     solve_rows(prior, [(sch, obs, config) for config in configs])
     assert len(calls) == expected
