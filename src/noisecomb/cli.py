@@ -21,10 +21,12 @@ from dataclasses import replace
 import numpy as np
 
 from .codec import (
+    HEADER_BYTES,
     MAX_C,
     MAX_D,
     MAX_ENCODE_WORK,
     Bitstream,
+    CodecHeader,
     FormatError,
     build_registered_prior,
     compress,
@@ -83,6 +85,17 @@ _BENCH_QUANT_KEYS = {"m_values", "C_values", "batch", "seed", "budget"}
 # config error, so no config can make the score batches grow without bound.
 _MAX_BENCH_BATCH = 1 << 12
 
+# The most quantizer work one bench-quant config may ask for: ``batch`` times the
+# sum over its cells of the dynamic program's m * 2^C and, where it runs, the
+# exhaustive search's (2^C)^(m - 1). A larger total is a config error, so no
+# config runs without a time bound. configs/bench_quant.json asks for 391,680;
+# the bound is some 50 s of exhaustive search on a 2-core x86_64 host.
+_MAX_BENCH_WORK = 1 << 22
+
+# The largest config file, in bytes: a larger one is a config error, found by
+# reading one byte past the bound, so no config file is read without bound.
+_MAX_CONFIG_BYTES = 1 << 22
+
 # Codebook sizes a config may name in place of a number for K.
 _K_PRESETS = {"inpaint_box": 64}
 
@@ -139,9 +152,14 @@ def _int_list(values, where: str, lo: int, hi: int, offset: int = 0) -> list:
 
 
 def load_config(path: str) -> dict:
+    data = bytearray()
+    with open(path, "rb") as fh:  # in chunks: one read of the bound would allocate all of it
+        while len(data) <= _MAX_CONFIG_BYTES and (chunk := fh.read(1 << 16)):
+            data += chunk
+    if len(data) > _MAX_CONFIG_BYTES:
+        raise ConfigError(f"{path}: larger than the config size bound of {_MAX_CONFIG_BYTES} bytes")
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(data)
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8 text, or nested too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return _object(cfg, path)
@@ -402,9 +420,14 @@ def cmd_compress(cfg: dict, input_path: str, out: str, recon_path: str | None = 
 
 
 def cmd_decompress(input_path: str, out: str) -> dict:
-    """Decode a bitstream file into a reconstruction vector."""
+    """Decode a bitstream file into a reconstruction vector.
+
+    The file is read no further than one byte past the payload its header
+    declares, so a file with trailing bytes is refused without reading them.
+    """
     with open(input_path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(HEADER_BYTES)
+        data += fh.read(-(-CodecHeader.unpack(data).payload_bits // 8) + 1)
     stream = Bitstream.from_bytes(data)
     start = time.perf_counter()
     x = decompress(stream)
@@ -433,22 +456,28 @@ def cmd_bench_quant(cfg: dict, out: str) -> list:
     batch = _typed(int, cfg.get("batch", 64), "batch", 1, _MAX_BENCH_BATCH)
     seed = _typed(int, cfg.get("seed", 0), "seed", 0, 2**64 - 1)
     budget = _typed(int, cfg.get("budget", 1_000_000), "budget")
+    for name, values in (("m_values", m_values), ("C_values", c_values)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name}: repeats a value: {values}")
+    cells = [(C, m, (1 << C) ** (m - 1)) for C in c_values for m in m_values]  # with the search's cost
+    work = batch * sum((m << C) + (cost if cost <= budget else 0) for C, m, cost in cells)
+    if work > _MAX_BENCH_WORK:
+        raise ConfigError(f"bench-quant work {work} exceeds the work bound {_MAX_BENCH_WORK}")
     rows = []
-    for C in c_values:
+    for C, m, cost in cells:
         grid = Grid(C)
-        for m in m_values:
-            scores = _bench_scores(seed, m, batch)
-            methods = dict(QUANTIZERS)
-            if grid.levels ** (m - 1) <= budget:
-                methods["greedy"] = lambda b, grid: quantize_greedy_exponential(b, grid, budget)[0]
-            for name, quantize in methods.items():
-                start = time.perf_counter_ns()
-                codes = [quantize(b, grid) for b in scores]
-                wall_ns = time.perf_counter_ns() - start
-                objective = float(
-                    np.mean([stick_objective(b, code, grid) for b, code in zip(scores, codes)])
-                )
-                rows.append((name, m, C, wall_ns, objective))
+        scores = _bench_scores(seed, m, batch)
+        methods = dict(QUANTIZERS)
+        if cost <= budget:
+            methods["greedy"] = lambda b, grid: quantize_greedy_exponential(b, grid, budget)[0]
+        for name, quantize in methods.items():
+            start = time.perf_counter_ns()
+            codes = [quantize(b, grid) for b in scores]
+            wall_ns = time.perf_counter_ns() - start
+            objective = float(
+                np.mean([stick_objective(b, code, grid) for b, code in zip(scores, codes)])
+            )
+            rows.append((name, m, C, wall_ns, objective))
     _write_csv(out, ["method", "m", "C", "wall_ns", "objective"], rows)
     return rows
 

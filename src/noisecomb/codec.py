@@ -44,6 +44,7 @@ from .rng import RNG_VERSION, Domain, StreamKey, build_codebook, derive_stream
 
 __all__ = [
     "FORMAT_VERSION",
+    "HEADER_BYTES",
     "MAX_C",
     "MAX_ENCODE_WORK",
     "MAX_DECODE_WORK",
@@ -82,6 +83,7 @@ MAX_D = 1 << 16
 
 _MAGIC = b"NCSB"
 _HEADER_STRUCT = struct.Struct(">4sBBQHIBBIHddI")
+HEADER_BYTES = _HEADER_STRUCT.size  # a stream's fixed-size header; its payload follows
 
 
 class FormatError(ValueError):

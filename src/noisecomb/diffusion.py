@@ -385,7 +385,8 @@ class Step:
     inverses, the precision matrices (``None`` if diagonal). A batch Step that
     :func:`reverse_loop` hands its hooks holds ``(n, d)`` states, one per
     loop row: ``rows`` lists those rows' indices and ``seeds`` their seeds,
-    in row order. :func:`step_at` leaves both ``None``.
+    in row order. :func:`step_at` leaves both ``None``. Hooks take a Step
+    whole and pick the rows they treat differently by position in it.
     """
 
     t: int
@@ -396,15 +397,6 @@ class Step:
     schedule: Schedule
     rows: tuple | None = None
     seeds: tuple | None = None
-
-    def take(self, positions) -> Step:
-        """The batch Step of this Step's rows at ``positions``: indices, or a slice (which takes views)."""
-        if isinstance(positions, slice):
-            rows, seeds = self.rows[positions], self.seeds[positions]
-        else:
-            rows, seeds = (tuple(a[j] for j in positions) for a in (self.rows, self.seeds))
-        return Step(self.t, self.x[positions], self.x0_hat[positions],
-                    tuple(a[positions] for a in self.stats), self.marginal, self.schedule, rows, seeds)
 
 
 def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:

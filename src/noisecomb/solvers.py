@@ -14,24 +14,25 @@ Two families share one stream layout so runs with equal seeds are paired:
   ``NCS-DDCM`` is refused with a pointer to it.
 
 Every solver is one row of :func:`~noisecomb.diffusion.reverse_loop`, whose
-one noise hook and one shift hook :func:`solve_rows` dispatches to the
-solver families itself. It sorts each schedule's rows by family, so every
-family's rows lie side by side in every batch
-:class:`~noisecomb.diffusion.Step`, and per step runs each family's hook
-once on its slices of all Steps: ``fresh_noise`` for DPS and MPGD, one
-guided noise rule for DDCM and NCS-*, and the DPS and MPGD mean shifts
-(rows with no shift get ``-0.0``, which leaves them as they are). A hook
-looks up each row's observation and config through ``step.rows``; the rows
-of a Step that share one operator object form one array batch, so a step
-forms one residual per operator, and one stacked Jacobian product per Step
-for the DPS rows. DDCM and NCS-* share the guided rule, which takes the
-measurement direction and the step codebook and differs only in the weights
-(DDCM the argmax atom over all K, NCS-* the optimal or top-m combination).
-No solver scores a state itself. The jobs of one :func:`solve_rows` call on
-equal schedules share one scoring and one DDPM update per step, and every
-schedule's rows step together, aligned by t. Each row is bit-identical to
-its own :func:`solve`, which is the one-job case (as are :func:`ncs_solve`
-and :func:`baseline_solve`).
+one noise hook and one shift hook :func:`solve_rows` supplies. Its rows stay
+in job order, and each hook takes every batch
+:class:`~noisecomb.diffusion.Step` whole: it computes what it must for the
+rows that need it and picks each row's result through per-row masks, built
+once per call. The noise hook gives DDCM and NCS-* their guided noise and every
+other row ``fresh_noise``; the shift hook gives DPS and MPGD rows their mean
+shifts and the others ``-0.0``, which leaves them as they are. A hook looks
+up each row's observation and config through ``step.rows``. Only the rows
+that read their observation in a hook enter its residual, and the rows of a
+Step that share one operator object form one array batch, so a hook forms
+one residual per operator and Step, and one stacked Jacobian product per
+Step for the NCS-DPS directions or the DPS shifts. DDCM and NCS-* share the
+guided rule, which takes the measurement direction and the step codebook
+and differs only in the weights (DDCM the argmax atom over all K, NCS-* the
+optimal or top-m combination). No solver scores a state itself. The jobs of
+one :func:`solve_rows` call on equal schedules share one scoring and one
+DDPM update per step, and every schedule's rows step together, aligned by
+t. Each row is bit-identical to its own :func:`solve`, which is the one-job
+case (as are :func:`ncs_solve` and :func:`baseline_solve`).
 
 A degenerate direction (zero, or with no usable codebook projection) makes
 its step draw the keyed fresh noise of a plain DDPM step: ``fresh_noise``,
@@ -49,7 +50,6 @@ d=16 grid). There is no process-wide cache.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +80,7 @@ __all__ = [
 
 BASELINE_SOLVERS = ("DPS", "MPGD", "DDCM")
 NCS_SOLVERS = ("NCS-DPS", "NCS-MPGD")
-_ROW_ORDER = ("DPS", "MPGD", "NCS-DPS", "NCS-MPGD", "DDCM")  # solve_rows's row order
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -146,145 +146,110 @@ def _combine(rule, codebook: np.ndarray, c: np.ndarray) -> tuple:
 def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
     """One :class:`SolveResult` per ``(schedule, obs, config)`` job, all in one ``reverse_loop``.
 
-    Each job is one row of the loop, keyed by its config's seed on its
-    schedule: its solver's noise policy and mean shift against its own
-    observation, which the loop's two hooks dispatch to by the row's slot
-    (see ``rank``); jobs on equal schedules are scored as one batch. Every
-    result is bit-identical to ``solve(prior, schedule, obs, config)`` run
-    alone, and the results come back in job order. DPS and MPGD draw fresh noise and
-    shift the mean at every step, t = 1 included; the loop adds the shift to
-    the DDPM update. DPS's shift is ``-zeta_t * grad ||y - A x0_hat||^2``
-    with the residual-normalized step ``zeta_t = zeta / ||y - A x0_hat||``,
-    both from one residual; MPGD moves the Tweedie estimate by ``2 lam
-    sqrt(alpha_bar) A^T r`` and folds that move through the posterior-mean
-    coefficient. A zero ``zeta`` or ``lam`` leaves the row without a shift.
+    Job j is row j of the loop, keyed by its config's seed on its schedule:
+    its solver's noise policy and mean shift against its own observation,
+    which the loop's two hooks pick per row; jobs on equal schedules are
+    scored as one batch. Every result is bit-identical to ``solve(prior,
+    schedule, obs, config)`` run alone, and the results come back in job
+    order. DPS and MPGD draw fresh noise and shift the mean at every step,
+    t = 1 included; the loop adds the shift to the DDPM update. DPS's shift
+    is ``-zeta_t * grad ||y - A x0_hat||^2`` with the residual-normalized
+    step ``zeta_t = zeta / ||y - A x0_hat||``, both from one residual; MPGD
+    moves the Tweedie estimate by ``2 lam sqrt(alpha_bar) A^T r`` and folds
+    that move through the posterior-mean coefficient. A zero ``zeta`` or
+    ``lam`` leaves the row without a shift, and it reads no observation.
     DDCM and NCS-* leave the mean alone and take the guided noise rule.
     """
-    first = {}  # each schedule -> the first job on it
-    for j, (schedule, _, _) in enumerate(jobs):
-        first.setdefault(schedule, j)
-
-    def slot(config):
-        """``2 * place + (no shift)``, ``place`` the solver's in ``_ROW_ORDER``: DPS rows take slots
-        0 and 1, MPGD rows 2 and 3, each with a shift in the even one, and the guided rows 5 to 9."""
-        shift = {"DPS": config.zeta, "MPGD": config.lam}.get(config.solver, 0.0)
-        return 2 * _ROW_ORDER.index(config.solver) + (not shift)
-
-    def rank(j):
-        """Row order: by schedule, then slot, then ``(seed, K)``. Each group's rows, and in each
-        group's Step the rows of each slot, then lie side by side."""
-        schedule, _, config = jobs[j]
-        return first[schedule], slot(config), config.seed, config.K
-
-    order = sorted(range(len(jobs)), key=rank)
-    obs = [jobs[j][1] for j in order]
-    configs = [jobs[j][2] for j in order]
+    obs = [observation for _, observation, _ in jobs]
+    configs = [config for _, _, config in jobs]
+    solver = np.array([config.solver for config in configs], dtype=str)
     zeta, lam = (np.array([getattr(config, name) for config in configs]) for name in ("zeta", "lam"))
-    slots = [slot(config) for config in configs]
+    guided = (solver != "DPS") & (solver != "MPGD")  # per row: it takes the guided noise rule
+    ncs_dps = solver == "NCS-DPS"  # per row: its direction is pulled back through J
+    dps, mpgd = (solver == "DPS") & (zeta > 0), (solver == "MPGD") & (lam > 0)  # per row: it shifts
+    shifted = dps | mpgd
     degenerate = np.zeros(len(jobs), dtype=int)  # per row: the steps that drew fresh noise
-    stacked = {}  # a Step's rows -> per operator, its rows' positions and batch observation
+    stacked = {}  # (a Step's rows, id of a row mask) -> per operator, its reading rows' positions and observation
 
-    def residuals(step):
-        """``adjoint_residual`` of each row of ``step`` against its own observation."""
-        if step.rows not in stacked:
+    def residuals(step, reads):
+        """``adjoint_residual`` of each row of ``step`` that ``reads`` picks against its own
+        observation, and zeros in the other rows."""
+        key = (step.rows, id(reads))
+        if key not in stacked:
             by_operator = {}
             for j, i in enumerate(step.rows):
-                by_operator.setdefault(id(obs[i].operator), []).append(j)
-            stacked[step.rows] = [
+                if reads[i]:
+                    by_operator.setdefault(id(obs[i].operator), []).append(j)
+            stacked[key] = [
                 (pos, Observation(np.array([obs[step.rows[j]].y for j in pos]), obs[step.rows[pos[0]]].operator))
                 for pos in by_operator.values()
             ]
-        parts = stacked[step.rows]
-        if len(parts) == 1:
+        parts = stacked[key]
+        if len(parts) == 1 and len(parts[0][0]) == len(step.rows):  # every row reads, through one operator
             return adjoint_residual(parts[0][1], step.x0_hat)
-        out = (np.empty_like(step.x), np.empty(len(step.rows)), np.empty(len(step.rows)))
+        out = (np.zeros_like(step.x), np.zeros(len(step.rows)), np.zeros(len(step.rows)))
         for pos, batch in parts:
             for whole, part in zip(out, adjoint_residual(batch, step.x0_hat[pos])):
                 whole[pos] = part
         return out
 
     def directions(step):
-        """Each row's guidance direction and its norm: ``A^T r``, pulled back through J for NCS-DPS."""
-        c, _, norm = residuals(step)
-        n_dps = sum(configs[i].solver == "NCS-DPS" for i in step.rows)  # in row order, they come first
-        if n_dps:
-            dps = slice(0, n_dps)
-            c[dps] = _pull_back(step.take(dps), c[dps])
-            norm[dps] = row_norms(c[dps])
+        """Each guided row's direction and its norm, zeros elsewhere: ``A^T r``, pulled back
+        through J for NCS-DPS by one Jacobian product over the whole Step."""
+        c, _, norm = residuals(step, guided)
+        pull = ncs_dps[list(step.rows)]
+        if pull.any():
+            c[pull] = _pull_back(step, np.where(pull[:, None], c, 0.0))[pull]
+            norm[pull] = row_norms(c[pull])
         return c, norm
 
-    def guided(steps):
-        """Each row's codebook noise; per ``(seed, K)``, one codebook serves all of its rows."""
+    def noise(steps):
+        """Each guided row's codebook noise, per ``(seed, K)`` one codebook for all of its rows,
+        and the fresh noise of a plain DDPM step for every other row."""
+        flat = np.array([i for step in steps for i in step.rows])  # the rows of all Steps, in order
+        if not guided[flat].any():
+            return fresh_noise(steps)
         c, norm = (np.concatenate(a) for a in zip(*map(directions, steps)))
-        flat = [i for step in steps for i in step.rows]  # the rows of all Steps, in order
-        ends = np.cumsum([len(step.rows) for step in steps])[:-1]
-        noise, fresh = np.empty_like(c), ~(norm > 0)  # fresh: the rows that draw fresh noise
+        out, fresh = np.empty_like(c), ~(norm > 0)  # fresh: the rows that draw fresh noise
         rules = {}  # (seed, K) -> rule -> positions in ``flat``
-        for n, i in enumerate(flat):
-            config = configs[i]
+        for n in np.flatnonzero(~fresh).tolist():
+            config = configs[flat[n]]
             rule = "DDCM" if config.solver == "DDCM" else config.m
             rules.setdefault((config.seed, config.K), {}).setdefault(rule, []).append(n)
         for (seed, K), by_rule in sorted(rules.items()):
-            live = {rule: [n for n in pos if not fresh[n]] for rule, pos in by_rule.items()}
-            if any(live.values()):
-                codebook = None  # drop the previous codebook before the next is built
-                codebook = build_codebook(seed, steps[0].t, K, prior.d)
-                codebook.flags.writeable = False
-                for rule, pos in live.items():
-                    if pos:
-                        noise[pos], usable = _combine(rule, codebook, c[pos])
-                        fresh[pos] = ~usable
-        if fresh.any():  # the fresh noise of a plain DDPM step, drawn for just those rows
-            picks = (np.flatnonzero(m).tolist() for m in np.split(fresh, ends))
-            noise[fresh] = np.concatenate(fresh_noise([s.take(p) for s, p in zip(steps, picks) if p]))
-            degenerate[np.array(flat)[fresh]] += 1
-        return np.split(noise, ends)
+            codebook = None  # drop the previous codebook before the next is built
+            codebook = build_codebook(seed, steps[0].t, K, prior.d)
+            codebook.flags.writeable = False
+            for rule, pos in by_rule.items():
+                out[pos], usable = _combine(rule, codebook, c[pos])
+                fresh[pos] = ~usable
+        if fresh.any():
+            out[fresh] = np.concatenate(fresh_noise(steps))[fresh]
+            degenerate[flat[fresh & guided[flat]]] += 1
+        return np.split(out, np.cumsum([len(step.rows) for step in steps])[:-1])
 
-    def dps(steps):
+    def shift(steps):
+        """Each row's mean shift, and ``-0.0``, which leaves a row as it is, where it has none."""
         out = []
         for step in steps:
-            pulled, rnorm, _ = residuals(step)
-            live = rnorm > 0
-            scale = zeta[list(step.rows)] / np.where(live, rnorm, 1.0)
-            shift = scale[:, None] * (2.0 * tweedie_jacobian_apply(step, pulled))
-            out.append(np.where(live[:, None], shift, -0.0))  # adding -0.0 leaves a row as it is
+            at = list(step.rows)
+            delta, on_dps, on_mpgd = np.full_like(step.x, -0.0), dps[at], mpgd[at]
+            if on_dps.any() or on_mpgd.any():
+                c, rnorm, _ = residuals(step, shifted)
+                if on_dps.any():
+                    live = on_dps & (rnorm > 0)
+                    scale = zeta[at] / np.where(live, rnorm, 1.0)
+                    delta[live] = (scale[:, None] * (2.0 * tweedie_jacobian_apply(step, c)))[live]
+                if on_mpgd.any():
+                    t, schedule = step.t, step.schedule
+                    ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
+                    coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
+                    delta[on_mpgd] = (coef0 * ((2.0 * lam[at] * np.sqrt(ab))[:, None] * c))[on_mpgd]
+            out.append(delta)
         return out
 
-    def mpgd(steps):
-        out = []
-        for step in steps:
-            t, schedule = step.t, step.schedule
-            ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
-            shift = (2.0 * lam[list(step.rows)] * np.sqrt(ab))[:, None] * residuals(step)[0]
-            coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
-            out.append(coef0 * shift)
-        return out
-
-    def run(hooks, steps, out):
-        """Call each ``(hook, lo, hi)`` once, on the rows of slots ``lo`` to ``hi - 1`` of every
-        Step that holds some, and write its output to those rows of ``out``, one array per Step."""
-        for hook, lo, hi in hooks:
-            parts = []
-            for n, step in enumerate(steps):
-                a = step.rows[0]  # a group's Step holds the rows a, a + 1, ... in slot order
-                pos = slice(*(bisect_left(slots, k, a, a + len(step.rows)) - a for k in (lo, hi)))
-                if pos.start < pos.stop:
-                    parts.append((n, pos))
-            if parts:
-                for (n, pos), part in zip(parts, hook([steps[n].take(pos) for n, pos in parts])):
-                    out[n][pos] = part
-        return out
-
-    def noise(steps):  # fresh noise for DPS and MPGD (slots 0 to 3), the guided rule for the rest
-        return run(((fresh_noise, 0, 4), (guided, 4, 10)), steps, [np.empty_like(s.x) for s in steps])
-
-    def shift(steps):  # slots 0 and 2; adding -0.0 leaves a row with no shift as it is
-        return run(((dps, 0, 1), (mpgd, 2, 3)), steps, [np.full_like(s.x, -0.0) for s in steps])
-
-    rows = [(jobs[j][0], jobs[j][2].seed) for j in order]
-    x0 = dict(zip(order, reverse_loop(prior, rows, noise, shift)))
-    degenerate_steps = dict(zip(order, degenerate.tolist()))
-    return [SolveResult(x0=x0[j], degenerate_steps=degenerate_steps[j]) for j in range(len(jobs))]
+    x0 = reverse_loop(prior, [(schedule, config.seed) for schedule, _, config in jobs], noise, shift)
+    return [SolveResult(x0=x, degenerate_steps=n) for x, n in zip(x0, degenerate.tolist())]
 
 
 def ncs_solve(

@@ -608,6 +608,38 @@ def test_cli_bench_quant_batch_above_bound_is_a_config_error(tmp_path, capsys, m
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        ({"m_values": [2, 4, 2], "C_values": [3], "batch": 1}, "m_values: repeats a value"),
+        ({"m_values": [2], "C_values": [3, 3], "batch": 1}, "C_values: repeats a value"),
+        ({"m_values": [9], "C_values": [4], "batch": 1, "budget": 10**12}, "work bound"),  # 16^8 assignments
+        ({"m_values": [255], "C_values": [16], "batch": 2}, "work bound"),  # the dynamic program alone
+    ],
+    ids=["m-repeated", "C-repeated", "exhaustive-above-work-bound", "dp-above-work-bound"],
+)
+def test_cli_bench_quant_unbounded_config_is_a_config_error(tmp_path, capsys, monkeypatch, cfg, message):
+    # refused before any score batch is built or any quantizer runs
+    import noisecomb.cli
+
+    built = []
+    monkeypatch.setattr(noisecomb.cli, "_bench_scores", lambda *args: built.append(args) or [])
+    assert _run_config(tmp_path, "bench-quant", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert built == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_above_file_size_bound_is_a_config_error(tmp_path, capsys):
+    # a valid config padded past the 4 MiB bound is refused unparsed
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(_tiny_solve()) + " " * (1 << 22))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config size bound" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_unknown_config_key_is_named(tmp_path, capsys):
     # a misspelt key must not run with the default it failed to set
     assert _run_config(tmp_path, "solve", _tiny_solve(lamda=5.0)) == 2
@@ -771,6 +803,26 @@ def test_cli_compress_above_dimension_bound_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "dimension bound" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_decompress_reads_no_further_than_its_payload(tmp_path, capsys):
+    # 8 MiB of trailing bytes are refused after one byte past the payload is read
+    blob, payload_len = _k16_m2_stream()
+    stream_path = tmp_path / "trailing.ncsb"
+    stream_path.write_bytes(bytes(blob) + bytes(8 << 20))
+    tracemalloc.start()
+    try:
+        rc = main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4 and peak < 2**20
+    assert f"payload must be {payload_len} bytes" in capsys.readouterr().err
+    stream_path.write_bytes(bytes(blob[:-1]))  # a byte short
+    assert main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")]) == 4
+    assert not (tmp_path / "r.npy").exists()
+    stream_path.write_bytes(bytes(blob))
+    assert main(["decompress", "--input", str(stream_path), "--out", str(tmp_path / "r.npy")]) == 0
 
 
 def test_cli_decompress_fuzz_exits_only_with_documented_codes(tmp_path):

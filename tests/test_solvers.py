@@ -252,8 +252,9 @@ def test_lockstep_job_order_changes_neither_builds_nor_bytes(monkeypatch):
 
 
 def test_fresh_noise_runs_once_per_noisy_step_on_both_schedules(monkeypatch):
-    # solve_rows calls fresh_noise once per step, on the DPS and MPGD rows of
-    # every live Step; the mask leaves no guided row degenerate
+    # solve_rows calls fresh_noise once per noisy step, on every live Step
+    # whole, and its rows stay in job order; the mask leaves no guided row
+    # degenerate, so only the DPS and MPGD rows take its draws
     import noisecomb.solvers
 
     calls = []
@@ -266,8 +267,72 @@ def test_fresh_noise_runs_once_per_noisy_step_on_both_schedules(monkeypatch):
     assert [steps[0].t for steps in calls] == list(range(12, 1, -1))
     for steps in calls:
         assert [s.schedule.T for s in steps] == ([7, 12] if steps[0].t <= 7 else [12])
-        # per schedule: DPS then MPGD, each at three m for seeds 5 and 6
-        assert all(s.seeds == (5, 5, 5, 6, 6, 6) * 2 for s in steps)
+        for s in steps:
+            rows = tuple(j for j, (sch, _, _) in enumerate(jobs) if sch == s.schedule)
+            assert s.rows == rows
+            # per schedule: every solver at three m, for seed 5 and then seed 6
+            assert s.seeds == (5,) * 15 + (6,) * 15 == tuple(jobs[j][2].seed for j in rows)
+
+
+def test_ncs_dps_directions_are_dps_directions_row_by_row(monkeypatch):
+    # in a call that mixes every solver, each NCS-DPS row's direction is
+    # dps_direction of its own observation at its own state; the rows share
+    # one seed and differ in their combination rule, so each _combine call
+    # takes one row, named by its rule
+    import noisecomb.diffusion
+    import noisecomb.solvers
+
+    prior = build_registered_prior(4, 8)
+    sch = Schedule(9, 1e-4, 0.02)
+    own = {}  # rule -> (row, observation) of the NCS-DPS rows
+    jobs = []
+    for solver, m, keep in (("DPS", None, [0, 1]), ("NCS-DPS", None, [0, 2, 4]), ("MPGD", None, [1]),
+                            ("NCS-MPGD", 2, [3, 5]), ("NCS-DPS", 3, [6, 7]), ("DDCM", None, [0])):
+        x0 = prior.sample(derive_stream(StreamKey(len(jobs), Domain.PRIOR_SAMPLE, 0, 0)))
+        obs = make_observation(x0, Mask(prior.d, keep), 0.05,
+                               derive_stream(StreamKey(len(jobs), Domain.OBSERVATION_NOISE, 0, 0)))
+        if solver == "NCS-DPS":
+            own[m] = (len(jobs), obs)
+        jobs.append((sch, obs, SolverConfig(solver=solver, K=8, m=m, seed=4)))
+    events = []  # the Steps of the noise hook's Jacobian products, and the _combine calls that follow
+    real_apply, real_combine = noisecomb.solvers.tweedie_jacobian_apply, noisecomb.solvers._combine
+    monkeypatch.setattr(noisecomb.solvers, "tweedie_jacobian_apply",
+                        lambda step, v: events.append(("step", step)) or real_apply(step, v))
+    monkeypatch.setattr(noisecomb.solvers, "_combine",
+                        lambda rule, E, c: events.append(("combine", rule, c.copy())) or real_combine(rule, E, c))
+    solve_rows(prior, jobs)
+    checked = 0
+    for event in events:
+        if event[0] == "step":
+            step = event[1]
+        elif event[1] in own:
+            row, obs = own[event[1]]
+            alone = noisecomb.diffusion.step_at(prior, sch, step.x[step.rows.index(row)], step.t)
+            expected = dps_direction(obs, alone)
+            assert event[2].shape == (1, prior.d)
+            np.testing.assert_allclose(event[2][0], expected, rtol=1e-12, atol=1e-12 * np.linalg.norm(expected))
+            checked += 1
+    assert checked == 2 * (sch.T - 1)
+
+
+def test_fresh_noise_runs_only_where_a_row_draws_it(monkeypatch):
+    # with only guided rows, fresh_noise runs just for a degenerate row: never
+    # when none degenerates, and once per noisy step, on every Step whole, for
+    # a row whose every direction is zero
+    import noisecomb.solvers
+
+    calls = []
+    real = noisecomb.solvers.fresh_noise
+    monkeypatch.setattr(noisecomb.solvers, "fresh_noise", lambda steps: calls.append(steps) or real(steps))
+    prior, sch, _, obs = _toy_problem(seed=2)
+    jobs = [(sch, obs, SolverConfig(solver=solver, K=8, seed=2)) for solver in ("NCS-DPS", "NCS-MPGD", "DDCM")]
+    rows = solve_rows(prior, jobs)
+    assert calls == [] and [row.degenerate_steps for row in rows] == [0, 0, 0]
+    zero = Observation(y=np.zeros(1), operator=ZeroOperator(prior.d))
+    rows = solve_rows(prior, jobs + [(sch, zero, SolverConfig(solver="NCS-DPS", K=8, seed=3))])
+    assert [row.degenerate_steps for row in rows] == [0, 0, 0, sch.T - 1]
+    assert [steps[0].t for steps in calls] == list(range(sch.T, 1, -1))
+    assert all(len(steps) == 1 and steps[0].rows == (0, 1, 2, 3) for steps in calls)
 
 
 def test_self_consistent_first_step_degenerates():
@@ -390,6 +455,33 @@ def test_dps_step_forms_one_residual(monkeypatch):
         calls.clear()
         solve(prior, Schedule(5, 1e-4, 0.02), obs, SolverConfig(solver=solver, K=8, seed=0))
         assert len(calls) == expected, solver
+
+
+class UnreadOperator(ZeroOperator):
+    """Refuses to be applied: the observation of a row that must not read it."""
+
+    def apply(self, x):
+        raise AssertionError("a zero-guidance row read its observation")
+
+
+def test_mixed_step_forms_one_residual_per_hook(monkeypatch):
+    # the four solvers of the shipped grid on one operator: per noisy step one
+    # residual for the guided rows, and per step one for the DPS and MPGD rows;
+    # DPS and MPGD rows with zero guidance read nothing and stay plain DDPM
+    prior = build_registered_prior(4, 8)
+    sch = Schedule(5, 1e-4, 0.02)
+    obs = Observation(y=np.ones(4), operator=Mask(prior.d, [0, 1, 2, 3]))
+    unread = Observation(y=np.zeros(1), operator=UnreadOperator(prior.d))
+    calls = []
+    real = Mask.apply
+    monkeypatch.setattr(Mask, "apply", lambda self, x: calls.append(len(x)) or real(self, x))
+    jobs = [(sch, obs, SolverConfig(solver=s, K=8, seed=0)) for s in ("DPS", "NCS-DPS", "MPGD", "NCS-MPGD")]
+    jobs += [(sch, unread, SolverConfig(solver="DPS", seed=1, zeta=0.0)),
+             (sch, unread, SolverConfig(solver="MPGD", seed=1, lam=0.0))]
+    rows = solve_rows(prior, jobs)
+    assert calls == [2, 2] * 4 + [2]
+    uncond = unconditional_sample(prior, sch, 1).tobytes()
+    assert rows[4].x0.tobytes() == rows[5].x0.tobytes() == uncond
 
 
 @pytest.mark.parametrize(
