@@ -2,8 +2,8 @@
 
 Commands consume a JSON experiment config and emit CSV (metrics, benchmark
 rows) or binary artifacts (bitstreams, reconstructions). All outputs are
-reproducible byte-for-byte from config + seed; wall-clock columns are zero
-unless the config opts in with ``"timing": true``.
+reproducible byte-for-byte from config + seed; the ``wall_ms`` column of a
+solve CSV is always zero.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 format error.
 """
@@ -72,7 +72,6 @@ METRIC_COLUMNS = [
 _SAMPLE_KEYS = {"prior", "schedule", "T", "seeds", "dump"}
 _SOLVE_KEYS = {
     "prior", "schedule", "task", "solvers", "T", "K", "m", "zeta", "lambda", "seeds",
-    "psnr_range", "timing",
 }
 _PRESET_PRIOR_KEYS = {"preset_id", "d"}
 _INLINE_PRIOR_KEYS = {"weights", "means", "variances", "covariances"}
@@ -96,8 +95,11 @@ _MAX_BENCH_WORK = 1 << 22
 # reading one byte past the bound, so no config file is read without bound.
 _MAX_CONFIG_BYTES = 1 << 22
 
-# Codebook sizes a config may name in place of a number for K.
-_K_PRESETS = {"inpaint_box": 64}
+# The most rows x components x dimensions one lockstep ``sample`` or ``solve``
+# batch may hold: scoring keeps some 36 bytes per unit, so the bound is some
+# 600 MiB. A larger batch is a config error, found before any seed is drawn.
+# configs/solve_inpaint.json asks for 80 x 8 x 16 = 10,240.
+_MAX_BATCH = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -124,14 +126,14 @@ def _object(value, where: str) -> dict:
 
 
 def _typed(kind, value, where: str, lo=None, hi=None):
-    """``value`` read as ``kind`` within ``[lo, hi]``; the one reader of config numbers.
+    """``value`` read as ``kind`` within ``[lo, hi]``; the one reader of config scalars.
 
     An int is read with ``operator.index``, so ``5.7`` and ``"5"`` are refused
-    rather than truncated or parsed; a float only from a finite number. A
-    bool is neither.
+    rather than truncated or parsed; a float only from a finite number; a str
+    only from a string. A bool is none of them.
     """
     try:
-        if isinstance(value, bool) or (kind is float and isinstance(value, str)):
+        if isinstance(value, bool) or (kind is not int and isinstance(value, str) != (kind is str)):
             raise TypeError
         out = operator.index(value) if kind is int else kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -193,7 +195,7 @@ def prior_from_config(spec: dict) -> GaussianMixturePrior:
             variances=spec.get("variances"),
             covariances=spec.get("covariances"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"prior: {exc}") from exc
 
 
@@ -207,28 +209,17 @@ def _schedule_from_config(spec: dict, T: int):
         raise ConfigError(f"schedule: {exc}") from exc
 
 
-def _resolve_k(value) -> int:
-    """Codebook size: an integer, or the name of a preset in ``_K_PRESETS``."""
-    if isinstance(value, str):
-        try:
-            return _K_PRESETS[value]
-        except KeyError:
-            raise ConfigError(
-                f"K: unknown preset {value!r}; choose from {sorted(_K_PRESETS)}"
-            ) from None
-    return _typed(int, value, "K")
-
-
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return float(np.mean((a - b) ** 2))
 
 
-def psnr(mse_value: float, data_range: float = 2.0) -> float:
+def psnr(mse_value: float) -> float:
+    """PSNR in dB for data in [-1, 1], whose range is 2."""
     if mse_value == 0:
         return float("inf")
-    return float(10.0 * np.log10(data_range * data_range / mse_value))
+    return float(10.0 * np.log10(4.0 / mse_value))
 
 
 def _fmt(value) -> str:
@@ -245,7 +236,7 @@ def _write_csv(path: str, columns, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _seeds(cfg: dict, seed_offset: int) -> list:
+def _seeds(cfg: dict, seed_offset: int = 0) -> list:
     return _int_list(_require(cfg, "seeds"), "seeds", 0, 2**64 - 1, seed_offset)
 
 
@@ -254,7 +245,14 @@ def _t_values(cfg: dict) -> list:
     return _int_list([ts] if isinstance(ts, int) else ts, "T", 1, 2**16 - 1)
 
 
-def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
+def _check_batch(rows: int, prior: GaussianMixturePrior) -> None:
+    """Refuse a lockstep batch whose rows x components x dimensions exceed ``_MAX_BATCH``."""
+    size = rows * prior.n_components * prior.d
+    if size > _MAX_BATCH:
+        raise ConfigError(f"rows*k*d = {size} exceeds the batch bound {_MAX_BATCH}")
+
+
+def cmd_sample(cfg: dict, out: str) -> list:
     """Unconditional samples per (seed, T): moment summary CSV plus a dump.
 
     The whole (T, seed) grid is one lockstep ``reverse_loop`` with one row
@@ -265,11 +263,12 @@ def cmd_sample(cfg: dict, out: str, seed_offset: int = 0) -> list:
     _known_keys(cfg, _SAMPLE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
     schedule_spec = cfg.get("schedule", {})
-    seeds = _seeds(cfg, seed_offset)
+    seeds = _seeds(cfg)
     dump = cfg.get("dump")
     if dump is not None and not isinstance(dump, str):
         raise ConfigError(f"dump: expected a file name, got {dump!r}")
     t_values = _t_values(cfg)
+    _check_batch(len(t_values) * len(seeds), prior)
     schedules = {T: _schedule_from_config(schedule_spec, T) for T in t_values}
     grid = [(T, seed) for T in sorted(t_values) for seed in sorted(seeds)]  # CSV row order
     try:
@@ -293,9 +292,8 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     seed's ground truth and observation are drawn once. The grid is one
     lockstep ``solve_rows`` call (see :mod:`noisecomb.solvers`); a check
     that fails inside it, such as a non-finite direction, is a config
-    error. With ``"timing": true``, every row's ``wall_ms`` is the wall time
-    of that one call. Rows are sorted by ``(solver, task, T, seed)``, so the
-    CSV does not depend on the run order.
+    error. Every row's ``wall_ms`` is 0.0. Rows are sorted by ``(solver,
+    task, T, seed)``, so the CSV does not depend on the run order.
     """
     _known_keys(cfg, _SOLVE_KEYS, "config")
     prior = prior_from_config(_require(cfg, "prior"))
@@ -308,18 +306,13 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
     seeds = _seeds(cfg, seed_offset)
     t_values = _t_values(cfg)
     schedules = {T: _schedule_from_config(schedule_spec, T) for T in t_values}
-    timing = cfg.get("timing", False)
-    if not isinstance(timing, bool):
-        raise ConfigError(f"timing: expected true or false, got {timing!r}")
     sigma_obs = _typed(float, task.get("sigma_obs", 0.05), "task: sigma_obs", 0.0)
-    psnr_range = _typed(float, cfg.get("psnr_range", 2.0), "psnr_range")
-    if psnr_range <= 0:
-        raise ConfigError(f"psnr_range: must be > 0, got {psnr_range}")
     m = cfg.get("m")
-    K = _resolve_k(cfg.get("K", 64))
+    K = _typed(int, cfg.get("K", 64), "K")
     work = max(t_values) * K * prior.d  # the codebook normals of the longest solve
     if work > MAX_ENCODE_WORK:
         raise ConfigError(f"max(T)*K*d = {work} exceeds the work bound {MAX_ENCODE_WORK}")
+    _check_batch(len(seeds) * len(t_values) * len(solvers), prior)
     try:
         op_spec = _object(_require(task, "operator", "task"), "task: operator")
         op = operator_from_config(op_spec, prior.d)
@@ -333,9 +326,9 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
             )
             for solver_name in solvers
         ]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    task_name = task.get("name", op.kind)
+    task_name = _typed(str, task.get("name", op.kind), "task: name")
     grid, jobs = [], []
     for seed in seeds:
         x0 = prior.sample(derive_stream(StreamKey(seed, Domain.PRIOR_SAMPLE, 0, 0)))
@@ -345,18 +338,16 @@ def cmd_solve(cfg: dict, out: str, seed_offset: int = 0) -> list:
             for config in configs:
                 grid.append((seed, T, x0))
                 jobs.append((schedules[T], obs, replace(config, seed=seed)))
-    start = time.perf_counter() if timing else 0.0
     try:
         results = solve_rows(prior, jobs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
     rows = []
     for (seed, T, x0), (_, _, config), result in zip(grid, jobs, results):
         err = mse(result.x0, x0)
         m_used = config.m if config.m is not None else config.K
         rows.append((seed, config.solver, task_name, T, config.K, m_used, err,
-                     psnr(err, psnr_range), wall_ms, result.degenerate_steps))
+                     psnr(err), 0.0, result.degenerate_steps))
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
     _write_csv(out, METRIC_COLUMNS, rows)
     return rows
@@ -394,7 +385,7 @@ def cmd_compress(cfg: dict, input_path: str, out: str, recon_path: str | None = 
             prior,
             schedule,
             seed=_typed(int, cfg.get("seed", 0), "seed"),
-            K=_resolve_k(_require(cfg, "K")),
+            K=_typed(int, _require(cfg, "K"), "K"),
             m=_typed(int, _require(cfg, "m"), "m"),
             C=_typed(int, _require(cfg, "C"), "C"),
             n_side=_typed(int, cfg.get("n_side", max(1, round(np.sqrt(len(x0))))), "n_side"),
@@ -489,10 +480,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed-offset", type=int, default=0)
+        return p
 
     common(sub.add_parser("sample", help="unconditional samples + moment summaries"))
-    common(sub.add_parser("solve", help="solver quality grid -> metric CSV"))
+    p = common(sub.add_parser("solve", help="solver quality grid -> metric CSV"))
+    p.add_argument("--seed-offset", type=int, default=0)
 
     p = sub.add_parser("compress", help="encode a raw float vector")
     p.add_argument("--config", required=True)
@@ -514,7 +506,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sample":
-            cmd_sample(load_config(args.config), args.out, args.seed_offset)
+            cmd_sample(load_config(args.config), args.out)
         elif args.command == "solve":
             cmd_solve(load_config(args.config), args.out, args.seed_offset)
         elif args.command == "compress":

@@ -419,13 +419,6 @@ def step_at(prior: GaussianMixturePrior, schedule: Schedule, x, t: int) -> Step:
     return Step(t, x, (x + (1.0 - ab) * s) / np.sqrt(ab), (resp, g, s), marginal, schedule)
 
 
-def _index(positions: list):
-    """``positions`` as a slice where they lie side by side (it indexes without a copy), else an index array."""
-    if positions[-1] - positions[0] == len(positions) - 1:
-        return slice(positions[0], positions[-1] + 1)
-    return np.array(positions, dtype=np.intp)
-
-
 def reverse_loop(prior: GaussianMixturePrior, rows, noise, shift=None) -> np.ndarray:
     """The reverse process of every row, in lockstep, from its keyed N(0, I) latent down to x_0.
 
@@ -453,12 +446,12 @@ def reverse_loop(prior: GaussianMixturePrior, rows, noise, shift=None) -> np.nda
     for i, (schedule, seed) in enumerate(rows):
         groups.setdefault(schedule, []).append(i)
         x[i] = derive_stream(StreamKey(seed, Domain.INIT_LATENT, schedule.T, 0)).standard_normal(d)
-    named = {sch: (_index(idx), tuple(idx), tuple(rows[i][1] for i in idx)) for sch, idx in groups.items()}
+    named = {sch: (np.array(idx), tuple(idx), tuple(rows[i][1] for i in idx)) for sch, idx in groups.items()}
     for t in range(max((schedule.T for schedule in groups), default=0), 0, -1):
         steps, indices = [], []
         for sch, (index, idx, seeds) in named.items():
-            if sch.T >= t:  # the Step keeps a copy of x_t: x moves on below
-                s = step_at(prior, sch, x[index].copy(), t)
+            if sch.T >= t:  # x[index] is a copy of x_t, which the Step keeps: x moves on below
+                s = step_at(prior, sch, x[index], t)
                 steps.append(Step(t, s.x, s.x0_hat, s.stats, s.marginal, sch, idx, seeds))
                 indices.append(index)
         steps = tuple(steps)

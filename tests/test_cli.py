@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from noisecomb.cli import (
-    METRIC_COLUMNS,
     ConfigError,
     cmd_bench_quant,
     cmd_sample,
@@ -44,7 +43,7 @@ SOLVE_CONFIG = {
 
 
 def test_psnr_convention():
-    assert psnr(4.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+    assert psnr(4.0) == pytest.approx(0.0, abs=1e-12)
     assert psnr(0.0) == float("inf")
 
 
@@ -136,17 +135,8 @@ def test_cmd_solve_grid_and_reproducibility(tmp_path):
     ]
     cmd_solve(SOLVE_CONFIG, str(out_b))
     assert out_a.read_bytes() == out_b.read_bytes()
-    # timing disabled by default: wall_ms column is identically zero
+    # no wall time is measured: the wall_ms column is identically zero
     assert all(r[8] == "0.0" for r in _read_csv(out_a)[1:])
-
-
-def test_cmd_solve_timing_fills_only_wall_ms(tmp_path):
-    cfg = {**SOLVE_CONFIG, "T": [4], "seeds": [0, 1]}
-    off = cmd_solve(cfg, str(tmp_path / "off.csv"))
-    on = cmd_solve({**cfg, "timing": True}, str(tmp_path / "on.csv"))
-    wall = METRIC_COLUMNS.index("wall_ms")
-    assert all(row[wall] > 0 for row in on)
-    assert [row[:wall] + row[wall + 1:] for row in on] == [row[:wall] + row[wall + 1:] for row in off]
 
 
 def test_cmd_solve_seed_offset_changes_rows(tmp_path):
@@ -425,18 +415,6 @@ def test_shipped_solve_grid_builds_each_codebook_once_per_seed(tmp_path, monkeyp
     assert sorted(scorings) == [20] * 20 + [100] * 100
 
 
-def test_k_presets_resolve(tmp_path):
-    cfg = dict(SOLVE_CONFIG)
-    cfg["K"] = "inpaint_box"
-    cfg["T"] = [8]
-    cfg["seeds"] = [0]
-    rows = cmd_solve(cfg, str(tmp_path / "k.csv"))
-    assert all(r[4] == 64 for r in rows)
-    cfg["K"] = "no_such_task"
-    with pytest.raises(ConfigError, match="preset"):
-        cmd_solve(cfg, str(tmp_path / "k2.csv"))
-
-
 def test_bench_quant_objectives_reproducible(tmp_path):
     cfg = {"m_values": [2, 4], "C_values": [3], "batch": 8, "seed": 1, "budget": 10**4}
     rows_a = cmd_bench_quant(cfg, str(tmp_path / "a.csv"))
@@ -480,12 +458,9 @@ def _tiny_solve(**fields):
         ("solve", _tiny_solve(seeds=["a"])),
         ("solve", _tiny_solve(task={"operator": "mask"})),
         ("solve", _tiny_solve(task={"operator": {"kind": "identity"}, "sigma_obs": "x"})),
-        ("solve", _tiny_solve(psnr_range=0)),
-        ("solve", _tiny_solve(psnr_range=-2.0)),
         ("solve", _tiny_solve(fallback="FirstAtom")),  # the option is gone
         ("solve", _tiny_solve(schedule={"kind": "cosine"})),
         ("solve", _tiny_solve(lamda=5.0)),  # misspelt "lambda"
-        ("solve", _tiny_solve(timing="false")),  # a nonempty string is truthy
         ("solve", _tiny_solve(task={**SOLVE_CONFIG["task"], "sigma": 0.1})),
         ("sample", {"prior": {"preset_id": 1, "d": 4}, "T": 3, "seeds": [0], "solvers": ["DPS"]}),
         ("solve", _tiny_solve(schedule={"beta_mx": 0.05})),
@@ -508,6 +483,7 @@ def _tiny_solve(**fields):
         ("solve", _tiny_solve(T=[5.7])),
         ("solve", _tiny_solve(T=["5"])),
         ("solve", _tiny_solve(K=True)),
+        ("solve", _tiny_solve(K="inpaint_box")),  # K takes an integer only
         ("solve", _tiny_solve(seeds=[True])),
         ("sample", {"prior": {"weights": [1.0], "means": [[NAN, 0.0]], "variances": [[1.0, 1.0]]},
                     "T": 3, "seeds": [0]}),
@@ -543,16 +519,25 @@ def _tiny_solve(**fields):
             for T in (1, 5)
         ],
         ("solve", _tiny_solve(T=[1], K=8, solvers=["DPS"], zeta=1e308)),
+        ("solve", _tiny_solve(task={"operator": {"kind": "circular_blur", "taps": [2**2000, 1]}})),
+        *[
+            ("sample", {"prior": {"weights": [1.0], "means": [[0.0]], "variances": [[1.0]], **{field: value}},
+                        "T": 3, "seeds": [0]})
+            for field, value in (("weights", [2**2000]), ("means", [[2**2000]]), ("variances", [[2**2000]]))
+        ],
+        ("sample", {"prior": {"weights": [1.0], "means": [[0.0]], "covariances": [[[2**2000]]]},
+                    "T": 3, "seeds": [0]}),
+        ("solve", _tiny_solve(task={**SOLVE_CONFIG["task"], "name": 5})),
+        ("solve", _tiny_solve(task={**SOLVE_CONFIG["task"], "name": {"a": 1}})),
     ],
     ids=[
-        "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "psnr-range-zero",
-        "psnr-range-negative", "fallback-option-gone", "schedule-kind-not-linear",
-        "unknown-key-lamda", "timing-not-bool", "unknown-task-key", "sample-unknown-key",
+        "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "fallback-option-gone",
+        "schedule-kind-not-linear", "unknown-key-lamda", "unknown-task-key", "sample-unknown-key",
         "unknown-schedule-key", "bench-unknown-key", "bench-C-negative",
         "bench-m-zero", "bench-m-not-int", "bench-C-above-bound", "bench-m-above-255",
         "bench-batch-zero", "schedule-alpha-bar-one", "prior-covariance-not-symmetric",
         "prior-covariance-not-positive-definite", "prior-variances-shape",
-        "schedule-kind-gone", "T-not-integral", "T-string", "K-bool", "seeds-bool",
+        "schedule-kind-gone", "T-not-integral", "T-string", "K-bool", "K-string", "seeds-bool",
         "prior-mean-nan", "prior-variance-inf", "prior-weight-nan",
         "blur-taps-nan", "blur-taps-sum-overflows", "mask-index-not-integer",
         "downsample-factor-float", "downsample-factor-bool",
@@ -562,7 +547,9 @@ def _tiny_solve(**fields):
         "sigma-obs-huge-DPS", "sigma-obs-huge-NCS-DPS", "sigma-obs-huge-MPGD",
         "sigma-obs-huge-NCS-MPGD", "sigma-obs-huge-DDCM",
         "zeta-negative", "lambda-negative", "lambda-huge-MPGD-T1", "lambda-huge-MPGD-T5",
-        "zeta-huge-DPS-T1",
+        "zeta-huge-DPS-T1", "blur-taps-int-overflows", "prior-weights-int-overflows",
+        "prior-means-int-overflows", "prior-variances-int-overflows", "prior-covariances-int-overflows",
+        "task-name-int", "task-name-object",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a NumPy RuntimeWarning would print beside the message
@@ -578,14 +565,28 @@ def test_cli_ill_typed_config_value_is_a_config_error(tmp_path, capsys, command,
     [
         ("sample", {"prior": {"preset_id": 1, "d": 1 << 40}, "T": 3, "seeds": [0]}, "dimension bound"),
         ("solve", _tiny_solve(K=1 << 33), "work bound"),
+        # 513 rows x 8 components x 4096 dimensions: one row past the batch bound of 2^24
+        ("sample", {"prior": {"preset_id": 4, "d": 4096}, "T": [1], "seeds": list(range(513))},
+         f"rows*k*d = {513 * 8 * 4096} exceeds the batch bound {1 << 24}"),
+        ("solve", _tiny_solve(prior={"preset_id": 4, "d": 4096}, T=[1], seeds=list(range(513)),
+                              solvers=["DPS"], task={"operator": {"kind": "identity"}}),
+         f"rows*k*d = {513 * 8 * 4096} exceeds the batch bound {1 << 24}"),
     ],
-    ids=["sample-preset-d-above-MAX_D", "solve-K-above-work-bound"],
+    ids=["sample-preset-d-above-MAX_D", "solve-K-above-work-bound", "sample-batch-above-bound",
+         "solve-batch-above-bound"],
 )
 def test_cli_config_above_size_bound_is_a_config_error(tmp_path, capsys, command, cfg, bound):
     # refused before any array of that size is allocated
-    assert _run_config(tmp_path, command, cfg) == 2
+    tracemalloc.start()
+    try:
+        rc = _run_config(tmp_path, command, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and bound in err
+    assert err.startswith("config error:") and bound in err and len(err.splitlines()) == 1
+    assert peak < 2**20
     assert not (tmp_path / "out").exists()
 
 
@@ -659,8 +660,21 @@ def test_cli_unknown_config_key_is_named(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_removed_options_are_refused(tmp_path, capsys):
+    # solve's timing and psnr_range keys and sample's --seed-offset flag are gone
+    for key, value in (("timing", True), ("psnr_range", 2.0)):
+        assert _run_config(tmp_path, "solve", _tiny_solve(**{key: value})) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    cfg = _write_json(tmp_path / "cfg.json", {"prior": {"preset_id": 1, "d": 4}, "T": 3, "seeds": [0]})
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sample", "--seed-offset", "1", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "--seed-offset" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
-@pytest.mark.parametrize("field", ["zeta", "lambda", "sigma_obs", "beta_min", "psnr_range"])
+@pytest.mark.parametrize("field", ["zeta", "lambda", "sigma_obs", "beta_min"])
 def test_cli_non_finite_config_float_is_a_config_error(tmp_path, capsys, field, value):
     # json.load reads NaN and Infinity; no config float may be either
     if field == "sigma_obs":

@@ -14,3 +14,12 @@ def test_readme_python_blocks_run():
     namespace = {}
     for i, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md, python block {i}", "exec"), namespace)
+
+
+def test_readme_config_schema_lists_exactly_the_cli_keys():
+    from noisecomb import cli
+
+    schema = re.search(r"^```jsonc\n(.*?)^```", README.read_text(), re.M | re.S).group(1)
+    assert set(re.findall(r'^  "(\w+)":', schema, re.M)) == cli._SAMPLE_KEYS | cli._SOLVE_KEYS
+    task = re.search(r'^  "task": \{[^\n]*\n(.*?)^  \},', schema, re.M | re.S).group(1)
+    assert set(re.findall(r'^    "(\w+)":', task, re.M)) == cli._TASK_KEYS
