@@ -529,6 +529,9 @@ def _tiny_solve(**fields):
                     "T": 3, "seeds": [0]}),
         ("solve", _tiny_solve(task={**SOLVE_CONFIG["task"], "name": 5})),
         ("solve", _tiny_solve(task={**SOLVE_CONFIG["task"], "name": {"a": 1}})),
+        ("solve", _tiny_solve(psnr_range=0)),  # psnr_range and timing are gone: unknown keys
+        ("solve", _tiny_solve(psnr_range=-2.0)),
+        ("solve", _tiny_solve(timing="false")),
     ],
     ids=[
         "seeds-not-int", "operator-not-object", "sigma-obs-not-float", "fallback-option-gone",
@@ -549,7 +552,8 @@ def _tiny_solve(**fields):
         "zeta-negative", "lambda-negative", "lambda-huge-MPGD-T1", "lambda-huge-MPGD-T5",
         "zeta-huge-DPS-T1", "blur-taps-int-overflows", "prior-weights-int-overflows",
         "prior-means-int-overflows", "prior-variances-int-overflows", "prior-covariances-int-overflows",
-        "task-name-int", "task-name-object",
+        "task-name-int", "task-name-object", "psnr-range-zero", "psnr-range-negative",
+        "timing-not-bool",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a NumPy RuntimeWarning would print beside the message
