@@ -20,12 +20,13 @@ in job order, and each hook takes every batch
 rows that need it and picks each row's result through per-row masks, built
 once per call. The noise hook gives DDCM and NCS-* their guided noise and every
 other row ``fresh_noise``; the shift hook gives DPS and MPGD rows their mean
-shifts and the others ``-0.0``, which leaves them as they are. A hook looks
-up each row's observation and config through ``step.rows``. Only the rows
-that read their observation in a hook enter its residual, and the rows of a
-Step that share one operator object form one array batch, so a hook forms
-one residual per operator and Step, and one stacked Jacobian product per
-Step for the NCS-DPS directions or the DPS shifts. DDCM and NCS-* share the
+shifts and the others ``-0.0``, which leaves them as they are. Both hooks
+read one guidance per Step, looking up each row's observation and config
+through ``step.rows``: one residual per operator over the rows that read
+their observation at t (guided rows at t >= 2, shifting rows at every t),
+where the rows that share one operator object form one array batch, and one
+stacked Jacobian product for the NCS-DPS directions and the DPS shifts
+together. DDCM and NCS-* share the
 guided rule, which takes the measurement direction and the step codebook
 and differs only in the weights (DDCM the argmax atom over all K, NCS-* the
 optimal or top-m combination). No solver scores a state itself. The jobs of
@@ -109,11 +110,6 @@ class SolveResult:
     degenerate_steps: int
 
 
-def _pull_back(step: Step, v: np.ndarray) -> np.ndarray:
-    """(1/sigma_t^2) J^T v at each row of ``step``."""
-    return tweedie_jacobian_apply(step, v) / step.schedule.sigma_at(step.t) ** 2
-
-
 def dps_direction(obs: Observation, step: Step) -> np.ndarray:
     """Likelihood-gradient direction: (1/sigma_t^2) J^T A^T (y - A x0_hat).
 
@@ -122,7 +118,8 @@ def dps_direction(obs: Observation, step: Step) -> np.ndarray:
     state, with the Step schedule's sigma_t as the likelihood scale. A batch
     Step takes a batch observation, one measurement per row.
     """
-    return _pull_back(step, mpgd_direction(obs, step.x0_hat))
+    c = mpgd_direction(obs, step.x0_hat)
+    return tweedie_jacobian_apply(step, c) / step.schedule.sigma_at(step.t) ** 2
 
 
 def _combine(rule, codebook: np.ndarray, c: np.ndarray) -> tuple:
@@ -158,7 +155,10 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
     moves the Tweedie estimate by ``2 lam sqrt(alpha_bar) A^T r`` and folds
     that move through the posterior-mean coefficient. A zero ``zeta`` or
     ``lam`` leaves the row without a shift, and it reads no observation.
-    DDCM and NCS-* leave the mean alone and take the guided noise rule.
+    DDCM and NCS-* leave the mean alone and take the guided noise rule; they
+    read their observation at t >= 2 only, as the t = 1 step is noiseless.
+    Per Step, one residual per operator and one Jacobian product serve both
+    hooks: NCS-DPS and DPS pull the same ``A^T r`` back through the same J.
     """
     obs = [observation for _, observation, _ in jobs]
     configs = [config for _, _, config in jobs]
@@ -169,39 +169,48 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
     dps, mpgd = (solver == "DPS") & (zeta > 0), (solver == "MPGD") & (lam > 0)  # per row: it shifts
     shifted = dps | mpgd
     degenerate = np.zeros(len(jobs), dtype=int)  # per row: the steps that drew fresh noise
-    stacked = {}  # (a Step's rows, id of a row mask) -> per operator, its reading rows' positions and observation
+    stacked = {}  # (a Step's rows, t >= 2) -> per operator, its reading rows' positions and observation
+    memo = {}  # a Step's rows -> its guidance, from the noise hook to the shift hook of one step
 
-    def residuals(step, reads):
-        """``adjoint_residual`` of each row of ``step`` that ``reads`` picks against its own
-        observation, and zeros in the other rows."""
-        key = (step.rows, id(reads))
+    def guidance(step):
+        """Per row of ``step``: its direction, the direction's norm and its mean shift.
+
+        One residual per operator covers the rows that read their observation
+        at t: guided rows at t >= 2, shifting rows at every t. A direction is
+        ``A^T r``, pulled back through J for NCS-DPS by the one Jacobian
+        product that also gives the DPS shifts. A row that reads nothing has a
+        zero direction, and a row without a shift gets ``-0.0``, which leaves
+        it as it is. The noise hook reads the directions of the guided rows.
+        """
+        if step.rows in memo:
+            return memo[step.rows]
+        at, t, schedule = list(step.rows), step.t, step.schedule
+        key, reading = (step.rows, t >= 2), (shifted | guided if t >= 2 else shifted)[at]
         if key not in stacked:
             by_operator = {}
-            for j, i in enumerate(step.rows):
-                if reads[i]:
-                    by_operator.setdefault(id(obs[i].operator), []).append(j)
+            for j in np.flatnonzero(reading).tolist():
+                by_operator.setdefault(id(obs[at[j]].operator), []).append(j)
             stacked[key] = [
-                (pos, Observation(np.array([obs[step.rows[j]].y for j in pos]), obs[step.rows[pos[0]]].operator))
+                (pos, Observation(np.array([obs[at[j]].y for j in pos]), obs[at[pos[0]]].operator))
                 for pos in by_operator.values()
             ]
-        parts = stacked[key]
-        if len(parts) == 1 and len(parts[0][0]) == len(step.rows):  # every row reads, through one operator
-            return adjoint_residual(parts[0][1], step.x0_hat)
-        out = (np.zeros_like(step.x), np.zeros(len(step.rows)), np.zeros(len(step.rows)))
-        for pos, batch in parts:
-            for whole, part in zip(out, adjoint_residual(batch, step.x0_hat[pos])):
-                whole[pos] = part
-        return out
-
-    def directions(step):
-        """Each guided row's direction and its norm, zeros elsewhere: ``A^T r``, pulled back
-        through J for NCS-DPS by one Jacobian product over the whole Step."""
-        c, _, norm = residuals(step, guided)
-        pull = ncs_dps[list(step.rows)]
-        if pull.any():
-            c[pull] = _pull_back(step, np.where(pull[:, None], c, 0.0))[pull]
+        c, rnorm, norm = np.zeros_like(step.x), np.zeros(len(at)), np.zeros(len(at))
+        for pos, batch in stacked[key]:
+            c[pos], rnorm[pos], norm[pos] = adjoint_residual(batch, step.x0_hat[pos])
+        delta, on_dps, pull = np.full_like(step.x, -0.0), dps[at], ncs_dps[at] & reading
+        if on_dps.any() or pull.any():
+            jc = tweedie_jacobian_apply(step, c)
+            c[pull] = jc[pull] / schedule.sigma_at(t) ** 2
             norm[pull] = row_norms(c[pull])
-        return c, norm
+            live = on_dps & (rnorm > 0)
+            delta[live] = (zeta[at][live] / rnorm[live])[:, None] * (2.0 * jc[live])
+        on_mpgd = mpgd[at]
+        if on_mpgd.any():
+            ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
+            coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
+            delta[on_mpgd] = (coef0 * ((2.0 * lam[at] * np.sqrt(ab))[:, None] * c))[on_mpgd]
+        memo[step.rows] = c, norm, delta
+        return memo[step.rows]
 
     def noise(steps):
         """Each guided row's codebook noise, per ``(seed, K)`` one codebook for all of its rows,
@@ -209,8 +218,8 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
         flat = np.array([i for step in steps for i in step.rows])  # the rows of all Steps, in order
         if not guided[flat].any():
             return fresh_noise(steps)
-        c, norm = (np.concatenate(a) for a in zip(*map(directions, steps)))
-        out, fresh = np.empty_like(c), ~(norm > 0)  # fresh: the rows that draw fresh noise
+        c, norm = (np.concatenate(a) for a in zip(*(guidance(step)[:2] for step in steps)))
+        out, fresh = np.empty_like(c), ~(guided[flat] & (norm > 0))  # fresh: the rows that draw fresh noise
         rules = {}  # (seed, K) -> rule -> positions in ``flat``
         for n in np.flatnonzero(~fresh).tolist():
             config = configs[flat[n]]
@@ -229,23 +238,9 @@ def solve_rows(prior: GaussianMixturePrior, jobs) -> list:
         return np.split(out, np.cumsum([len(step.rows) for step in steps])[:-1])
 
     def shift(steps):
-        """Each row's mean shift, and ``-0.0``, which leaves a row as it is, where it has none."""
-        out = []
-        for step in steps:
-            at = list(step.rows)
-            delta, on_dps, on_mpgd = np.full_like(step.x, -0.0), dps[at], mpgd[at]
-            if on_dps.any() or on_mpgd.any():
-                c, rnorm, _ = residuals(step, shifted)
-                if on_dps.any():
-                    live = on_dps & (rnorm > 0)
-                    scale = zeta[at] / np.where(live, rnorm, 1.0)
-                    delta[live] = (scale[:, None] * (2.0 * tweedie_jacobian_apply(step, c)))[live]
-                if on_mpgd.any():
-                    t, schedule = step.t, step.schedule
-                    ab, ab_prev = schedule.alpha_bar_at(t), schedule.alpha_bar_prev(t)
-                    coef0 = np.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
-                    delta[on_mpgd] = (coef0 * ((2.0 * lam[at] * np.sqrt(ab))[:, None] * c))[on_mpgd]
-            out.append(delta)
+        """Each row's mean shift, from the guidance of this step, which is then dropped."""
+        out = [guidance(step)[2] for step in steps]
+        memo.clear()
         return out
 
     x0 = reverse_loop(prior, [(schedule, config.seed) for schedule, _, config in jobs], noise, shift)

@@ -415,6 +415,53 @@ def test_shipped_solve_grid_builds_each_codebook_once_per_seed(tmp_path, monkeyp
     assert sorted(scorings) == [20] * 20 + [100] * 100
 
 
+def test_shipped_solve_grid_call_counts(tmp_path, monkeypatch):
+    # the shipped grid's calls per layer, counted in every module that holds
+    # each name: 120 Steps (T = 100 and T = 20), each with one residual and
+    # one Jacobian product that both solver hooks read
+    import hashlib
+    import pathlib
+    import sys
+
+    import noisecomb.operators
+
+    counts = {}
+
+    def count(name, real):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    modules = [m for n, m in list(sys.modules.items()) if n == "noisecomb" or n.startswith("noisecomb.")]
+    names = ("step_at", "logsumexp", "ddpm_step", "tweedie_jacobian_apply", "adjoint_residual",
+             "build_codebook", "optimal_weights", "synthesize_noise", "derive_stream", "fresh_noise")
+    for name in names:
+        real = next(vars(module)[name] for module in modules if name in vars(module))
+        for module in modules:
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, count(name, real))
+    Mask = noisecomb.operators.Mask
+    for name in ("apply", "adjoint"):
+        monkeypatch.setattr(Mask, name, count(f"Mask.{name}", getattr(Mask, name)))
+
+    config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "solve_inpaint.json"
+    out = tmp_path / "grid.csv"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "940da54d386c8c5c6f785ecd7b1ba33d7ac82735355988117bb6f939d6d546c2"
+    )
+    assert counts == {
+        "step_at": 120, "logsumexp": 120, "ddpm_step": 120,
+        "tweedie_jacobian_apply": 120, "adjoint_residual": 120,
+        "Mask.apply": 130,  # 10 from make_observation, one per seed
+        "Mask.adjoint": 120,
+        "build_codebook": 990, "optimal_weights": 990, "synthesize_noise": 990,
+        "derive_stream": 1098, "fresh_noise": 99,
+    }
+
+
 def test_bench_quant_objectives_reproducible(tmp_path):
     cfg = {"m_values": [2, 4], "C_values": [3], "batch": 8, "seed": 1, "budget": 10**4}
     rows_a = cmd_bench_quant(cfg, str(tmp_path / "a.csv"))

@@ -464,12 +464,13 @@ class UnreadOperator(ZeroOperator):
         raise AssertionError("a zero-guidance row read its observation")
 
 
-def test_mixed_step_forms_one_residual_per_hook(monkeypatch):
-    # the four solvers of the shipped grid on one operator: per noisy step one
-    # residual for the guided rows, and per step one for the DPS and MPGD rows;
-    # DPS and MPGD rows with zero guidance read nothing and stay plain DDPM
+def test_mixed_step_forms_one_residual_per_step(monkeypatch):
+    # the four solvers of the shipped grid on one operator: per step one
+    # residual, for the guided rows at t >= 2 and the DPS and MPGD rows at
+    # every t; DPS and MPGD rows with zero guidance read nothing and stay plain
+    # DDPM, and guided rows never read at t = 1, so a T = 1 guided row is too
     prior = build_registered_prior(4, 8)
-    sch = Schedule(5, 1e-4, 0.02)
+    sch, single = Schedule(5, 1e-4, 0.02), Schedule(1, 1e-4, 0.02)
     obs = Observation(y=np.ones(4), operator=Mask(prior.d, [0, 1, 2, 3]))
     unread = Observation(y=np.zeros(1), operator=UnreadOperator(prior.d))
     calls = []
@@ -478,10 +479,13 @@ def test_mixed_step_forms_one_residual_per_hook(monkeypatch):
     jobs = [(sch, obs, SolverConfig(solver=s, K=8, seed=0)) for s in ("DPS", "NCS-DPS", "MPGD", "NCS-MPGD")]
     jobs += [(sch, unread, SolverConfig(solver="DPS", seed=1, zeta=0.0)),
              (sch, unread, SolverConfig(solver="MPGD", seed=1, lam=0.0))]
+    jobs += [(single, unread, SolverConfig(solver=s, K=8, seed=2)) for s in ("NCS-DPS", "NCS-MPGD", "DDCM")]
     rows = solve_rows(prior, jobs)
-    assert calls == [2, 2] * 4 + [2]
+    assert calls == [4, 4, 4, 4, 2]
     uncond = unconditional_sample(prior, sch, 1).tobytes()
     assert rows[4].x0.tobytes() == rows[5].x0.tobytes() == uncond
+    uncond = unconditional_sample(prior, single, 2).tobytes()
+    assert rows[6].x0.tobytes() == rows[7].x0.tobytes() == rows[8].x0.tobytes() == uncond
 
 
 @pytest.mark.parametrize(
