@@ -354,14 +354,14 @@ def compress(
     grid = Grid(C)
     writer = _BitWriter()
     degenerate = 0
-    # Every step draws its codebook into one pair of (K, d) buffers allocated
+    # Every step draws its codebook into one (K, d) array of raw words allocated
     # here, so the encoder's heap does not grow and shrink by a codebook a step.
-    buffers = (np.empty((K, prior.d), dtype=np.uint64), np.empty((K, prior.d)))
+    buffer = np.empty((K, prior.d), dtype=np.uint64)
 
     def encode(steps):
         nonlocal degenerate
         (step,) = steps
-        codebook = build_codebook(seed, step.t, K, prior.d, buffers=buffers)
+        codebook = build_codebook(seed, step.t, K, prior.d, buffer=buffer)
         try:
             selection = top_m_weights(x0 - step.x0_hat[0], codebook, m)
             indices = selection.indices.tolist()

@@ -19,8 +19,10 @@ Two private helpers hold the recipe, and both
 generator through its ``.state`` (key words, counter block, empty output
 buffer), setting the key and counter of one state dict that the thread
 reuses. Because Philox is counter-based, that is exactly the word sequence
-of a freshly keyed generator. ``_normals`` is the one normal map; it works in
-place, with one float64 buffer beside the raw words. A :class:`NoiseStream` is
+of a freshly keyed generator. ``_normals`` is the one normal map, and it
+overwrites the raw words: a word's top 52 bits ``k`` become the mantissa of the
+float64 ``1 + k * 2**-52``, and subtracting ``1 - 2**-53`` leaves ``(k + 0.5) *
+2**-52``, which fits in 53 bits and so is exact. A :class:`NoiseStream` is
 a key and a count of the words read so far, and owns no generator: each
 read re-keys at block ``count // 4`` and discards the ``count % 4`` words
 already consumed from it, so opening a handle costs no generator
@@ -143,23 +145,24 @@ def _rekey(words: tuple, block: int = 0) -> Philox:
     return bitgen
 
 
-def _normals(raws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The v1 normal map ``ndtri(((raw >> 12) + 0.5) * 2**-52)``; overwrites ``raws``.
+def _normals(raws: np.ndarray) -> np.ndarray:
+    """The v1 normal map ``ndtri(((raw >> 12) + 0.5) * 2**-52)``, written over ``raws``.
 
-    The normals go to ``out``, a float64 array of ``raws``' shape, when given.
+    ``1 + k * 2**-52`` (mantissa ``k = raw >> 12``) minus ``1 - 2**-53`` is ``(k + 0.5) *
+    2**-52`` exactly, as it fits in 53 bits. Returns ``raws`` viewed as float64.
     """
-    u = np.empty(raws.shape) if out is None else out
-    u[...] = np.right_shift(raws, np.uint64(12), out=raws)
-    u += 0.5
-    u *= 2.0**-52
+    raws >>= 12
+    raws |= 0x3FF0000000000000
+    u = raws.view(np.float64)
+    u -= 1.0 - 2.0**-53
     return ndtri(u, out=u)
 
 
-def _draw_rows(raws: np.ndarray, normals: np.ndarray, seed: int, base: int, atoms) -> None:
-    """Draw atom ``atoms[j]`` into row ``j`` of ``raws``, then map the rows into ``normals``."""
+def _draw_rows(raws: np.ndarray, seed: int, base: int, atoms) -> None:
+    """Draw atom ``atoms[j]`` into row ``j`` of ``raws``, then map the rows to normals in place."""
     for j, i in enumerate(atoms):
         raws[j] = _rekey((seed, base | i)).random_raw(raws.shape[1])
-    _normals(raws, normals)
+    _normals(raws)
 
 
 # A build of at least this many normals (atoms x d) splits its atom rows with
@@ -263,7 +266,7 @@ def derive_stream(key: StreamKey) -> NoiseStream:
     return NoiseStream(key)
 
 
-def build_codebook(seed: int, t: int, K: int, d: int, indices=None, buffers=None) -> np.ndarray:
+def build_codebook(seed: int, t: int, K: int, d: int, indices=None, buffer=None) -> np.ndarray:
     """Timestep-``t`` codebook: ``K`` standard-normal atoms as columns of a ``(d, K)`` array.
 
     Column ``i`` is exactly the stream output for key ``StreamKey(seed,
@@ -278,7 +281,7 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None, buffers=None
     (atoms x d), in a process that may run on two or more CPUs, is split: one
     process-wide helper thread draws and maps the upper half of the atom rows
     while the calling thread does the lower half, both in place in the same
-    ``(n, d)`` arrays, and the call returns once both halves are done (an
+    ``(n, d)`` array, and the call returns once both halves are done (an
     error in the helper's half is raised here). The split cannot change a
     bit: every atom is drawn from its own key, whichever thread draws it, and
     the normal map is element-wise, so mapping two halves is mapping the whole.
@@ -288,10 +291,10 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None, buffers=None
     ``indices[j]`` of the full codebook (any order, repeats allowed). An index
     outside ``[0, K)`` raises ``ValueError``.
 
-    With ``buffers``, a caller-owned pair ``(raws, normals)`` of ``(n, d)``
-    uint64 and float64 arrays, ``n`` the atom count, the build draws into them
-    instead of allocating: the result is the view ``normals.T``, which the next
-    build into the same pair overwrites. The values are the same.
+    A build holds one ``(n, d)`` uint64 array, ``n`` the atom count, whose raw
+    words the normal map overwrites. With ``buffer``, a caller-owned array of
+    that kind, the build draws into it instead of allocating: the result is a
+    view of ``buffer``, which the next build into it overwrites.
     """
     if K < 1:
         raise ValueError(f"codebook size must be >= 1, got {K}")
@@ -308,24 +311,21 @@ def build_codebook(seed: int, t: int, K: int, d: int, indices=None, buffers=None
     seed, t = operator.index(seed), operator.index(t)
     _check_key_fields(seed, t, top)
     n = len(atoms)
-    if buffers is None:
-        raws, normals = np.empty((n, d), dtype=np.uint64), np.empty((n, d))
-    else:
-        raws, normals = buffers
-        if not (raws.dtype == np.uint64 and normals.dtype == np.float64
-                and raws.shape == normals.shape == (n, d)):
-            raise ValueError(f"buffers must be uint64 and float64 arrays of shape {(n, d)}")
+    if buffer is None:
+        buffer = np.empty((n, d), dtype=np.uint64)
+    elif not (isinstance(buffer, np.ndarray) and buffer.dtype == np.uint64 and buffer.shape == (n, d)):
+        raise ValueError(f"buffer must be a uint64 array of shape {(n, d)}")
     base = (int(Domain.CODEBOOK) << 48) | (t << 32)
     if n < 2 or n * d < _SPLIT_MIN_VALUES or _CPUS < 2:
-        _draw_rows(raws, normals, seed, base, atoms)
-        return normals.T
+        _draw_rows(buffer, seed, base, atoms)
+        return buffer.view(np.float64).T
     # the helper's share reaches it through a list that it empties, so once
     # ``.result()`` returns, the executor's work item holds no caller buffer
     half = (n + 1) // 2
-    upper = [(raws[half:], normals[half:], seed, base, atoms[half:])]
+    upper = [(buffer[half:], seed, base, atoms[half:])]
     done = _split_helper().submit(lambda: _draw_rows(*upper.pop()))
     try:
-        _draw_rows(raws[:half], normals[:half], seed, base, atoms[:half])
+        _draw_rows(buffer[:half], seed, base, atoms[:half])
     finally:
         done.result()
-    return normals.T
+    return buffer.view(np.float64).T

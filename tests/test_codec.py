@@ -560,11 +560,12 @@ def test_decoder_memory_does_not_scale_with_codebook_size():
     assert np.all(np.isfinite(x))
 
 
-def test_encoder_draws_every_codebook_into_one_pair_of_buffers():
+def test_encoder_draws_every_codebook_into_one_buffer():
     import tracemalloc
 
-    # raw words and normals, K*d*8 bytes each, allocated once per encode; a new
-    # codebook per step held beside the previous one peaked at 3.1 K*d*8
+    # K*d raw words, overwritten by their normals, allocated once per encode; a
+    # float64 array beside the words peaked at 2.2 K*d*8, and a new codebook
+    # per step held beside the previous one at 3.1 K*d*8
     K, d = 64, 1 << 14
     prior = build_registered_prior(1, d)
     x0 = np.linspace(-1.0, 1.0, d)
@@ -575,7 +576,51 @@ def test_encoder_draws_every_codebook_into_one_pair_of_buffers():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * K * d * 8
+    assert peak <= 1.5 * K * d * 8
+
+
+def test_codec_op_call_counts(monkeypatch):
+    # one round trip of the codec-patch workload at codec seed 0: prior 2,
+    # d = 64, T = 100, K = 64, m = 4, C = 4, component 0 of prior 2 drawn with
+    # default_rng([0, 0]); the counts are closed forms in T, K, m and d
+    import hashlib
+
+    import noisecomb.codec
+    import noisecomb.diffusion
+    import noisecomb.rng as rng
+
+    T, K, m, d = 100, 64, 4, 64
+    counts = dict.fromkeys(("_rekey", "ndtri", "ndtri values", "build_codebook", "step_at"), 0)
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            if name == "ndtri":
+                counts["ndtri values"] += np.size(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((rng, "_rekey"), (rng, "ndtri"), (noisecomb.codec, "build_codebook"),
+                         (noisecomb.diffusion, "step_at")):
+        count(module, name)
+    prior = build_registered_prior(2, d)
+    x0 = prior.means[0] + np.sqrt(prior.variances[0]) * np.random.default_rng([0, 0]).standard_normal(d)
+    result = compress(x0, prior, Schedule(T, 1e-4, 0.02), seed=0, K=K, m=m, C=4, n_side=64, prior_id=2)
+    data = result.stream.to_bytes()
+    assert decompress(Bitstream.from_bytes(data)).tobytes() == result.reconstruction.tobytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "055039cfefc0e331ace86d6e811fd2454080dc477cef7d3a2c3902edc85aae95"
+    )
+    assert counts == {
+        "_rekey": 6734,  # (T-1)(K+m) + 2: every atom drawn, and each side's initial latent
+        "ndtri": 200,  # 2T: one per codebook build and one per initial latent
+        "ndtri values": 430_976,  # (T-1)(K+m)d + 2d
+        "build_codebook": 198,  # 2(T-1)
+        "step_at": 200,  # 2T
+    }
 
 
 def test_decoder_stream_calls_do_not_scale_with_codebook_size(monkeypatch):

@@ -81,6 +81,20 @@ def test_normals_match_documented_inverse_cdf_recipe():
     assert np.array_equal(ndtri(u), np.array(GOLDEN_NORMALS_4))
 
 
+def test_in_place_normal_map_is_the_documented_recipe_bit_for_bit():
+    # the map builds 1 + k * 2**-52 inside each word and subtracts 1 - 2**-53;
+    # the result (k + 0.5) * 2**-52 fits in 53 bits, so no word rounds
+    from scipy.special import ndtri
+
+    edges = np.array([0, 2**12 - 1, 2**12, 2**63, 2**64 - 1], dtype=np.uint64)
+    raws = np.concatenate([edges, derive_stream(StreamKey(5, Domain.FRESH_NOISE, 1, 2)).raw(10**6)])
+    expected = ndtri(((raws >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52)
+    words = raws.copy()
+    got = rng._normals(words)
+    assert np.shares_memory(got, words)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_key_field_validation():
     with pytest.raises(ValueError):
         StreamKey(-1, Domain.CODEBOOK, 0, 0)
@@ -241,16 +255,16 @@ def test_codebook_named_atoms_are_columns_of_the_full_codebook():
 
 
 def test_codebook_into_caller_buffers_is_the_same_codebook():
-    raws, normals = np.empty((8, 16), dtype=np.uint64), np.empty((8, 16))
+    buffer = np.empty((8, 16), dtype=np.uint64)
     for t in (3, 4):
-        into = build_codebook(2, t, 8, 16, buffers=(raws, normals))
-        assert np.shares_memory(into, normals)
+        into = build_codebook(2, t, 8, 16, buffer=buffer)
+        assert np.shares_memory(into, buffer)
         assert into.tobytes() == build_codebook(2, t, 8, 16).tobytes()
-    named = build_codebook(2, 3, 8, 16, [5, 1], buffers=(raws[:2], normals[:2]))
+    named = build_codebook(2, 3, 8, 16, [5, 1], buffer=buffer[:2])
     assert named.tobytes() == build_codebook(2, 3, 8, 16)[:, [5, 1]].tobytes()
-    for bad in ((raws[:7], normals[:7]), (raws, normals.astype(np.float32)), (normals, normals)):
-        with pytest.raises(ValueError, match="buffers"):
-            build_codebook(2, 3, 8, 16, buffers=bad)
+    for bad in (np.empty((8, 16)), np.empty((8, 16), dtype=np.float32), buffer[:7], (buffer, buffer)):
+        with pytest.raises(ValueError, match="buffer"):
+            build_codebook(2, 3, 8, 16, buffer=bad)
 
 
 @pytest.mark.parametrize("indices", [[8], [-1], [0, 3, 9], [2**32]])
@@ -368,13 +382,13 @@ def test_concurrent_split_builds_share_one_helper(split, monkeypatch):
 def test_split_build_is_the_serial_build(monkeypatch, K):
     d = 24
     indices = [K - 1, 0, K // 2, 0, K - 1][::-1]  # odd count, repeats, reversed
-    raws, normals = np.empty((K, d), dtype=np.uint64), np.empty((K, d))
+    buffer = np.empty((K, d), dtype=np.uint64)
 
     def builds():
         return [
             build_codebook(9, 4, K, d),
             build_codebook(9, 4, K, d, indices),
-            build_codebook(9, 4, K, d, buffers=(raws, normals)).copy(),
+            build_codebook(9, 4, K, d, buffer=buffer).copy(),
         ]
 
     monkeypatch.setattr(rng, "_SPLIT_MIN_VALUES", 2**62)
@@ -397,11 +411,11 @@ def test_split_build_is_the_serial_build(monkeypatch, K):
 
 
 def test_split_build_keeps_no_caller_buffer_alive(split):
-    raws, normals = np.empty((8, 16), dtype=np.uint64), np.empty((8, 16))
-    refs = [weakref.ref(raws), weakref.ref(normals)]
-    codebook = build_codebook(2, 3, 8, 16, buffers=(raws, normals))
-    del raws, normals, codebook
-    assert all(ref() is None for ref in refs)
+    buffer = np.empty((8, 16), dtype=np.uint64)
+    ref = weakref.ref(buffer)
+    codebook = build_codebook(2, 3, 8, 16, buffer=buffer)
+    del buffer, codebook
+    assert ref() is None
 
 
 def test_split_builds_start_at_most_one_thread(split):
